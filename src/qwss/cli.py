@@ -144,9 +144,19 @@ def _nonneg_int(v, loc):
     return v
 
 
-def _any_int(v, loc):
+class _OutOfRange(ValueError):
+    """A well-typed flag or config value outside its range (``invalid_value``)."""
+
+    def __init__(self, message: str, location: str):
+        super().__init__(message)
+        self.location = location
+
+
+def _seed(v, loc):
     if isinstance(v, bool) or not isinstance(v, int):
         raise SchemaError("expected an integer", location=loc)
+    if not 0 <= v < 2**128:
+        raise _OutOfRange(f"seed must be in [0, 2**128), got {v}", location=loc)
     return v
 
 
@@ -200,7 +210,7 @@ _CONFIG_SCHEMAS = {
     "synth": {
         "dt": _pos_real,
         "n": _pos_int,
-        "seed": _any_int,
+        "seed": _seed,
         "format": _choice("auto", "binary", "csv"),
     },
     "estimate": {
@@ -217,7 +227,7 @@ _CONFIG_SCHEMAS = {
         "bins": _pos_int,
         "dt": _pos_real,
         "n": _pos_int,
-        "seed": _any_int,
+        "seed": _seed,
         "lags": _nonneg_int,
         "segment": _pos_int,
     },
@@ -235,6 +245,8 @@ def _apply_config(args: argparse.Namespace) -> None:
         doc = json.loads(raw)
     except json.JSONDecodeError as e:
         raise SchemaError(f"config is not valid JSON: {e}") from None
+    except RecursionError:
+        raise SchemaError("config is not valid JSON: nested too deeply") from None
     if not isinstance(doc, dict):
         raise SchemaError("config must be a JSON object")
     schema = _CONFIG_SCHEMAS[args.command_name]
@@ -591,6 +603,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "seed", None) is not None:
+            _seed(args.seed, "seed")
         _apply_config(args)
         return args.func(args)
     except QwssError as e:

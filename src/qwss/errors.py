@@ -16,12 +16,20 @@ class DimensionMismatchError(QwssError, ValueError):
 class NotPositiveSemidefiniteError(QwssError, ValueError):
     """A matrix or kernel required to be PSD is not.
 
-    ``witness`` carries the offending minimum eigenvalue when one is known.
+    ``witness`` carries the offending minimum eigenvalue when one is known;
+    ``index`` is the batch index of the failing slice when a stack of
+    matrices was checked.
     """
 
-    def __init__(self, message: str, witness: float | None = None):
+    def __init__(
+        self,
+        message: str,
+        witness: float | None = None,
+        index: tuple[int, ...] | None = None,
+    ):
         super().__init__(message)
         self.witness = witness
+        self.index = index
 
 
 class NotPositiveDefiniteError(QwssError, ValueError):

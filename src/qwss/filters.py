@@ -53,7 +53,7 @@ from .linalg import (
     solve_lyapunov,
     validate_psd,
 )
-from .measure import DensityGrid, OperatorSpectralMeasure
+from .measure import DensityGrid, OperatorSpectralMeasure, uniform_bin_indices
 
 __all__ = [
     "Shift",
@@ -250,28 +250,36 @@ class UnboundedWhiteNoise:
         return self.intensity.shape[0]
 
 
+def _characteristic(filt: FilterSpec, nus: np.ndarray) -> np.ndarray:
+    """``psi`` at each frequency of the 1-d array ``nus``: shape ``(n, d, d)``."""
+    d = filt.dim
+    eye = np.eye(d, dtype=np.complex128)
+    if isinstance(filt, Shift):
+        return np.exp(2j * np.pi * filt.s * nus)[:, None, None] * eye
+    if isinstance(filt, Derivative):
+        return (2j * np.pi * nus)[:, None, None] * eye
+    if isinstance(filt, ScalarConvolution):
+        h = np.array([complex(filt.hhat(x)) for x in nus.tolist()], dtype=np.complex128)
+        return h[:, None, None] * eye
+    if isinstance(filt, ExpOperator):
+        return resolvent(filt.gamma, nus) @ filt.a
+    if isinstance(filt, Tabulated):
+        j = uniform_bin_indices(filt.nu_min, filt.nu_max, filt.bins, nus)
+        outside = np.flatnonzero(j < 0)
+        if outside.size:
+            raise FilterDomainError(
+                f"nu={float(nus[outside[0]])} outside tabulated grid "
+                f"[{filt.nu_min}, {filt.nu_max}]"
+            )
+        return filt.values[j]
+    if isinstance(filt, Composition):
+        return _characteristic(filt.first, nus) @ _characteristic(filt.second, nus)
+    raise TypeError(f"unknown filter variant {type(filt).__name__}")
+
+
 def eval_characteristic(filt: FilterSpec, nu: float) -> np.ndarray:
     """Characteristic function ``psi(nu)`` of a filter as a dense matrix."""
-    nu = float(nu)
-    d = filt.dim
-    if isinstance(filt, Shift):
-        return np.exp(2j * np.pi * filt.s * nu) * np.eye(d, dtype=np.complex128)
-    if isinstance(filt, Derivative):
-        return (2j * np.pi * nu) * np.eye(d, dtype=np.complex128)
-    if isinstance(filt, ScalarConvolution):
-        return complex(filt.hhat(nu)) * np.eye(d, dtype=np.complex128)
-    if isinstance(filt, ExpOperator):
-        return resolvent(filt.gamma, nu) @ filt.a
-    if isinstance(filt, Tabulated):
-        if nu < filt.nu_min or nu > filt.nu_max:
-            raise FilterDomainError(
-                f"nu={nu} outside tabulated grid [{filt.nu_min}, {filt.nu_max}]"
-            )
-        j = min(int(np.floor((nu - filt.nu_min) / filt.width)), filt.bins - 1)
-        return filt.values[j].copy()
-    if isinstance(filt, Composition):
-        return eval_characteristic(filt.first, nu) @ eval_characteristic(filt.second, nu)
-    raise TypeError(f"unknown filter variant {type(filt).__name__}")
+    return _characteristic(filt, np.array([float(nu)]))[0]
 
 
 def apply_filter(
@@ -280,8 +288,9 @@ def apply_filter(
     """Push a measure through a filter: congruence by ``psi`` at atoms and
     density bin midpoints.
 
-    Every output weight is asserted PSD at tolerance 1e-12 (congruence
-    preserves PSD, so only rounding dust is ever corrected).
+    Atoms and bins form one stack, evaluated and transformed together. Every
+    output weight is asserted PSD at tolerance 1e-12 (congruence preserves
+    PSD, so only rounding dust is ever corrected).
     """
     if isinstance(mu, UnboundedWhiteNoise):
         raise FilterDomainError(
@@ -298,25 +307,27 @@ def apply_filter(
         return OperatorSpectralMeasure(
             dim=mu.dim, atoms=mu.atoms, density=mu.density
         )
-    atoms = []
-    for nu_k, w in mu.atoms:
-        psi = eval_characteristic(filt, nu_k)
-        out = hermitize(psi.conj().T @ w @ psi)
-        validate_psd(out, tol=1e-12, herm_tol=1e-12, name=f"filtered atom at nu={nu_k}")
-        atoms.append((nu_k, out))
+    d, k = mu.dim, len(mu.atoms)
+    den = mu.density
+    nus = np.array([nu for nu, _ in mu.atoms], dtype=float)
+    weights = np.array([w for _, w in mu.atoms], dtype=np.complex128).reshape(k, d, d)
+    if den is not None:
+        nus = np.concatenate([nus, den.midpoints()])
+        weights = np.concatenate([weights, den.values])
+    psi = _characteristic(filt, nus)
+    out = hermitize(psi.conj().swapaxes(-1, -2) @ weights @ psi)
+    validate_psd(
+        out[:k],
+        tol=1e-12,
+        herm_tol=1e-12,
+        name=lambda i: f"filtered atom at nu={mu.atoms[i][0]}",
+    )
     density = None
-    if mu.density is not None:
-        den = mu.density
-        mids = den.midpoints()
-        vals = np.empty_like(den.values)
-        for j, x in enumerate(mids):
-            psi = eval_characteristic(filt, x)
-            vals[j] = hermitize(psi.conj().T @ den.values[j] @ psi)
-            validate_psd(
-                vals[j], tol=1e-12, herm_tol=1e-12, name=f"filtered density bin {j}"
-            )
-        density = DensityGrid(den.nu_min, den.nu_max, vals)
-    return OperatorSpectralMeasure(dim=mu.dim, atoms=tuple(atoms), density=density)
+    if den is not None:
+        validate_psd(out[k:], tol=1e-12, herm_tol=1e-12, name="filtered density bin")
+        density = DensityGrid(den.nu_min, den.nu_max, out[k:])
+    atoms = tuple((nu, w) for (nu, _), w in zip(mu.atoms, out))
+    return OperatorSpectralMeasure(dim=d, atoms=atoms, density=density)
 
 
 def _factors(filt: FilterSpec) -> list[FilterSpec]:

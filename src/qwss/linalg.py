@@ -8,12 +8,22 @@ module-wide default tolerances govern validation:
 
 Both are scaled by the magnitude of the matrix once it exceeds unit scale, so
 well-conditioned large matrices are not rejected for harmless rounding dust.
+
+Stacks: ``hermitian_defect``, ``hermitize``, ``validate_psd``, ``nearest_psd``
+and ``psd_sqrt`` take one ``(d, d)`` matrix or a ``(..., d, d)`` stack of
+them, and ``resolvent`` takes one frequency or an array of them. A stack is
+handled slice by slice inside numpy (one LAPACK or BLAS call per slice, no
+Python loop), and every slice comes out bit-identical to the single-matrix
+call on it. Tolerances scale per slice. A stack that fails a check raises for
+its first failing slice in C order, with the single-matrix message naming
+that slice and the slice's batch index in the error's ``index`` attribute.
 """
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DimensionMismatchError,
@@ -48,21 +58,67 @@ def as_complex_matrix(m, name: str = "matrix") -> np.ndarray:
     return a
 
 
-def hermitian_defect(m) -> float:
-    """Max-abs entry of ``M - M.conj().T``."""
+def _as_stack(m, name: str = "matrix") -> np.ndarray:
+    """Return ``m`` as a C-contiguous complex128 matrix or stack of them."""
+    a = np.ascontiguousarray(m, dtype=np.complex128)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise DimensionMismatchError(f"{name} must be square, got shape {a.shape}")
+    return a
+
+
+def _adjoint(a: np.ndarray) -> np.ndarray:
+    return a.conj().swapaxes(-1, -2)
+
+
+def hermitian_defect(m):
+    """Max-abs entry of ``M - M.conj().T``: a float, or one per stack slice."""
     a = np.asarray(m, dtype=np.complex128)
-    return float(np.abs(a - a.conj().T).max()) if a.size else 0.0
+    defect = np.abs(a - _adjoint(a)).max(axis=(-2, -1), initial=0.0)
+    return float(defect) if defect.ndim == 0 else defect
 
 
 def hermitize(m) -> np.ndarray:
-    """Hermitian part ``(M + M.conj().T) / 2``."""
+    """Hermitian part ``(M + M.conj().T) / 2``, per slice for a stack."""
     a = np.asarray(m, dtype=np.complex128)
-    return (a + a.conj().T) / 2.0
+    return (a + _adjoint(a)) / 2.0
 
 
-def _scale(a: np.ndarray) -> float:
-    # unit floor so tolerances never shrink below their absolute defaults
-    return max(1.0, float(np.abs(a).max())) if a.size else 1.0
+def _scale(a: np.ndarray):
+    # unit floor so tolerances never shrink below their absolute defaults;
+    # fmax keeps a NaN maximum at the floor, as the builtin max does
+    return np.fmax(1.0, np.abs(a).max(axis=(-2, -1), initial=0.0))
+
+
+def _first(mask: np.ndarray) -> tuple[int, ...] | None:
+    """Batch index of the first True entry of ``mask`` in C order, or None.
+
+    ``()`` is the index of a single matrix (a 0-d mask).
+    """
+    if not mask.any():
+        return None
+    return tuple(int(i) for i in np.unravel_index(int(np.argmax(mask)), mask.shape))
+
+
+def _slice_name(name: str | Callable, index: tuple[int, ...]) -> str:
+    if not index:
+        return name
+    i = index[0] if len(index) == 1 else index
+    return name(i) if callable(name) else f"{name} {i}"
+
+
+def _psd_failure(a: np.ndarray, w: np.ndarray, tol: float, herm_tol: float):
+    """First slice of ``a`` (eigenvalues ``w`` of its Hermitian part) that is
+    not Hermitian within ``herm_tol`` or has an eigenvalue below ``-tol``, as
+    ``(index, not Hermitian, defect, min eigenvalue)``; None if all pass.
+    """
+    s = _scale(a)
+    defect = np.asarray(hermitian_defect(a))
+    lo = w.min(axis=-1, initial=0.0)
+    not_herm = defect > herm_tol * s
+    index = _first(not_herm | (lo < -tol * s))
+    if index is None:
+        return None
+    return index, bool(not_herm[index]), float(defect[index]), float(lo[index])
 
 
 def is_psd(m, tol: float = TOL_PSD, herm_tol: float | None = None) -> bool:
@@ -73,7 +129,7 @@ def is_psd(m, tol: float = TOL_PSD, herm_tol: float | None = None) -> bool:
     above unit scale.
     """
     a = as_complex_matrix(m)
-    s = _scale(a)
+    s = float(_scale(a))
     if hermitian_defect(a) > (tol if herm_tol is None else herm_tol) * s:
         return False
     w = np.linalg.eigvalsh(hermitize(a))
@@ -84,79 +140,101 @@ def validate_psd(
     m,
     tol: float = TOL_PSD,
     herm_tol: float = TOL_HERM,
-    name: str = "matrix",
+    name: str | Callable = "matrix",
 ) -> np.ndarray:
-    """Return ``m`` validated Hermitian-PSD, raising with a witness otherwise."""
-    a = as_complex_matrix(m, name=name)
-    s = _scale(a)
-    defect = hermitian_defect(a)
-    if defect > herm_tol * s:
+    """Return ``m`` validated Hermitian-PSD, raising with a witness otherwise.
+
+    ``m`` is a matrix or a ``(..., d, d)`` stack. In a stack, slice ``i`` is
+    called ``f"{name} {i}"`` in the error, or ``name(i)`` if ``name`` is
+    callable (``i`` is a tuple when the batch has more than one axis).
+    """
+    a = _as_stack(m, name=name if isinstance(name, str) else "matrix")
+    failure = _psd_failure(a, np.linalg.eigvalsh(hermitize(a)), tol, herm_tol)
+    if failure is not None:
+        index, not_herm, defect, lo = failure
+        label = _slice_name(name, index)
+        if not_herm:
+            raise NotPositiveSemidefiniteError(
+                f"{label} is not Hermitian: max |M - M^H| = {defect:.3e}",
+                index=index or None,
+            )
         raise NotPositiveSemidefiniteError(
-            f"{name} is not Hermitian: max |M - M^H| = {defect:.3e}"
-        )
-    w = np.linalg.eigvalsh(hermitize(a))
-    lo = float(w.min(initial=0.0))
-    if lo < -tol * s:
-        raise NotPositiveSemidefiniteError(
-            f"{name} is not PSD: min eigenvalue = {lo:.6e}", witness=lo
+            f"{label} is not PSD: min eigenvalue = {lo:.6e}",
+            witness=lo,
+            index=index or None,
         )
     return a
 
 
 def nearest_psd(m) -> np.ndarray:
-    """Nearest (Frobenius) PSD matrix to ``m``.
+    """Nearest (Frobenius) PSD matrix to ``m``, per slice for a stack.
 
     Hermitizes, then clips negative eigenvalues to zero. Idempotent, and a
-    no-op up to rounding on matrices that are already PSD.
+    no-op up to rounding on matrices that are already PSD: a slice whose
+    lowest eigenvalue is nonnegative comes back as its Hermitian part.
     """
-    a = hermitize(as_complex_matrix(m))
+    a = hermitize(_as_stack(m))
     w, u = np.linalg.eigh(a)
-    if w.size and w[0] >= 0.0:
-        return a
-    w = np.clip(w, 0.0, None)
-    return hermitize((u * w) @ u.conj().T)
+    clipped = hermitize((u * np.clip(w, 0.0, None)[..., None, :]) @ _adjoint(u))
+    keep = np.all(w[..., :1] >= 0.0, axis=-1)  # w ascends: w[..., 0] is lowest
+    return np.where(keep[..., None, None], a, clipped)
 
 
 def psd_sqrt(m, tol: float = TOL_PSD) -> np.ndarray:
-    """Hermitian PSD square root of a PSD matrix.
+    """Hermitian PSD square root of a PSD matrix, per slice for a stack.
 
     Eigenvalues in ``[-tol*scale, 0)`` are treated as zero; anything lower
     raises NotPositiveSemidefiniteError.
     """
-    a = as_complex_matrix(m)
-    s = _scale(a)
-    if hermitian_defect(a) > tol * s:
-        raise NotPositiveSemidefiniteError(
-            f"psd_sqrt requires a Hermitian matrix, defect {hermitian_defect(a):.3e}"
-        )
+    a = _as_stack(m)
     w, u = np.linalg.eigh(hermitize(a))
-    lo = float(w.min(initial=0.0))
-    if lo < -tol * s:
+    failure = _psd_failure(a, w, tol, tol)
+    if failure is not None:
+        index, not_herm, defect, lo = failure
+        at = _slice_name(" at index", index) if index else ""
+        if not_herm:
+            raise NotPositiveSemidefiniteError(
+                f"psd_sqrt requires a Hermitian matrix, defect {defect:.3e}{at}",
+                index=index or None,
+            )
         raise NotPositiveSemidefiniteError(
-            f"psd_sqrt input is not PSD: min eigenvalue = {lo:.6e}", witness=lo
+            f"psd_sqrt input is not PSD: min eigenvalue = {lo:.6e}{at}",
+            witness=lo,
+            index=index or None,
         )
     w = np.sqrt(np.clip(w, 0.0, None))
-    return hermitize((u * w) @ u.conj().T)
+    return hermitize((u * w[..., None, :]) @ _adjoint(u))
 
 
 def matrix_exp(m) -> np.ndarray:
     """Matrix exponential (scaling-and-squaring via scipy)."""
+    # imported here so that importing qwss does not pay for scipy
+    import scipy.linalg
+
     return np.asarray(scipy.linalg.expm(as_complex_matrix(m)), dtype=np.complex128)
 
 
-def resolvent(gamma, nu: float) -> np.ndarray:
+def resolvent(gamma, nu) -> np.ndarray:
     """``(Gamma - 2*pi*i*nu*I)^{-1}`` for Hermitian positive definite Gamma.
 
-    Frequencies are cycles, never angular. Singular only if Gamma itself is
-    singular and nu == 0.
+    ``nu`` is a frequency or an array of them; an array gives a stack of
+    shape ``nu.shape + (d, d)``. Frequencies are cycles, never angular.
+    Singular only if Gamma itself is singular and nu == 0.
     """
     g = as_complex_matrix(gamma, name="gamma")
-    if hermitian_defect(g) > TOL_HERM * _scale(g):
+    if hermitian_defect(g) > TOL_HERM * float(_scale(g)):
         raise NotPositiveDefiniteError("resolvent requires Hermitian gamma")
-    shifted = g - 2j * np.pi * float(nu) * np.eye(g.shape[0])
+    nus = np.asarray(nu, dtype=float)
+    d = g.shape[0]
+    shifted = g - np.asarray(2j * np.pi * nus)[..., None, None] * np.eye(d)
     try:
-        return np.linalg.solve(shifted, np.eye(g.shape[0], dtype=np.complex128))
+        return np.linalg.solve(shifted, np.eye(d, dtype=np.complex128))
     except np.linalg.LinAlgError as exc:
+        if nus.ndim:
+            # LU meets a zero pivot (solve's failure) exactly where slogdet's
+            # sign is 0, so this names the first singular frequency
+            singular = np.linalg.slogdet(shifted).sign == 0
+            nu = float(nus[_first(singular)])
         raise NotPositiveDefiniteError(
             f"resolvent is singular at nu={nu}; gamma is not positive definite"
         ) from exc
@@ -175,7 +253,7 @@ def solve_lyapunov(gamma, s) -> np.ndarray:
         raise DimensionMismatchError(
             f"gamma {g.shape} and s {rhs.shape} must have equal shapes"
         )
-    if hermitian_defect(g) > TOL_HERM * _scale(g):
+    if hermitian_defect(g) > TOL_HERM * float(_scale(g)):
         raise NotPositiveDefiniteError("solve_lyapunov requires Hermitian gamma")
     w, u = np.linalg.eigh(hermitize(g))
     if w.min(initial=np.inf) <= 0.0:
@@ -184,6 +262,6 @@ def solve_lyapunov(gamma, s) -> np.ndarray:
         )
     rotated = u.conj().T @ rhs @ u
     m = u @ (rotated / (w[:, None] + w[None, :])) @ u.conj().T
-    if hermitian_defect(rhs) <= TOL_HERM * _scale(rhs):
+    if hermitian_defect(rhs) <= TOL_HERM * float(_scale(rhs)):
         m = hermitize(m)
     return m

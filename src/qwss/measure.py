@@ -50,6 +50,19 @@ __all__ = [
 _ATOM_MERGE_RTOL = 1e-12
 
 
+def uniform_bin_indices(nu_min: float, nu_max: float, bins: int, nus) -> np.ndarray:
+    """Bin of each frequency on ``bins`` equal cells of ``[nu_min, nu_max]``.
+
+    The final right edge is closed; frequencies outside the grid (or NaN)
+    get -1. Shared by density grids and tabulated filters.
+    """
+    nus = np.asarray(nus, dtype=float)
+    inside = (nus >= nu_min) & (nus <= nu_max)
+    width = (nu_max - nu_min) / bins
+    j = np.floor((np.where(inside, nus, nu_min) - nu_min) / width)
+    return np.where(inside, np.minimum(j, bins - 1), -1).astype(np.intp)
+
+
 def _locked(a: np.ndarray) -> np.ndarray:
     # copy so the stored buffer is never aliased with caller-owned memory
     a = np.ascontiguousarray(a).copy()
@@ -81,8 +94,7 @@ class DensityGrid:
         lo, hi = float(self.nu_min), float(self.nu_max)
         if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
             raise ValueError(f"need finite nu_min < nu_max, got [{lo}, {hi}]")
-        for j in range(v.shape[0]):
-            validate_psd(v[j], name=f"density bin {j}")
+        validate_psd(v, name="density bin")
         object.__setattr__(self, "nu_min", lo)
         object.__setattr__(self, "nu_max", hi)
         object.__setattr__(self, "values", _locked(v))
@@ -107,10 +119,8 @@ class DensityGrid:
 
     def bin_index(self, nu: float) -> int | None:
         """Index of the bin containing ``nu`` (closed right end), else None."""
-        if nu < self.nu_min or nu > self.nu_max:
-            return None
-        j = int(np.floor((nu - self.nu_min) / self.width))
-        return min(j, self.bins - 1)
+        j = int(uniform_bin_indices(self.nu_min, self.nu_max, self.bins, nu))
+        return None if j < 0 else j
 
     def value_at(self, nu: float) -> np.ndarray:
         j = self.bin_index(nu)
@@ -248,6 +258,12 @@ class CovarianceTable:
 
     def lags(self) -> np.ndarray:
         return np.arange(self.values.shape[0]) * self.dt
+
+    def two_sided(self) -> np.ndarray:
+        """C(k*dt) for k = -max_lag_index..max_lag_index, via C(-tau) = C(tau)^H."""
+        return np.concatenate(
+            [self.values[1:][::-1].conj().transpose(0, 2, 1), self.values], axis=0
+        )
 
     def __eq__(self, other) -> bool:
         return (
@@ -402,16 +418,40 @@ def spectrum_from_covariance(
         w = 1.0 - np.abs(j) / (m + 1)
     else:
         w = np.ones_like(j, dtype=float)
-    two_sided = np.concatenate(
-        [table.values[1:][::-1].conj().transpose(0, 2, 1), table.values], axis=0
-    )
+    two_sided = table.two_sided()
     nu = -1.0 / (2.0 * dt) + np.arange(bins) / (bins * dt)
     kernel = np.exp(-2j * np.pi * nu[:, None] * (j[None, :] * dt)) * w[None, :]
     d = table.dim
     raw = dt * (kernel @ two_sided.reshape(2 * m + 1, d * d)).reshape(bins, d, d)
-    vals = np.stack([nearest_psd(raw[i]) for i in range(bins)])
-    density = DensityGrid(nu_min=-1.0 / (2.0 * dt), nu_max=1.0 / (2.0 * dt), values=vals)
+    density = DensityGrid(
+        nu_min=-1.0 / (2.0 * dt), nu_max=1.0 / (2.0 * dt), values=nearest_psd(raw)
+    )
     return OperatorSpectralMeasure(dim=d, atoms=(), density=density)
+
+
+def _table_blocks(table: CovarianceTable, times: np.ndarray) -> np.ndarray:
+    """Blocks ``C(t_k - t_j)`` for all pairs, gathered from the two-sided table.
+
+    An off-grid or out-of-range lag raises for the first such pair in
+    row-major order.
+    """
+    lags = times[None, :] - times[:, None]
+    ratio = lags / table.dt
+    m = np.rint(ratio)
+    off_grid = ~(np.abs(ratio - m) <= 1e-9 * np.maximum(1.0, np.abs(ratio)))
+    top = table.max_lag_index
+    bad = np.argwhere(off_grid | (np.abs(m) > top))
+    if bad.size:
+        bad = tuple(bad[0])
+        if off_grid[bad]:
+            raise OffGridLagError(
+                f"lag {float(lags[bad])} is not a multiple of dt={table.dt}; "
+                "refusing to interpolate"
+            )
+        raise OffGridLagError(
+            f"lag index {int(m[bad])} outside table range +-{top}"
+        )
+    return table.two_sided()[m.astype(np.intp) + top]
 
 
 def _kernel_lookup(cov, times: Sequence[float], tol: float):
@@ -419,38 +459,22 @@ def _kernel_lookup(cov, times: Sequence[float], tol: float):
     times = [float(t) for t in times]
     if len(times) < 1:
         raise ValueError("check_psd_kernel needs at least one sample time")
+    n = len(times)
     if isinstance(cov, CovarianceTable):
-        d = cov.dim
-        dt = cov.dt
-
-        def lookup(lag: float) -> np.ndarray:
-            ratio = lag / dt
-            m = int(np.rint(ratio))
-            if abs(ratio - m) > 1e-9 * max(1.0, abs(ratio)):
-                raise OffGridLagError(
-                    f"lag {lag} is not a multiple of dt={dt}; refusing to interpolate"
-                )
-            return cov.at_index(m)
-
-    elif callable(cov):
-        probe = as_complex_matrix(cov(0.0), name="C(0)")
-        d = probe.shape[0]
-
-        def lookup(lag: float) -> np.ndarray:
+        return _table_blocks(cov, np.array(times)), n, cov.dim
+    if not callable(cov):
+        raise TypeError("cov must be a CovarianceTable or a callable tau -> matrix")
+    d = as_complex_matrix(cov(0.0), name="C(0)").shape[0]
+    blocks = np.empty((n, n, d, d), dtype=np.complex128)
+    for a, ta in enumerate(times):
+        for b, tb in enumerate(times):
+            lag = tb - ta
             c = as_complex_matrix(cov(lag), name=f"C({lag})")
             if c.shape != (d, d):
                 raise DimensionMismatchError(
                     f"C({lag}) has shape {c.shape}, expected ({d}, {d})"
                 )
-            return c
-
-    else:
-        raise TypeError("cov must be a CovarianceTable or a callable tau -> matrix")
-    n = len(times)
-    blocks = np.empty((n, n, d, d), dtype=np.complex128)
-    for a, ta in enumerate(times):
-        for b, tb in enumerate(times):
-            blocks[a, b] = lookup(tb - ta)
+            blocks[a, b] = c
     return blocks, n, d
 
 

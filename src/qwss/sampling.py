@@ -26,8 +26,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AliasingError, DimensionMismatchError
-from .linalg import hermitize, psd_sqrt
-from .measure import CovarianceTable, DensityGrid, OperatorSpectralMeasure, nearest_psd
+from .linalg import hermitize, nearest_psd, psd_sqrt
+from .measure import (
+    CovarianceTable,
+    DensityGrid,
+    OperatorSpectralMeasure,
+    uniform_bin_indices,
+)
 
 __all__ = ["Trajectory", "synthesize", "lag_covariance", "welch_estimate"]
 
@@ -122,26 +127,22 @@ def synthesize(
     d = mu.dim
     times = np.arange(n) * dt
     x = np.zeros((n, d), dtype=np.complex128)
-    for k, (nu_k, w) in enumerate(mu.atoms):
-        xi = _complex_normal(_substream(seed, k), d)
-        amp = psd_sqrt(w) @ xi
-        x += np.exp(2j * np.pi * nu_k * times)[:, None] * amp[None, :]
+    if mu.atoms:
+        atom_roots = psd_sqrt(np.stack([w for _, w in mu.atoms]))
+        for k, ((nu_k, _), root) in enumerate(zip(mu.atoms, atom_roots)):
+            xi = _complex_normal(_substream(seed, k), d)
+            amp = root @ xi
+            x += np.exp(2j * np.pi * nu_k * times)[:, None] * amp[None, :]
     if den is not None:
         freqs = np.fft.fftfreq(n, d=dt)
         dnu = 1.0 / (n * dt)
-        roots: dict[int, np.ndarray] = {}
+        bins = uniform_bin_indices(den.nu_min, den.nu_max, den.bins, freqs)
+        roots = psd_sqrt(den.values)
         coeff = np.zeros((n, d), dtype=np.complex128)
         offset = len(mu.atoms)
-        for j in range(n):
-            b = den.bin_index(freqs[j])
-            if b is None:
-                continue
-            root = roots.get(b)
-            if root is None:
-                root = psd_sqrt(den.values[b])
-                roots[b] = root
+        for j in np.flatnonzero(bins >= 0).tolist():
             xi = _complex_normal(_substream(seed, offset + j), d)
-            coeff[j] = np.sqrt(dnu) * (root @ xi)
+            coeff[j] = np.sqrt(dnu) * (roots[bins[j]] @ xi)
         x += n * np.fft.ifft(coeff, axis=0)
     return Trajectory(dt=dt, samples=x, seed=int(seed))
 
@@ -157,11 +158,10 @@ def lag_covariance(traj: Trajectory, lags: int) -> CovarianceTable:
     if lags < 0 or 2 * lags >= n:
         raise ValueError(f"lags must satisfy 0 <= lags < n/2, got {lags} with n={n}")
     x = traj.samples
+    xc = x.conj()
     vals = np.empty((lags + 1, traj.dim, traj.dim), dtype=np.complex128)
     for m in range(lags + 1):
-        lead = x[m:] if m else x
-        lagged = x[: n - m] if m else x
-        vals[m] = np.einsum("ti,tj->ij", lead, lagged.conj()) / (n - m)
+        vals[m] = np.einsum("ti,tj->ij", x[m:], xc[: n - m]) / (n - m)
     vals[0] = hermitize(vals[0])
     return CovarianceTable(dt=traj.dt, values=vals)
 
@@ -222,7 +222,6 @@ def welch_estimate(
     acc = np.einsum("ksi,ksj->sij", spectra, spectra.conj()) / count
     acc *= traj.dt / float(np.sum(w * w))
     acc = np.fft.fftshift(acc, axes=0)
-    vals = np.stack([nearest_psd(acc[i]) for i in range(segment)])
     nyquist = 1.0 / (2.0 * traj.dt)
-    density = DensityGrid(nu_min=-nyquist, nu_max=nyquist, values=vals)
+    density = DensityGrid(nu_min=-nyquist, nu_max=nyquist, values=nearest_psd(acc))
     return OperatorSpectralMeasure(dim=traj.dim, atoms=(), density=density)

@@ -31,7 +31,7 @@ import tempfile
 
 import numpy as np
 
-from .errors import SchemaError
+from .errors import NotPositiveSemidefiniteError, SchemaError
 from .filters import (
     Composition,
     Derivative,
@@ -97,6 +97,8 @@ def _loads(data) -> dict:
         doc = json.loads(data)
     except json.JSONDecodeError as e:
         raise SchemaError(f"invalid JSON: {e}") from None
+    except RecursionError:
+        raise SchemaError("invalid JSON: nested too deeply") from None
     if not isinstance(doc, dict):
         raise SchemaError("top level must be a JSON object")
     return doc
@@ -231,11 +233,17 @@ def measure_from_document(doc: dict) -> OperatorSpectralMeasure:
             )
         vals = np.empty((bins, dim, dim), dtype=np.complex128)
         for b, v in enumerate(raw):
-            loc = f"density.values[{b}]"
-            vals[b] = validate_psd(
-                _as_matrix(v, loc, rows=dim, cols=dim), name=loc
-            )
-        density = DensityGrid(nu_min=nu_min, nu_max=nu_max, values=vals)
+            vals[b] = _as_matrix(v, f"density.values[{b}]", rows=dim, cols=dim)
+        try:
+            density = DensityGrid(nu_min=nu_min, nu_max=nu_max, values=vals)
+        except NotPositiveSemidefiniteError as e:
+            # name the failing bin by its JSON path
+            b = e.index[0]
+            raise NotPositiveSemidefiniteError(
+                str(e).replace(f"density bin {b}", f"density.values[{b}]", 1),
+                witness=e.witness,
+                index=e.index,
+            ) from None
     return OperatorSpectralMeasure(dim=dim, atoms=tuple(atoms), density=density)
 
 

@@ -343,6 +343,63 @@ class TestErrorReporting:
         assert err["code"] == "schema"
         assert err["location"] == "extra"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("bochner", "{deep}", "{out}", "--dt", 0.1),
+            ("filter", "{deep}", "{deep}", "{out}"),
+            ("kolmogorov", "{deep}", "{out}"),
+            ("model", "{deep}", "{out}"),
+            ("synth", "{deep}", "{out}", "--dt", 0.1, "--n", 8, "--seed", 1),
+            ("inverse", "{out}", "{out}", "--config", "{deep}"),
+            ("checkpsd", "{out}", "--config", "{deep}"),
+            ("estimate", "{out}", "{out}", "--config", "{deep}"),
+            ("demo", "ou", "{out}", "--config", "{deep}"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_deeply_nested_json_is_a_schema_error(self, tmp_path, capsys, argv):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 5000)
+        out = tmp_path / "out"
+        argv = [str(a).format(deep=deep, out=out) for a in argv]
+        assert run(*argv) == 1
+        captured = capsys.readouterr()
+        assert len(captured.err.splitlines()) == 1
+        doc = json.loads(captured.err)
+        assert set(doc) == {"error"}
+        err = doc["error"]
+        assert err["code"] == "schema"
+        assert "nested too deeply" in err["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seed", [-1, 2**128])
+    def test_seed_out_of_range_is_invalid_value(
+        self, tmp_path, capsys, atom_measure_file, seed
+    ):
+        path, _ = atom_measure_file
+        out = tmp_path / "traj.qwss"
+        runs = [
+            ("demo", "ou", tmp_path / "demo", "--seed", seed),
+            ("synth", path, out, "--dt", 0.1, "--n", 8, "--seed", seed),
+        ]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": seed}))
+        runs.append(("synth", path, out, "--dt", 0.1, "--n", 8, "--config", cfg))
+        for argv in runs:
+            assert run(*argv) == 1
+            err, _ = read_error(capsys)
+            assert err["code"] == "invalid_value"
+            assert err["location"] == "seed"
+            assert "2**128" in err["message"]
+        assert not out.exists() and not (tmp_path / "demo").exists()
+
+    def test_seed_bounds_are_accepted(self, tmp_path, atom_measure_file):
+        path, _ = atom_measure_file
+        for seed in (0, 2**128 - 1):
+            assert run("synth", path, tmp_path / "t.qwss", "--dt", 0.1, "--n", 8,
+                       "--seed", seed) == 0
+
 
 DEMO_ARGS = (
     "--band", 5, "--bins", 256, "--dt", 0.05,

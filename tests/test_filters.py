@@ -199,6 +199,18 @@ class TestApplyFilter:
         assert all(is_psd(w, tol=1e-12) for _, w in out.atoms)
         assert all(is_psd(v, tol=1e-12) for v in out.density.values)
 
+    def test_tabulated_rejects_measure_outside_its_grid(self):
+        filt = Tabulated(nu_min=-1.0, nu_max=1.0, values=np.ones((4, 1, 1), dtype=complex))
+        inside = white_noise(np.eye(1), band=1.0, bins=8)
+        assert apply_filter(inside, filt) == inside
+        wide = white_noise(np.eye(1), band=2.0, bins=8)
+        # bin midpoints -1.75 .. 1.75: the first one already lies outside
+        with pytest.raises(FilterDomainError, match=r"nu=-1.75 outside tabulated grid"):
+            apply_filter(wide, filt)
+        atom = OperatorSpectralMeasure(dim=1, atoms=((1.5, np.eye(1)),))
+        with pytest.raises(FilterDomainError, match=r"nu=1.5 outside"):
+            apply_filter(atom, filt)
+
     def test_marker_is_rejected(self):
         marker = white_noise(np.eye(1), band=math.inf)
         with pytest.raises(FilterDomainError):

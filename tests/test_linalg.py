@@ -1,5 +1,10 @@
 """Hermitian/PSD utilities, resolvent, and the Lyapunov solver."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.integrate
@@ -7,7 +12,15 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import frob, random_hermitian, random_hpd, random_psd, rng_for
+from helpers import (
+    frob,
+    random_complex_matrix,
+    random_hermitian,
+    random_hpd,
+    random_psd,
+    rng_for,
+)
+import qwss
 from qwss.errors import (
     DimensionMismatchError,
     NotPositiveDefiniteError,
@@ -91,6 +104,20 @@ class TestMatrixExp:
         d = np.diag([1.0, -2.0])
         assert np.allclose(matrix_exp(d), np.diag(np.exp([1.0, -2.0])), atol=1e-14)
 
+    def test_importing_qwss_does_not_import_scipy(self):
+        # scipy is imported by matrix_exp on first use, not by ``import qwss``
+        src = str(Path(qwss.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        code = "import sys, qwss; print('scipy' in sys.modules)"
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
 
 class TestResolvent:
     def test_residual(self):
@@ -164,3 +191,108 @@ def test_nearest_psd_is_projection(seed, d):
     p = nearest_psd(a)
     assert is_psd(p)
     assert np.allclose(nearest_psd(p), p, atol=1e-10)
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _outcome(f, *args, **kwargs):
+    try:
+        return f(*args, **kwargs), None
+    except NotPositiveSemidefiniteError as e:
+        return None, (str(e), e.witness)
+
+
+def _random_stack(rng, batch, d, kinds):
+    """One slice per entry of ``kinds``: PSD, Hermitian indefinite, slightly
+    non-Hermitian PSD, general complex, or PSD at a large scale."""
+    out = np.empty((batch, d, d), dtype=complex)
+    for i in range(batch):
+        kind = kinds[i % len(kinds)]
+        a = random_complex_matrix(rng, d)
+        if kind == "psd":
+            out[i] = random_psd(rng, d)
+        elif kind == "hermitian":
+            out[i] = random_hermitian(rng, d)
+        elif kind == "near":
+            out[i] = random_psd(rng, d) + 1e-13 * a
+        elif kind == "big":
+            out[i] = 1e7 * random_psd(rng, d)
+        else:
+            out[i] = a
+    return out
+
+
+stack_kinds = st.lists(
+    st.sampled_from(["psd", "hermitian", "near", "general", "big"]),
+    min_size=1,
+    max_size=4,
+)
+
+
+class TestStacks:
+    """A ``(..., d, d)`` stack gives, slice for slice, the bits of the
+    single-matrix call, and raises for its first failing slice."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(0, 10**6), st.integers(1, 9), st.integers(1, 5), stack_kinds)
+    def test_matches_single_matrix_calls(self, seed, batch, d, kinds):
+        x = _random_stack(rng_for(seed), batch, d, kinds)
+        assert _same_bits(nearest_psd(x), np.stack([nearest_psd(m) for m in x]))
+        assert _same_bits(hermitize(x), np.stack([hermitize(m) for m in x]))
+        assert _same_bits(hermitian_defect(x), [hermitian_defect(m) for m in x])
+
+        got, err = _outcome(validate_psd, x, name="slice")
+        for i, m in enumerate(x):
+            _, single = _outcome(validate_psd, m, name=f"slice {i}")
+            if single is not None:
+                assert err == single
+                break
+        else:
+            assert err is None and _same_bits(got, x)
+
+        got, err = _outcome(psd_sqrt, x)
+        for i, m in enumerate(x):
+            _, single = _outcome(psd_sqrt, m)
+            if single is not None:
+                assert err == (single[0] + f" at index {i}", single[1])
+                break
+        else:
+            assert err is None
+            assert _same_bits(got, np.stack([psd_sqrt(m) for m in x]))
+
+    @settings(deadline=None, max_examples=30)
+    @given(st.integers(0, 10**6), st.integers(1, 5))
+    def test_resolvent_matches_single_frequency_calls(self, seed, d):
+        rng = rng_for(seed)
+        g = random_hpd(rng, d)
+        nus = np.concatenate([rng.standard_normal(6) * 10.0, [0.0, -0.0, 1e-300]])
+        want = np.stack([resolvent(g, float(nu)) for nu in nus])
+        assert _same_bits(resolvent(g, nus), want)
+        assert _same_bits(resolvent(g, nus.reshape(3, 3)), want.reshape(3, 3, d, d))
+
+    def test_validate_names_slice_of_a_multi_axis_batch(self):
+        x = np.broadcast_to(np.eye(2, dtype=complex), (2, 3, 2, 2)).copy()
+        x[1, 0] = INDEFINITE
+        x[1, 2] = INDEFINITE
+        with pytest.raises(NotPositiveSemidefiniteError, match=r"^cell \(1, 0\) is not PSD") as exc:
+            validate_psd(x, name="cell")
+        assert exc.value.index == (1, 0)
+        assert exc.value.witness == pytest.approx(-1.0, abs=1e-12)
+
+    def test_validate_callable_name(self):
+        x = np.stack([np.eye(2), INDEFINITE]).astype(complex)
+        with pytest.raises(NotPositiveSemidefiniteError, match=r"^weight at nu=0.5 "):
+            validate_psd(x, name=lambda i: f"weight at nu={0.25 * (i + 1)}")
+
+    def test_single_matrix_error_has_no_index(self):
+        with pytest.raises(NotPositiveSemidefiniteError) as exc:
+            validate_psd(INDEFINITE)
+        assert exc.value.index is None
+
+    def test_resolvent_names_first_singular_frequency(self):
+        g = np.diag([0.0, 1.0])
+        with pytest.raises(NotPositiveDefiniteError, match=r"at nu=0.0;"):
+            resolvent(g, np.array([0.5, 0.0, 0.25]))

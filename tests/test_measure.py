@@ -64,6 +64,16 @@ class TestDensityGrid:
         with pytest.raises(NotPositiveSemidefiniteError):
             DensityGrid(0.0, 1.0, vals)
 
+    def test_reports_lowest_bad_bin(self):
+        vals = np.ones((12, 1, 1), dtype=complex)
+        vals[[4, 7, 11], 0, 0] = [-0.25, -3.0, -1.0]
+        with pytest.raises(
+            NotPositiveSemidefiniteError, match=r"^density bin 4 is not PSD"
+        ) as exc:
+            DensityGrid(0.0, 1.0, vals)
+        assert exc.value.index == (4,)
+        assert exc.value.witness == pytest.approx(-0.25)
+
     def test_rejects_empty_or_backwards(self):
         with pytest.raises(ValueError):
             DensityGrid(1.0, 0.0, np.ones((1, 1, 1), dtype=complex))
