@@ -606,7 +606,10 @@ def main(argv=None) -> int:
         if getattr(args, "seed", None) is not None:
             _seed(args.seed, "seed")
         _apply_config(args)
-        return args.func(args)
+        # stderr carries only the JSON error: a NaN or inf that overflow
+        # leaves behind fails validation, so numpy's warnings add nothing
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except QwssError as e:
         print(_error_json(e), file=sys.stderr)
         return 1

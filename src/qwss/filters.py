@@ -48,7 +48,6 @@ from .linalg import (
     as_complex_matrix,
     hermitian_defect,
     hermitize,
-    matrix_exp,
     resolvent,
     solve_lyapunov,
     validate_psd,
@@ -462,7 +461,9 @@ def ou_covariance(gamma, s, a, tau: float) -> np.ndarray:
         )
     m = solve_lyapunov(g, smat)
     tau = float(tau)
-    decay = matrix_exp(-hermitize(g) * abs(tau))
+    # exp(-gamma |tau|) through the eigendecomposition of Hermitian gamma
+    w, u = np.linalg.eigh(hermitize(g))
+    decay = (u * np.exp(-w * abs(tau))) @ u.conj().T
     core = m @ decay
     c = amat.conj().T @ core @ amat
     return c if tau >= 0 else c.conj().T

@@ -107,18 +107,27 @@ def _slice_name(name: str | Callable, index: tuple[int, ...]) -> str:
 
 
 def _psd_failure(a: np.ndarray, w: np.ndarray, tol: float, herm_tol: float):
-    """First slice of ``a`` (eigenvalues ``w`` of its Hermitian part) that is
-    not Hermitian within ``herm_tol`` or has an eigenvalue below ``-tol``, as
-    ``(index, not Hermitian, defect, min eigenvalue)``; None if all pass.
+    """First slice of ``a`` (eigenvalues ``w`` of its Hermitian part) that
+    holds a NaN or inf, is not Hermitian within ``herm_tol`` or has an
+    eigenvalue below ``-tol``, as ``(index, not finite, not Hermitian, defect,
+    min eigenvalue)``; None if all pass.
     """
     s = _scale(a)
     defect = np.asarray(hermitian_defect(a))
     lo = w.min(axis=-1, initial=0.0)
+    # every comparison with NaN is False, so non-finite slices need their own test
+    not_finite = ~np.isfinite(a).all(axis=(-2, -1))
     not_herm = defect > herm_tol * s
-    index = _first(not_herm | (lo < -tol * s))
+    index = _first(not_finite | not_herm | (lo < -tol * s))
     if index is None:
         return None
-    return index, bool(not_herm[index]), float(defect[index]), float(lo[index])
+    return (
+        index,
+        bool(not_finite[index]),
+        bool(not_herm[index]),
+        float(defect[index]),
+        float(lo[index]),
+    )
 
 
 def is_psd(m, tol: float = TOL_PSD, herm_tol: float | None = None) -> bool:
@@ -142,7 +151,8 @@ def validate_psd(
     herm_tol: float = TOL_HERM,
     name: str | Callable = "matrix",
 ) -> np.ndarray:
-    """Return ``m`` validated Hermitian-PSD, raising with a witness otherwise.
+    """Return ``m`` validated finite and Hermitian-PSD, raising with a
+    witness otherwise.
 
     ``m`` is a matrix or a ``(..., d, d)`` stack. In a stack, slice ``i`` is
     called ``f"{name} {i}"`` in the error, or ``name(i)`` if ``name`` is
@@ -151,8 +161,12 @@ def validate_psd(
     a = _as_stack(m, name=name if isinstance(name, str) else "matrix")
     failure = _psd_failure(a, np.linalg.eigvalsh(hermitize(a)), tol, herm_tol)
     if failure is not None:
-        index, not_herm, defect, lo = failure
+        index, not_finite, not_herm, defect, lo = failure
         label = _slice_name(name, index)
+        if not_finite:
+            raise NotPositiveSemidefiniteError(
+                f"{label} holds a non-finite entry", index=index or None
+            )
         if not_herm:
             raise NotPositiveSemidefiniteError(
                 f"{label} is not Hermitian: max |M - M^H| = {defect:.3e}",
@@ -190,8 +204,12 @@ def psd_sqrt(m, tol: float = TOL_PSD) -> np.ndarray:
     w, u = np.linalg.eigh(hermitize(a))
     failure = _psd_failure(a, w, tol, tol)
     if failure is not None:
-        index, not_herm, defect, lo = failure
+        index, not_finite, not_herm, defect, lo = failure
         at = _slice_name(" at index", index) if index else ""
+        if not_finite:
+            raise NotPositiveSemidefiniteError(
+                f"psd_sqrt input holds a non-finite entry{at}", index=index or None
+            )
         if not_herm:
             raise NotPositiveSemidefiniteError(
                 f"psd_sqrt requires a Hermitian matrix, defect {defect:.3e}{at}",

@@ -376,7 +376,7 @@ def covariance_from_spectrum(
             * np.sinc(taus[:, None] * wdt)
             * np.exp(2j * np.pi * taus[:, None] * mids[None, :])
         )
-        vals += np.einsum("tb,bkl->tkl", factor, den.values)
+        vals += (factor @ den.values.reshape(den.bins, -1)).reshape(vals.shape)
     vals[0] = hermitize(vals[0])
     return CovarianceTable(dt=dt, values=vals)
 

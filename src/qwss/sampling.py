@@ -11,12 +11,20 @@ where ``f_j`` runs over the n-point FFT frequencies with spacing
 ``f_j``. Then ``E[x_{t+tau} x_t^H]`` is the Bochner transform of the measure
 (the density part as its Riemann sum on the FFT grid).
 
-Randomness is counter-based and fully reproducible: stream ``k`` is
-``Philox(key=seed, counter=k * 2**128)``. Streams ``0 .. n_atoms-1`` belong
-to the atoms in measure order; stream ``n_atoms + j`` belongs to FFT bin
-``j`` (numpy FFT index order). Each consumed stream draws ``2*dim`` standard
-normals: real parts first, then imaginary parts, scaled by ``1/sqrt(2)``.
-Streams of bins outside the density support are never consumed.
+Randomness is counter-based, reproducible, and read in one pass (stream
+layout v2). A call builds ``Philox(key=seed)`` with ``0 <= seed < 2**128``
+and splits its counter into rows: row ``r`` is the counter blocks
+``[r*B, (r+1)*B)`` with ``B = ceil(2*dim/4)``, and its first ``2*dim``
+64-bit words are the row's words. FFT bin ``j`` (numpy FFT index order) owns
+row ``j``; atom ``k`` (measure order) owns row ``2**64 + k``. A bin's draw
+therefore depends only on ``(seed, j, dim)`` and an atom's only on
+``(seed, k, dim)``, never on ``n`` or on the rest of the measure. Words
+``w`` become uniforms ``u = ((w >> 11) + 1) * 2**-53`` in ``(0, 1]``; with
+``u1`` the first ``dim`` of a row and ``u2`` the next ``dim``, Box-Muller gives
+the circular complex normal ``xi = sqrt(-log u1) * exp(2*pi*i*u2)`` with
+``E|xi|^2 = 1``. Rows of bins outside the density support are read but not
+used. Trajectories of the earlier layout (v1, one Philox stream per spectral
+line at counter ``k * 2**128``) are not reproduced.
 """
 
 from __future__ import annotations
@@ -86,13 +94,18 @@ class Trajectory:
         return f"Trajectory(dt={self.dt}, n={self.n}, dim={self.dim}, seed={self.seed})"
 
 
-def _substream(seed: int, index: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=seed, counter=index * (1 << 128)))
+_ATOM_ROW = 1 << 64
 
 
-def _complex_normal(rng: np.random.Generator, dim: int) -> np.ndarray:
-    z = rng.standard_normal(2 * dim)
-    return (z[:dim] + 1j * z[dim:]) / np.sqrt(2.0)
+def _normals(seed: int, first: int, count: int, dim: int) -> np.ndarray:
+    """Circular complex normals of rows ``first .. first+count-1``, as a
+    ``(count, dim)`` array decoded from one read of the counter."""
+    block = -(-2 * dim // 4)
+    raw = np.random.Philox(key=seed, counter=first * block).random_raw(
+        count * 4 * block
+    )
+    u = ((raw.reshape(count, 4 * block)[:, : 2 * dim] >> 11) + 1) * 2.0**-53
+    return np.sqrt(-np.log(u[:, :dim])) * np.exp(2j * np.pi * u[:, dim:])
 
 
 def synthesize(
@@ -104,6 +117,8 @@ def synthesize(
     representable band ``|nu| < 1/(2*dt)``, and a density may extend to the
     closed band edge (the exact full-band flat measure is representable).
     """
+    if not 0 <= seed < 1 << 128:
+        raise ValueError(f"seed must satisfy 0 <= seed < 2**128, got {seed}")
     dt = float(dt)
     if not (np.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be positive, got {dt}")
@@ -125,24 +140,23 @@ def synthesize(
                 f"representable band [-{nyquist}, {nyquist}]"
             )
     d = mu.dim
-    times = np.arange(n) * dt
     x = np.zeros((n, d), dtype=np.complex128)
     if mu.atoms:
-        atom_roots = psd_sqrt(np.stack([w for _, w in mu.atoms]))
-        for k, ((nu_k, _), root) in enumerate(zip(mu.atoms, atom_roots)):
-            xi = _complex_normal(_substream(seed, k), d)
-            amp = root @ xi
-            x += np.exp(2j * np.pi * nu_k * times)[:, None] * amp[None, :]
+        roots = psd_sqrt(np.stack([w for _, w in mu.atoms]))
+        xi = _normals(seed, _ATOM_ROW, len(mu.atoms), d)
+        amps = (roots @ xi[..., None])[..., 0]
+        times = np.arange(n) * dt
+        # one (n, d) phasor term per atom keeps memory at the output's size
+        for (nu_k, _), amp in zip(mu.atoms, amps):
+            x += np.exp(2j * np.pi * nu_k * times)[:, None] * amp
     if den is not None:
         freqs = np.fft.fftfreq(n, d=dt)
-        dnu = 1.0 / (n * dt)
         bins = uniform_bin_indices(den.nu_min, den.nu_max, den.bins, freqs)
-        roots = psd_sqrt(den.values)
+        hit = np.flatnonzero(bins >= 0)
+        roots = np.sqrt(1.0 / (n * dt)) * psd_sqrt(den.values)
+        xi = _normals(seed, 0, n, d)[hit]
         coeff = np.zeros((n, d), dtype=np.complex128)
-        offset = len(mu.atoms)
-        for j in np.flatnonzero(bins >= 0).tolist():
-            xi = _complex_normal(_substream(seed, offset + j), d)
-            coeff[j] = np.sqrt(dnu) * (roots[bins[j]] @ xi)
+        coeff[hit] = (roots[bins[hit]] @ xi[..., None])[..., 0]
         x += n * np.fft.ifft(coeff, axis=0)
     return Trajectory(dt=dt, samples=x, seed=int(seed))
 
@@ -151,17 +165,20 @@ def lag_covariance(traj: Trajectory, lags: int) -> CovarianceTable:
     """Unbiased lag-product estimate ``C(m*dt) ~ mean_t x_{t+m} x_t^H``.
 
     Each lag ``m`` averages over its ``n - m`` available products (unbiased
-    for the mean-zero processes produced here). The zero lag is hermitized.
+    for the mean-zero processes produced here). The sums are taken as an FFT
+    correlation zero-padded to at least ``2n - 1`` samples, so no product
+    wraps around. The zero lag is hermitized.
     """
     lags = int(lags)
     n = traj.n
     if lags < 0 or 2 * lags >= n:
         raise ValueError(f"lags must satisfy 0 <= lags < n/2, got {lags} with n={n}")
-    x = traj.samples
-    xc = x.conj()
+    spec = np.fft.fft(traj.samples, n=1 << (2 * n - 1).bit_length(), axis=0)
     vals = np.empty((lags + 1, traj.dim, traj.dim), dtype=np.complex128)
-    for m in range(lags + 1):
-        vals[m] = np.einsum("ti,tj->ij", x[m:], xc[: n - m]) / (n - m)
+    for i in range(traj.dim):
+        # row i of C(m): sum_t x_{t+m,i} conj(x_{t,j}) for every j at once
+        vals[:, i, :] = np.fft.ifft(spec[:, i, None] * spec.conj(), axis=0)[: lags + 1]
+    vals /= (n - np.arange(lags + 1))[:, None, None]
     vals[0] = hermitize(vals[0])
     return CovarianceTable(dt=traj.dt, values=vals)
 

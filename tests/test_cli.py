@@ -128,6 +128,37 @@ class TestFilter:
         got = deserialize_measure(out.read_bytes())
         assert rel_frob(got.density.values, want.density.values) < 1e-15
 
+    def test_overflow_to_non_finite_is_one_error_line(self, tmp_path):
+        # 400 derivatives multiply the density by (2 pi nu)**800, which
+        # overflows; the NaN/inf left behind must fail PSD validation, and
+        # numpy's overflow warnings must not reach stderr. Run in a fresh
+        # interpreter, since pytest would capture those warnings itself.
+        src = tmp_path / "in.json"
+        src.write_bytes(serialize_measure(white_noise([[1.0]], band=5.0, bins=8)))
+        derivative = {"kind": "filter", "variant": "derivative", "dim": 1}
+        doc = derivative
+        for _ in range(399):
+            doc = {
+                "kind": "filter",
+                "variant": "composition",
+                "first": derivative,
+                "second": doc,
+            }
+        fdoc = tmp_path / "f.json"
+        fdoc.write_text(json.dumps(doc))
+        out = tmp_path / "out.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "qwss", "filter", src, fdoc, out],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 1
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
+        err = json.loads(proc.stderr)["error"]
+        assert err["code"] == "not_psd"
+        assert "non-finite" in err["message"]
+        assert not out.exists()
+
     def test_unknown_variant_fails_with_location(self, tmp_path, capsys):
         src = tmp_path / "in.json"
         src.write_bytes(serialize_measure(rich_measure()))

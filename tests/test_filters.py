@@ -1,6 +1,10 @@
 """Characteristic functions, spectral congruence, domains, and the OU family."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +13,15 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import frob, random_complex_matrix, random_psd, rel_frob, rng_for
+from helpers import (
+    frob,
+    random_complex_matrix,
+    random_hpd,
+    random_psd,
+    rel_frob,
+    rng_for,
+)
+import qwss
 from qwss.errors import (
     DimensionMismatchError,
     FilterDomainError,
@@ -414,6 +426,39 @@ class TestOuCovariance:
             [ou_covariance(g, s, a, m * dt) for m in range(lags + 1)]
         )
         assert rel_frob(table.values, theory) < 1e-3
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_matches_expm_reference_noncommuting(self, d):
+        # the decay exp(-gamma |tau|) comes from an eigendecomposition;
+        # scipy's scaling-and-squaring expm is the reference
+        rng = rng_for(50 + d)
+        g = random_hpd(rng, d)
+        s = random_psd(rng, d)
+        a = random_complex_matrix(rng, d)
+        assert frob(g @ s - s @ g) > 0.1 * frob(g) * frob(s)
+        m = solve_lyapunov(g, s)
+        for tau in (0.0, 0.3, -1.1, 4.0):
+            c = a.conj().T @ m @ scipy.linalg.expm(-g * abs(tau)) @ a
+            want = c if tau >= 0 else c.conj().T
+            assert frob(ou_covariance(g, s, a, tau) - want) < 1e-12 * frob(want)
+
+    def test_does_not_import_scipy(self):
+        src = str(Path(qwss.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        code = (
+            "import sys, qwss; "
+            "qwss.ou_covariance([[1.5, 0.4], [0.4, 1.0]], [[1.0, 0.3j], [-0.3j, 2.0]], "
+            "[[0.9, 0.1], [-0.2, 1.1]], 0.7); "
+            "print('scipy' in sys.modules)"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     def test_rejects_indefinite_gamma(self):
         with pytest.raises(NotPositiveDefiniteError):

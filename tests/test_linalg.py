@@ -93,6 +93,26 @@ class TestPsd:
         with pytest.raises(NotPositiveSemidefiniteError):
             psd_sqrt(INDEFINITE)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_slice_fails_like_an_indefinite_one(self, bad):
+        # every comparison with NaN is False, so a NaN or inf entry would
+        # otherwise slip through both the Hermitian and eigenvalue tests
+        x = np.stack([np.eye(2)] * 3).astype(complex)
+        x[1, 0, 0] = bad
+        x[2] = INDEFINITE
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(
+                NotPositiveSemidefiniteError, match=r"^bin 1 holds a non-finite entry"
+            ) as exc:
+                validate_psd(x, name="bin")
+            assert exc.value.index == (1,)
+            with pytest.raises(NotPositiveSemidefiniteError, match="non-finite") as exc:
+                validate_psd(x[1])
+            assert exc.value.index is None
+            with pytest.raises(NotPositiveSemidefiniteError, match="non-finite") as exc:
+                psd_sqrt(x)
+            assert exc.value.index == (1,)
+
 
 class TestMatrixExp:
     def test_inverse_pair(self):

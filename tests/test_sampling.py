@@ -1,10 +1,13 @@
 """Tests for trajectory synthesis and the two spectral estimators.
 
-Exact checks cover the documented stream layout, zero measures, phasor
+Exact checks cover the documented stream layout (v2), zero measures, phasor
 algebra, and reproducibility; Monte Carlo checks pin estimator accuracy at
 tolerances calibrated with generous margin over the observed errors for the
 fixed seeds used here.
 """
+
+import cmath
+import math
 
 import numpy as np
 import pytest
@@ -27,9 +30,24 @@ from qwss import (
     white_noise,
 )
 
-from helpers import frob, rel_frob, rng_for
+from helpers import frob, random_psd, rel_frob, rng_for
 
 B2 = np.array([[2, 1j], [-1j, 1]], dtype=complex)
+
+
+def documented_row(seed, row, dim):
+    """Circular complex normal of one row of stream layout v2, decoded word
+    by word: u = ((w >> 11) + 1) / 2**53, first dim words u1, next dim u2,
+    xi = sqrt(-log u1) * exp(2 pi i u2)."""
+    block = -(-2 * dim // 4)
+    words = np.random.Philox(key=seed, counter=row * block).random_raw(2 * dim)
+    u = [((int(w) >> 11) + 1) / 2**53 for w in words]
+    return np.array(
+        [
+            cmath.sqrt(-math.log(u[i])) * cmath.exp(2j * math.pi * u[dim + i])
+            for i in range(dim)
+        ]
+    )
 
 
 def atom_measure(nu, w):
@@ -96,9 +114,9 @@ class TestSynthesize:
         assert not np.array_equal(a.samples, c.samples)
 
     def test_atom_contribution_follows_documented_streams(self):
-        # Reconstruct the atoms-only output from the documented layout:
-        # stream k is Philox(key=seed, counter=k*2**128), 2*dim reals,
-        # real parts first, scaled by 1/sqrt(2).
+        # Reconstruct the atoms-only output from the documented v2 layout,
+        # one atom at a time: atom k owns row 2**64 + k, i.e. the Philox
+        # counter blocks from (2**64 + k) * B with B = ceil(2*dim/4).
         seed, dt, n = 123, 0.2, 32
         atoms = ((-1.1, B2), (0.7, np.array([[1.0, 0.0], [0.0, 0.25]])))
         mu = OperatorSpectralMeasure(dim=2, atoms=atoms)
@@ -106,11 +124,73 @@ class TestSynthesize:
         t = np.arange(n) * dt
         want = np.zeros((n, 2), dtype=complex)
         for k, (nu_k, w) in enumerate(atoms):
-            g = np.random.Generator(np.random.Philox(key=seed, counter=k * (1 << 128)))
-            z = g.standard_normal(4)
-            xi = (z[:2] + 1j * z[2:]) / np.sqrt(2.0)
+            xi = documented_row(seed, 2**64 + k, dim=2)
             want += np.exp(2j * np.pi * nu_k * t)[:, None] * (psd_sqrt(w) @ xi)
         assert frob(tr.samples - want) < 1e-12 * max(1.0, frob(want))
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_bin_coefficient_follows_documented_rows(self, dim):
+        # FFT bin j owns row j; x = n * ifft(coeff), so fft(x) / n gives back
+        # coeff[j] = sqrt(dnu) * S(f_j)^(1/2) @ xi_j.
+        seed, dt, n = 77, 0.1, 64
+        rng = rng_for(dim)
+        values = np.stack([random_psd(rng, dim) for _ in range(5)])
+        den = DensityGrid(nu_min=-3.0, nu_max=2.0, values=values)
+        mu = OperatorSpectralMeasure(dim=dim, atoms=(), density=den)
+        coeff = np.fft.fft(synthesize(mu, dt=dt, n=n, seed=seed).samples, axis=0) / n
+        freqs = np.fft.fftfreq(n, d=dt)
+        hit = [j for j in range(n) if den.bin_index(freqs[j]) is not None]
+        assert 0 < len(hit) < n
+        for j in range(n):
+            if j in hit:
+                root = psd_sqrt(values[den.bin_index(freqs[j])])
+                want = np.sqrt(1.0 / (n * dt)) * root @ documented_row(seed, j, dim)
+            else:
+                want = np.zeros(dim)
+            assert frob(coeff[j] - want) < 1e-12 * max(1.0, frob(want)), j
+
+    def test_atom_part_ignores_density_and_length(self):
+        # An atom's draw depends only on (seed, k, dim): adding a density or
+        # changing n leaves the atom part of the output as it was.
+        seed, dt = 5, 0.1
+        atoms = ((0.3, B2), (-1.7, np.array([[0.5, 0.0], [0.0, 2.0]])))
+        den = flat_measure(2.0, B2).density
+
+        def draw(atoms=(), density=None, n=64):
+            mu = OperatorSpectralMeasure(dim=2, atoms=atoms, density=density)
+            return synthesize(mu, dt=dt, n=n, seed=seed).samples
+
+        only_atoms = draw(atoms)
+        only_density = draw(density=den)
+        both = draw(atoms, den)
+        longer = draw(atoms, n=256)
+        assert frob(both - only_density - only_atoms) < 1e-12 * frob(only_atoms)
+        assert frob(longer[:64] - only_atoms) < 1e-12 * frob(only_atoms)
+
+    def test_normals_have_circular_gaussian_moments(self):
+        # A full-band flat identity density makes each bin coefficient
+        # sqrt(dnu) * xi_j, so fft(x) / (n sqrt(dnu)) returns the 2**14 * 2
+        # normals themselves. Each bound is 5 standard errors over the 2**14
+        # draws per component: 0.008 for E|xi|^2, E[xi_0 xi_1^*] and the
+        # mean, 0.011 for E[xi xi^T] entries, 0.0055 for E[Re(xi)^2] and
+        # 0.035 for E|xi|^4 = 2.
+        seed, dt, n = 2024, 0.1, 2**14
+        mu = flat_measure(5.0, np.eye(2))
+        x = synthesize(mu, dt=dt, n=n, seed=seed).samples
+        xi = np.fft.fft(x, axis=0) / (n * np.sqrt(1.0 / (n * dt)))
+        second = xi.T @ xi.conj() / n  # E[xi xi^H] = I
+        pseudo = xi.T @ xi / n  # E[xi xi^T] = 0 for a circular normal
+        assert np.abs(second - np.eye(2)).max() < 0.04
+        assert np.abs(pseudo).max() < 0.06
+        assert np.abs(xi.mean(axis=0)).max() < 0.04
+        assert np.abs(np.mean(np.abs(xi) ** 4, axis=0) - 2.0).max() < 0.18
+        assert np.abs(np.mean(xi.real**2, axis=0) - 0.5).max() < 0.03
+
+    @pytest.mark.parametrize("seed", [-1, 2**128])
+    def test_rejects_seed_outside_key_range(self, seed):
+        mu = white_noise([[1.0]], band=1.0, bins=4)
+        with pytest.raises(ValueError, match=r"^seed must satisfy 0 <= seed < 2\*\*"):
+            synthesize(mu, dt=0.1, n=8, seed=seed)
 
     def test_rejects_non_power_of_two(self):
         mu = atom_measure(0.1, [[1.0]])
@@ -209,6 +289,22 @@ class TestLagCovariance:
         c0 = tab.values[0]
         assert frob(c0 - c0.conj().T) == 0.0
         assert rel_frob(nearest_psd(c0), c0) < 0.01
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_fft_sums_match_direct_lag_products(self, dim):
+        rng = rng_for(10 + dim)
+        for n in (64, 37):
+            x = rng.standard_normal((n, dim)) + 1j * rng.standard_normal((n, dim))
+            lags = (n - 1) // 2  # n/2 - 1 for even n, the largest allowed
+            want = np.stack(
+                [
+                    sum(np.outer(x[t + m], x[t].conj()) for t in range(n - m)) / (n - m)
+                    for m in range(lags + 1)
+                ]
+            )
+            want[0] = (want[0] + want[0].conj().T) / 2
+            got = lag_covariance(Trajectory(dt=0.5, samples=x), lags).values
+            assert np.abs(got - want).max() < 1e-12 * np.abs(want).max()
 
     def test_rejects_bad_lag_counts(self):
         tr = synthesize(flat_measure(2.0, [[1.0]]), dt=0.1, n=32, seed=0)
