@@ -55,6 +55,9 @@ from .measure import (
 from .quantum import kolmogorov_decompose, model_spectral_measure
 from .sampling import Trajectory, lag_covariance, synthesize, welch_estimate
 from .serialize import (
+    _as_int,
+    _matrix_header,
+    _write_rows,
     covariance_from_csv,
     covariance_to_csv,
     deserialize_filter,
@@ -128,20 +131,8 @@ def _unit_real(v, loc):
     return x
 
 
-def _pos_int(v, loc):
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise SchemaError("expected an integer", location=loc)
-    if v < 1:
-        raise SchemaError(f"must be >= 1, got {v}", location=loc)
-    return v
-
-
-def _nonneg_int(v, loc):
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise SchemaError("expected an integer", location=loc)
-    if v < 0:
-        raise SchemaError(f"must be >= 0, got {v}", location=loc)
-    return v
+def _int_at_least(minimum):
+    return lambda v, loc: _as_int(v, loc, minimum=minimum)
 
 
 class _OutOfRange(ValueError):
@@ -153,8 +144,7 @@ class _OutOfRange(ValueError):
 
 
 def _seed(v, loc):
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise SchemaError("expected an integer", location=loc)
+    v = _as_int(v, loc)
     if not 0 <= v < 2**128:
         raise _OutOfRange(f"seed must be in [0, 2**128), got {v}", location=loc)
     return v
@@ -201,35 +191,35 @@ def _inline_object(v, loc):
 
 # per-command config schema: key -> caster; "input"/"output" override positionals
 _CONFIG_SCHEMAS = {
-    "bochner": {"dt": _pos_real, "lags": _nonneg_int},
-    "inverse": {"bins": _pos_int, "window": _choice("bartlett", "boxcar")},
+    "bochner": {"dt": _pos_real, "lags": _int_at_least(0)},
+    "inverse": {"bins": _int_at_least(1), "window": _choice("bartlett", "boxcar")},
     "filter": {"filter": _inline_object},
     "checkpsd": {"times": _times_value, "tol": _pos_real},
     "kolmogorov": {"tol": _pos_real},
-    "model": {"dt": _pos_real, "lags": _nonneg_int, "covariance": _string},
+    "model": {"dt": _pos_real, "lags": _int_at_least(0), "covariance": _string},
     "synth": {
         "dt": _pos_real,
-        "n": _pos_int,
+        "n": _int_at_least(1),
         "seed": _seed,
         "format": _choice("auto", "binary", "csv"),
     },
     "estimate": {
-        "segment": _pos_int,
+        "segment": _int_at_least(1),
         "overlap": _unit_real,
         "taper": _choice("hann", "bartlett", "boxcar"),
-        "lags": _nonneg_int,
+        "lags": _int_at_least(0),
         "covariance": _string,
     },
     "demo ou": {
         "gamma": _pos_real,
         "intensity": _pos_real,
         "band": _pos_real,
-        "bins": _pos_int,
+        "bins": _int_at_least(1),
         "dt": _pos_real,
-        "n": _pos_int,
+        "n": _int_at_least(1),
         "seed": _seed,
-        "lags": _nonneg_int,
-        "segment": _pos_int,
+        "lags": _int_at_least(0),
+        "segment": _int_at_least(1),
     },
 }
 
@@ -304,21 +294,8 @@ def _density_csv(mu: OperatorSpectralMeasure) -> str:
     if den is None:
         raise SchemaError("measure has no density part to tabulate")
     d = mu.dim
-    header = ["nu"] + [
-        name
-        for i in range(d)
-        for j in range(d)
-        for name in (f"re_{i}{j}", f"im_{i}{j}")
-    ]
-    lines = [",".join(header)]
-    for x, v in zip(den.midpoints(), den.values):
-        row = [repr(float(x))]
-        for i in range(d):
-            for j in range(d):
-                row.append(repr(float(v[i, j].real)))
-                row.append(repr(float(v[i, j].imag)))
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    flat = den.values.reshape(den.bins, d * d)
+    return _write_rows(["nu"] + _matrix_header(d), den.midpoints(), flat)
 
 
 # --- commands -------------------------------------------------------------------

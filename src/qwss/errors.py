@@ -18,7 +18,8 @@ class NotPositiveSemidefiniteError(QwssError, ValueError):
 
     ``witness`` carries the offending minimum eigenvalue when one is known;
     ``index`` is the batch index of the failing slice when a stack of
-    matrices was checked.
+    matrices was checked; ``location`` is the JSON path of the failing
+    matrix when a decoder set it.
     """
 
     def __init__(
@@ -30,6 +31,7 @@ class NotPositiveSemidefiniteError(QwssError, ValueError):
         super().__init__(message)
         self.witness = witness
         self.index = index
+        self.location: str | None = None
 
 
 class NotPositiveDefiniteError(QwssError, ValueError):

@@ -52,7 +52,7 @@ from .linalg import (
     solve_lyapunov,
     validate_psd,
 )
-from .measure import DensityGrid, OperatorSpectralMeasure, uniform_bin_indices
+from .measure import DensityGrid, OperatorSpectralMeasure, UniformGrid
 
 __all__ = [
     "Shift",
@@ -160,52 +160,11 @@ class ExpOperator:
         )
 
 
-@dataclass(frozen=True, eq=False)
-class Tabulated:
+class Tabulated(UniformGrid):
     """Characteristic function constant per bin on a uniform grid."""
-
-    nu_min: float
-    nu_max: float
-    values: np.ndarray  # (bins, d, d) complex
-
-    def __post_init__(self):
-        v = np.ascontiguousarray(self.values, dtype=np.complex128)
-        if v.ndim != 3 or v.shape[1] != v.shape[2] or v.shape[0] < 1:
-            raise DimensionMismatchError(
-                f"tabulated values must have shape (bins, d, d), got {v.shape}"
-            )
-        lo, hi = float(self.nu_min), float(self.nu_max)
-        if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
-            raise ValueError(f"need finite nu_min < nu_max, got [{lo}, {hi}]")
-        v = v.copy()
-        v.setflags(write=False)
-        object.__setattr__(self, "nu_min", lo)
-        object.__setattr__(self, "nu_max", hi)
-        object.__setattr__(self, "values", v)
-
-    @property
-    def dim(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def bins(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def width(self) -> float:
-        return (self.nu_max - self.nu_min) / self.bins
 
     def covers(self, lo: float, hi: float) -> bool:
         return self.nu_min <= lo and hi <= self.nu_max
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Tabulated)
-            and self.nu_min == other.nu_min
-            and self.nu_max == other.nu_max
-            and self.values.shape == other.values.shape
-            and bool(np.array_equal(self.values, other.values))
-        )
 
 
 @dataclass(frozen=True)
@@ -263,7 +222,7 @@ def _characteristic(filt: FilterSpec, nus: np.ndarray) -> np.ndarray:
     if isinstance(filt, ExpOperator):
         return resolvent(filt.gamma, nus) @ filt.a
     if isinstance(filt, Tabulated):
-        j = uniform_bin_indices(filt.nu_min, filt.nu_max, filt.bins, nus)
+        j = filt.bin_indices(nus)
         outside = np.flatnonzero(j < 0)
         if outside.size:
             raise FilterDomainError(
@@ -287,9 +246,11 @@ def apply_filter(
     """Push a measure through a filter: congruence by ``psi`` at atoms and
     density bin midpoints.
 
-    Atoms and bins form one stack, evaluated and transformed together. Every
-    output weight is asserted PSD at tolerance 1e-12 (congruence preserves
-    PSD, so only rounding dust is ever corrected).
+    Atoms and bins form one stack, evaluated and transformed together. The
+    output is validated once, by ``DensityGrid`` and
+    ``OperatorSpectralMeasure`` at ``TOL_PSD``, the tolerance the input
+    passed; a failure (such as a non-finite characteristic) names
+    ``density bin j`` or ``atom i weight``.
     """
     if isinstance(mu, UnboundedWhiteNoise):
         raise FilterDomainError(
@@ -302,10 +263,8 @@ def apply_filter(
         )
     if isinstance(filt, Shift):
         # |e^{2 pi i s nu}| = 1, so the congruence fixes every weight exactly;
-        # skipping the arithmetic keeps the invariance bit-exact.
-        return OperatorSpectralMeasure(
-            dim=mu.dim, atoms=mu.atoms, density=mu.density
-        )
+        # returning the (immutable) measure keeps the invariance bit-exact.
+        return mu
     d, k = mu.dim, len(mu.atoms)
     den = mu.density
     nus = np.array([nu for nu, _ in mu.atoms], dtype=float)
@@ -315,15 +274,8 @@ def apply_filter(
         weights = np.concatenate([weights, den.values])
     psi = _characteristic(filt, nus)
     out = hermitize(psi.conj().swapaxes(-1, -2) @ weights @ psi)
-    validate_psd(
-        out[:k],
-        tol=1e-12,
-        herm_tol=1e-12,
-        name=lambda i: f"filtered atom at nu={mu.atoms[i][0]}",
-    )
     density = None
     if den is not None:
-        validate_psd(out[k:], tol=1e-12, herm_tol=1e-12, name="filtered density bin")
         density = DensityGrid(den.nu_min, den.nu_max, out[k:])
     atoms = tuple((nu, w) for (nu, _), w in zip(mu.atoms, out))
     return OperatorSpectralMeasure(dim=d, atoms=atoms, density=density)

@@ -34,6 +34,7 @@ from .linalg import (
 )
 
 __all__ = [
+    "UniformGrid",
     "DensityGrid",
     "OperatorSpectralMeasure",
     "CovarianceTable",
@@ -50,19 +51,6 @@ __all__ = [
 _ATOM_MERGE_RTOL = 1e-12
 
 
-def uniform_bin_indices(nu_min: float, nu_max: float, bins: int, nus) -> np.ndarray:
-    """Bin of each frequency on ``bins`` equal cells of ``[nu_min, nu_max]``.
-
-    The final right edge is closed; frequencies outside the grid (or NaN)
-    get -1. Shared by density grids and tabulated filters.
-    """
-    nus = np.asarray(nus, dtype=float)
-    inside = (nus >= nu_min) & (nus <= nu_max)
-    width = (nu_max - nu_min) / bins
-    j = np.floor((np.where(inside, nus, nu_min) - nu_min) / width)
-    return np.where(inside, np.minimum(j, bins - 1), -1).astype(np.intp)
-
-
 def _locked(a: np.ndarray) -> np.ndarray:
     # copy so the stored buffer is never aliased with caller-owned memory
     a = np.ascontiguousarray(a).copy()
@@ -71,30 +59,31 @@ def _locked(a: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class DensityGrid:
-    """Piecewise-constant PSD-matrix density on a uniform frequency grid.
+class UniformGrid:
+    """A ``(bins, d, d)`` matrix stack on ``bins`` equal cells of ``[nu_min, nu_max]``.
 
     Bin ``j`` covers ``[nu_min + j*width, nu_min + (j+1)*width)`` and carries
     the constant matrix ``values[j]``; the final right edge is closed for
-    point lookups.
+    point lookups. The base of density grids and tabulated filters; grids are
+    equal only when they are of the same type.
     """
 
     nu_min: float
     nu_max: float
-    values: np.ndarray  # (bins, d, d) complex128, PSD per bin
+    values: np.ndarray  # (bins, d, d) complex128
 
     def __post_init__(self):
         v = np.ascontiguousarray(self.values, dtype=np.complex128)
         if v.ndim != 3 or v.shape[1] != v.shape[2]:
             raise DimensionMismatchError(
-                f"density values must have shape (bins, d, d), got {v.shape}"
+                f"{type(self).__name__} values must have shape (bins, d, d), "
+                f"got {v.shape}"
             )
         if v.shape[0] < 1:
-            raise ValueError("density grid needs at least one bin")
+            raise ValueError(f"{type(self).__name__} needs at least one bin")
         lo, hi = float(self.nu_min), float(self.nu_max)
         if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
             raise ValueError(f"need finite nu_min < nu_max, got [{lo}, {hi}]")
-        validate_psd(v, name="density bin")
         object.__setattr__(self, "nu_min", lo)
         object.__setattr__(self, "nu_max", hi)
         object.__setattr__(self, "values", _locked(v))
@@ -117,19 +106,21 @@ class DensityGrid:
     def midpoints(self) -> np.ndarray:
         return self.nu_min + (np.arange(self.bins) + 0.5) * self.width
 
+    def bin_indices(self, nus) -> np.ndarray:
+        """Bin of each frequency in ``nus`` (closed right end); -1 outside or NaN."""
+        nus = np.asarray(nus, dtype=float)
+        inside = (nus >= self.nu_min) & (nus <= self.nu_max)
+        j = np.floor((np.where(inside, nus, self.nu_min) - self.nu_min) / self.width)
+        return np.where(inside, np.minimum(j, self.bins - 1), -1).astype(np.intp)
+
     def bin_index(self, nu: float) -> int | None:
         """Index of the bin containing ``nu`` (closed right end), else None."""
-        j = int(uniform_bin_indices(self.nu_min, self.nu_max, self.bins, nu))
+        j = int(self.bin_indices(nu))
         return None if j < 0 else j
-
-    def value_at(self, nu: float) -> np.ndarray:
-        j = self.bin_index(nu)
-        d = self.dim
-        return self.values[j] if j is not None else np.zeros((d, d), complex)
 
     def __eq__(self, other) -> bool:
         return (
-            isinstance(other, DensityGrid)
+            type(other) is type(self)
             and self.nu_min == other.nu_min
             and self.nu_max == other.nu_max
             and self.values.shape == other.values.shape
@@ -138,9 +129,22 @@ class DensityGrid:
 
     def __repr__(self) -> str:
         return (
-            f"DensityGrid(nu_min={self.nu_min}, nu_max={self.nu_max}, "
+            f"{type(self).__name__}(nu_min={self.nu_min}, nu_max={self.nu_max}, "
             f"bins={self.bins}, dim={self.dim})"
         )
+
+
+class DensityGrid(UniformGrid):
+    """Piecewise-constant PSD-matrix density on a uniform frequency grid."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        validate_psd(self.values, name="density bin")
+
+    def value_at(self, nu: float) -> np.ndarray:
+        j = self.bin_index(nu)
+        d = self.dim
+        return self.values[j] if j is not None else np.zeros((d, d), complex)
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,18 +163,22 @@ class OperatorSpectralMeasure:
         d = int(self.dim)
         if d < 1:
             raise ValueError(f"dim must be >= 1, got {self.dim}")
-        normalized = []
+        nus, weights = [], []
         for i, (nu, w) in enumerate(self.atoms):
             nu = float(nu)
             if not np.isfinite(nu):
                 raise ValueError(f"atom {i} has non-finite frequency {nu}")
-            w = validate_psd(w, name=f"atom {i} weight")
+            w = np.asarray(w, dtype=np.complex128)
             if w.shape != (d, d):
                 raise DimensionMismatchError(
                     f"atom {i} weight has shape {w.shape}, expected ({d}, {d})"
                 )
-            normalized.append((nu, _locked(w)))
-        normalized.sort(key=lambda pair: pair[0])
+            nus.append(nu)
+            weights.append(w)
+        stack = _locked(np.array(weights, dtype=np.complex128).reshape(-1, d, d))
+        if len(stack):
+            validate_psd(stack, name=lambda i: f"atom {i} weight")
+        normalized = sorted(zip(nus, stack), key=lambda pair: pair[0])
         for (n1, _), (n2, _) in zip(normalized, normalized[1:]):
             if not n2 > n1:
                 raise ValueError(

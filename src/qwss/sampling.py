@@ -35,12 +35,7 @@ import numpy as np
 
 from .errors import AliasingError, DimensionMismatchError
 from .linalg import hermitize, nearest_psd, psd_sqrt
-from .measure import (
-    CovarianceTable,
-    DensityGrid,
-    OperatorSpectralMeasure,
-    uniform_bin_indices,
-)
+from .measure import CovarianceTable, DensityGrid, OperatorSpectralMeasure
 
 __all__ = ["Trajectory", "synthesize", "lag_covariance", "welch_estimate"]
 
@@ -151,7 +146,7 @@ def synthesize(
             x += np.exp(2j * np.pi * nu_k * times)[:, None] * amp
     if den is not None:
         freqs = np.fft.fftfreq(n, d=dt)
-        bins = uniform_bin_indices(den.nu_min, den.nu_max, den.bins, freqs)
+        bins = den.bin_indices(freqs)
         hit = np.flatnonzero(bins >= 0)
         roots = np.sqrt(1.0 / (n * dt)) * psd_sqrt(den.values)
         xi = _normals(seed, 0, n, d)[hit]

@@ -14,9 +14,10 @@ Conventions shared by every format:
   dim u32, n u64, dt f64, then n*dim complex128 samples (interleaved re/im
   f64, time-major)
 
-Schema violations raise SchemaError with a JSON-path location; non-PSD
-weights raise NotPositiveSemidefiniteError naming the offending atom or bin
-and the witness eigenvalue.
+Schema violations raise SchemaError with a JSON-path location. Non-PSD
+weights raise the measure constructors' NotPositiveSemidefiniteError, which
+names the atom or bin and the witness eigenvalue; the decoder sets its
+``location`` to the JSON path (``atoms[i].weight``, ``density.values[b]``).
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from .filters import (
     Shift,
     Tabulated,
 )
-from .linalg import validate_psd
 from .measure import (
     CovarianceTable,
     DensityGrid,
@@ -206,6 +206,16 @@ def measure_to_document(mu: OperatorSpectralMeasure) -> dict:
     return doc
 
 
+def _located(path, build):
+    """``build()``; a not-PSD error gets the JSON ``path(i)`` of its slice ``i``
+    as its location."""
+    try:
+        return build()
+    except NotPositiveSemidefiniteError as e:
+        e.location = path(e.index[0])
+        raise
+
+
 def measure_from_document(doc: dict) -> OperatorSpectralMeasure:
     _check_keys(doc, ("kind", "dim", "atoms"), ("density",), None)
     _check_kind(doc, "spectral_measure")
@@ -217,7 +227,6 @@ def measure_from_document(doc: dict) -> OperatorSpectralMeasure:
         _check_keys(entry, ("nu", "weight"), (), loc)
         nu = _as_real(entry["nu"], f"{loc}.nu")
         w = _as_matrix(entry["weight"], f"{loc}.weight", rows=dim, cols=dim)
-        w = validate_psd(w, name=f"{loc}.weight")
         atoms.append((nu, w))
     density = None
     if "density" in doc:
@@ -234,17 +243,14 @@ def measure_from_document(doc: dict) -> OperatorSpectralMeasure:
         vals = np.empty((bins, dim, dim), dtype=np.complex128)
         for b, v in enumerate(raw):
             vals[b] = _as_matrix(v, f"density.values[{b}]", rows=dim, cols=dim)
-        try:
-            density = DensityGrid(nu_min=nu_min, nu_max=nu_max, values=vals)
-        except NotPositiveSemidefiniteError as e:
-            # name the failing bin by its JSON path
-            b = e.index[0]
-            raise NotPositiveSemidefiniteError(
-                str(e).replace(f"density bin {b}", f"density.values[{b}]", 1),
-                witness=e.witness,
-                index=e.index,
-            ) from None
-    return OperatorSpectralMeasure(dim=dim, atoms=tuple(atoms), density=density)
+        density = _located(
+            lambda b: f"density.values[{b}]",
+            lambda: DensityGrid(nu_min=nu_min, nu_max=nu_max, values=vals),
+        )
+    return _located(
+        lambda i: f"atoms[{i}].weight",
+        lambda: OperatorSpectralMeasure(dim=dim, atoms=tuple(atoms), density=density),
+    )
 
 
 def serialize_measure(mu: OperatorSpectralMeasure) -> bytes:

@@ -38,3 +38,17 @@ def frob(m) -> float:
 
 def rel_frob(got, want) -> float:
     return frob(np.asarray(got) - np.asarray(want)) / max(frob(want), 1e-300)
+
+
+def count_eigvalsh(monkeypatch) -> list:
+    """Record the shape of every ``numpy.linalg.eigvalsh`` argument from now
+    on; each PSD check makes exactly one such call."""
+    shapes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    return shapes

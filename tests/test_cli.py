@@ -375,6 +375,29 @@ class TestErrorReporting:
         assert err["location"] == "extra"
 
     @pytest.mark.parametrize(
+        "part, index, location",
+        [
+            ("atoms", 1, "atoms[1].weight"),
+            ("density", 2, "density.values[2]"),
+        ],
+    )
+    def test_not_psd_error_carries_location(
+        self, tmp_path, capsys, part, index, location
+    ):
+        bad = tmp_path / "bad.json"
+        doc = json.loads(serialize_measure(rich_measure()))
+        indefinite = [[[1, 0], [2, 0]], [[2, 0], [1, 0]]]
+        if part == "atoms":
+            doc["atoms"][index]["weight"] = indefinite
+        else:
+            doc["density"]["values"][index] = indefinite
+        bad.write_text(json.dumps(doc))
+        assert run("bochner", bad, tmp_path / "c.csv", "--dt", 1) == 1
+        err, _ = read_error(capsys)
+        assert err["code"] == "not_psd"
+        assert err["location"] == location
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ("bochner", "{deep}", "{out}", "--dt", 0.1),

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    count_eigvalsh,
     frob,
     random_complex_matrix,
     random_hpd,
@@ -26,6 +27,7 @@ from qwss.errors import (
     DimensionMismatchError,
     FilterDomainError,
     NotPositiveDefiniteError,
+    NotPositiveSemidefiniteError,
 )
 from qwss.filters import (
     Composition,
@@ -142,6 +144,14 @@ class TestFilterValidation:
         with pytest.raises(ValueError):
             Tabulated(nu_min=1.0, nu_max=0.0, values=np.ones((1, 1, 1), dtype=complex))
 
+    def test_tabulated_never_equals_density_grid_on_same_cells(self):
+        # both are uniform grids; equality also needs the same type
+        vals = np.ones((2, 1, 1), dtype=complex)
+        tab = Tabulated(nu_min=0.0, nu_max=1.0, values=vals)
+        den = DensityGrid(nu_min=0.0, nu_max=1.0, values=vals)
+        assert tab == Tabulated(nu_min=0.0, nu_max=1.0, values=vals)
+        assert tab != den and den != tab
+
     def test_composition_dim_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             Composition(first=Shift(dim=1, s=1.0), second=Shift(dim=2, s=1.0))
@@ -222,6 +232,51 @@ class TestApplyFilter:
         atom = OperatorSpectralMeasure(dim=1, atoms=((1.5, np.eye(1)),))
         with pytest.raises(FilterDomainError, match=r"nu=1.5 outside"):
             apply_filter(atom, filt)
+
+    @pytest.mark.parametrize(
+        "filt",
+        [
+            ScalarConvolution(dim=2, hhat=lambda nu: 1.0),
+            identity_tabulated(2, -1.0, 1.0),
+        ],
+        ids=["scalar_convolution", "tabulated"],
+    )
+    def test_identity_keeps_measure_at_library_tolerance(self, filt):
+        # eigenvalue -5e-10 is inside TOL_PSD = 1e-9, so the constructors
+        # accept this measure and its identity image must pass too
+        w = np.diag([1.0, -5e-10]).astype(complex)
+        mu = OperatorSpectralMeasure(
+            dim=2,
+            atoms=((0.3, w),),
+            density=DensityGrid(-1.0, 1.0, np.stack([w, np.eye(2)])),
+        )
+        assert apply_filter(mu, filt) == mu
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_output_is_not_psd(self, value):
+        filt = ScalarConvolution(dim=1, hhat=lambda nu: value)
+        atoms = ((0.3, np.eye(1)),)
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(
+                NotPositiveSemidefiniteError, match=r"^density bin 0 holds a non-finite"
+            ):
+                apply_filter(white_noise(np.eye(1), band=1.0, bins=2), filt)
+            with pytest.raises(
+                NotPositiveSemidefiniteError, match=r"^atom 0 weight holds a non-finite"
+            ):
+                apply_filter(OperatorSpectralMeasure(dim=1, atoms=atoms), filt)
+
+    def test_one_psd_check_per_part(self, monkeypatch):
+        rng = rng_for(38)
+        mu = OperatorSpectralMeasure(
+            dim=2,
+            atoms=((0.1, random_psd(rng, 2)), (0.6, random_psd(rng, 2))),
+            density=DensityGrid(-1.0, 1.0, np.stack([random_psd(rng, 2)] * 5)),
+        )
+        filt = ExpOperator(gamma=random_hpd(rng, 2), a=random_complex_matrix(rng, 2))
+        shapes = count_eigvalsh(monkeypatch)
+        apply_filter(mu, filt)
+        assert sorted(shapes) == [(2, 2, 2), (5, 2, 2)]  # atoms, density bins
 
     def test_marker_is_rejected(self):
         marker = white_noise(np.eye(1), band=math.inf)

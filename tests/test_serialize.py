@@ -52,7 +52,7 @@ from qwss import (
 )
 from qwss.serialize import write_bytes_atomic
 
-from helpers import random_complex_matrix, random_psd, rng_for
+from helpers import count_eigvalsh, random_complex_matrix, random_psd, rng_for
 
 B2 = np.array([[2, 1j], [-1j, 1]], dtype=complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -115,16 +115,24 @@ class TestMeasureDocuments:
     def test_rejects_indefinite_atom_weight_with_location(self):
         doc = json.loads(serialize_measure(rich_measure()))
         doc["atoms"][1]["weight"] = [[[1, 0], [2, 0]], [[2, 0], [1, 0]]]
-        with pytest.raises(NotPositiveSemidefiniteError) as exc:
+        with pytest.raises(NotPositiveSemidefiniteError, match=r"^atom 1 weight ") as exc:
             deserialize_measure(json.dumps(doc).encode())
-        assert "atoms[1].weight" in str(exc.value)
+        assert exc.value.location == "atoms[1].weight"
         assert exc.value.witness == pytest.approx(-1.0)
 
     def test_rejects_indefinite_density_bin_with_location(self):
         doc = json.loads(serialize_measure(rich_measure()))
         doc["density"]["values"][2] = [[[1, 0], [2, 0]], [[2, 0], [1, 0]]]
-        with pytest.raises(NotPositiveSemidefiniteError, match=r"density.values\[2\]"):
+        with pytest.raises(NotPositiveSemidefiniteError, match=r"^density bin 2 ") as exc:
             deserialize_measure(json.dumps(doc).encode())
+        assert exc.value.location == "density.values[2]"
+
+    def test_one_psd_check_per_part(self, monkeypatch):
+        mu = rich_measure()
+        data = serialize_measure(mu)
+        shapes = count_eigvalsh(monkeypatch)
+        assert deserialize_measure(data) == mu
+        assert sorted(shapes) == [(2, 2, 2), (4, 2, 2)]  # atoms, density bins
 
     def test_rejects_unknown_top_level_key(self):
         doc = json.loads(serialize_measure(rich_measure()))
