@@ -88,6 +88,7 @@ _ERROR_CODES = {
     OffGridLagError: "off_grid_lag",
     DimensionMismatchError: "dimension_mismatch",
     FilterDomainError: "filter_domain",
+    MemoryError: "resource",
 }
 
 
@@ -103,7 +104,7 @@ def _error_json(exc: BaseException) -> str:
     doc = {
         "error": {
             "code": code,
-            "message": str(exc),
+            "message": str(exc) or type(exc).__name__,
             "location": getattr(exc, "location", None),
         }
     }
@@ -590,7 +591,7 @@ def main(argv=None) -> int:
     except QwssError as e:
         print(_error_json(e), file=sys.stderr)
         return 1
-    except (ValueError, OSError) as e:
+    except (ValueError, OSError, MemoryError) as e:
         print(_error_json(e), file=sys.stderr)
         return 1
 

@@ -184,6 +184,10 @@ class OperatorSpectralMeasure:
                 raise ValueError(
                     f"atom frequencies must be strictly increasing, got {n1} and {n2}"
                 )
+        if self.density is not None and not isinstance(self.density, DensityGrid):
+            raise TypeError(
+                f"density must be a DensityGrid or None, got {type(self.density).__name__}"
+            )
         if self.density is not None and self.density.dim != d:
             raise DimensionMismatchError(
                 f"density dim {self.density.dim} does not match measure dim {d}"

@@ -96,6 +96,9 @@ class Mode:
     def __post_init__(self):
         m = as_complex_matrix(self.system_op, name="system_op").copy()
         d = as_complex_matrix(self.environment_op, name="environment_op").copy()
+        for name, a in (("system_op", m), ("environment_op", d)):
+            if not np.isfinite(a).all():
+                raise ValueError(f"{name} holds a non-finite entry")
         m.setflags(write=False)
         d.setflags(write=False)
         object.__setattr__(self, "nu", float(self.nu))
@@ -120,6 +123,11 @@ class QuantumModel:
     and the factors are mutually orthogonal in the ``tr[rho . ]`` inner
     product. Use ``orthogonalize_environment_ops`` to massage raw operators
     into an admissible family first.
+
+    The factors are checked as one ``(modes, dk, dk)`` stack: one batched
+    trace for the means, one for the second moments (the mode weights), and
+    one Gram matmul for every off-diagonal pair. The first failure is
+    reported in per-mode order: centering by mode, then pairs row-major.
     """
 
     dim_system: int
@@ -143,42 +151,63 @@ class QuantumModel:
         nus = [m.nu for m in modes]
         if len(set(nus)) != len(nus):
             raise ValueError("mode frequencies must be pairwise distinct")
-        for i, m in enumerate(modes):
+        # A mode of the wrong shape is reported after the centering of the
+        # modes before it, the order of a per-mode scan.
+        shaped = next(
+            (
+                i
+                for i, m in enumerate(modes)
+                if m.system_op.shape != (dh, dh) or m.environment_op.shape != (dk, dk)
+            ),
+            len(modes),
+        )
+        d = np.array([m.environment_op for m in modes[:shaped]], dtype=np.complex128)
+        d = d.reshape(-1, dk, dk)
+        size = np.abs(d).max(axis=(1, 2))
+        mean = np.trace(rho @ d, axis1=1, axis2=2)
+        uncentered = np.flatnonzero(np.abs(mean) > MODEL_TOL * np.maximum(1.0, size))
+        if uncentered.size:
+            i = int(uncentered[0])
+            raise ValueError(
+                f"mode {i} environment factor is not centered: "
+                f"tr[rho D] = {complex(mean[i]):.3e}"
+            )
+        if shaped < len(modes):
+            m = modes[shaped]
             if m.system_op.shape != (dh, dh):
                 raise DimensionMismatchError(
-                    f"mode {i} system_op shape {m.system_op.shape} != ({dh}, {dh})"
+                    f"mode {shaped} system_op shape {m.system_op.shape} != ({dh}, {dh})"
                 )
-            if m.environment_op.shape != (dk, dk):
-                raise DimensionMismatchError(
-                    f"mode {i} environment_op shape {m.environment_op.shape} != ({dk}, {dk})"
-                )
-            mean = complex(np.trace(rho @ m.environment_op))
-            if abs(mean) > MODEL_TOL * max(1.0, float(np.abs(m.environment_op).max())):
+            raise DimensionMismatchError(
+                f"mode {shaped} environment_op shape {m.environment_op.shape} != ({dk}, {dk})"
+            )
+        # gram[i, j] = tr[rho Di^H Dj] = <Di, Dj rho> in the Frobenius product;
+        # its diagonal is taken as tr[rho D^H D] instead, the weights' formula.
+        rows = (len(d), dk * dk)
+        gram = d.reshape(rows).conj() @ (d @ rho).reshape(rows).T
+        second = np.trace(rho @ d.conj().transpose(0, 2, 1) @ d, axis1=1, axis2=2)
+        tol = MODEL_TOL * np.maximum(1.0, np.outer(size, size))
+        bad = np.abs(gram) > tol
+        diag_tol = tol.diagonal()
+        np.fill_diagonal(
+            bad, (np.abs(second.imag) > diag_tol) | (second.real < -diag_tol)
+        )
+        first = np.flatnonzero(bad)
+        if first.size:
+            i, j = divmod(int(first[0]), len(d))
+            if i == j:
                 raise ValueError(
-                    f"mode {i} environment factor is not centered: tr[rho D] = {mean:.3e}"
+                    f"mode {i} has invalid second moment tr[rho D^H D] = "
+                    f"{complex(second[i]):.3e}"
                 )
-        weights = []
-        for i, mi in enumerate(modes):
-            for j, mj in enumerate(modes):
-                g = complex(
-                    np.trace(rho @ mi.environment_op.conj().T @ mj.environment_op)
-                )
-                scale = max(
-                    1.0,
-                    float(np.abs(mi.environment_op).max())
-                    * float(np.abs(mj.environment_op).max()),
-                )
-                if i == j:
-                    if abs(g.imag) > MODEL_TOL * scale or g.real < -MODEL_TOL * scale:
-                        raise ValueError(
-                            f"mode {i} has invalid second moment tr[rho D^H D] = {g:.3e}"
-                        )
-                    weights.append(max(g.real, 0.0))
-                elif abs(g) > MODEL_TOL * scale:
-                    raise ValueError(
-                        f"modes {i} and {j} are not orthogonal under rho: "
-                        f"tr[rho Di^H Dj] = {g:.3e}"
-                    )
+            # reported as the triple product, whose rounding noise (such as a
+            # tiny imaginary part) the Gram entry does not share
+            g = complex(np.trace(rho @ d[i].conj().T @ d[j]))
+            raise ValueError(
+                f"modes {i} and {j} are not orthogonal under rho: "
+                f"tr[rho Di^H Dj] = {g:.3e}"
+            )
+        weights = [max(w, 0.0) for w in second.real.tolist()]
         rho = rho.copy()
         rho.setflags(write=False)
         object.__setattr__(self, "dim_system", dh)
@@ -310,12 +339,10 @@ class KolmogorovFactorization:
 
     def reconstruction(self) -> np.ndarray:
         """All reconstructed blocks, shape (n, n, d, d)."""
-        n, _, d = self.factors.shape
-        out = np.empty((n, n, d, d), dtype=np.complex128)
-        for i in range(n):
-            for j in range(n):
-                out[i, j] = self.block(i, j)
-        return out
+        n, rank, d = self.factors.shape
+        v = self.factors.transpose(1, 0, 2).reshape(rank, n * d)  # [V_0 ... V_n-1]
+        gram = (v.conj().T @ v).reshape(n, d, n, d)
+        return np.ascontiguousarray(gram.transpose(0, 2, 1, 3))
 
 
 def kolmogorov_decompose(blocks, tol: float = 1e-9) -> KolmogorovFactorization:

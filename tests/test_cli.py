@@ -33,6 +33,7 @@ from qwss import (
     trajectory_from_csv,
     white_noise,
 )
+from qwss import cli
 from qwss.cli import main
 
 from helpers import rel_frob
@@ -426,6 +427,29 @@ class TestErrorReporting:
         assert err["code"] == "schema"
         assert "nested too deeply" in err["message"]
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, exc, message",
+        [
+            (("synth", "--n", 8), MemoryError("Unable to allocate 16.0 TiB"), "Unable to allocate 16.0 TiB"),
+            (("bochner",), MemoryError(), "MemoryError"),
+        ],
+        ids=["synth", "bochner"],
+    )
+    def test_out_of_memory_is_a_resource_error(
+        self, tmp_path, capsys, monkeypatch, atom_measure_file, argv, exc, message
+    ):
+        def exhausted(args):
+            raise exc
+
+        command, *flags = argv
+        monkeypatch.setattr(cli, f"_cmd_{command}", exhausted)
+        path, _ = atom_measure_file
+        assert run(command, path, tmp_path / "out", "--dt", 0.1, *flags) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err.splitlines()) == 1
+        doc = json.loads(captured.err)
+        assert doc == {"error": {"code": "resource", "message": message, "location": None}}
 
     @pytest.mark.parametrize("seed", [-1, 2**128])
     def test_seed_out_of_range_is_invalid_value(

@@ -12,6 +12,7 @@ from qwss.errors import (
     NotPositiveSemidefiniteError,
     OffGridLagError,
 )
+from qwss.filters import Tabulated
 from qwss.linalg import is_psd
 from qwss.measure import (
     CovarianceTable,
@@ -105,6 +106,12 @@ class TestMeasureConstruction:
             density=DensityGrid(-1.0, 0.5, np.ones((2, 1, 1), dtype=complex)),
         )
         assert mu.support_bounds() == (-1.0, 2.0)
+
+    def test_density_must_be_a_density_grid(self):
+        # a Tabulated filter shares the grid but not the PSD check
+        table = Tabulated(0.0, 1.0, [[[-1.0]]])
+        with pytest.raises(TypeError, match="^density must be a DensityGrid or None, got Tabulated$"):
+            OperatorSpectralMeasure(dim=1, density=table)
 
     def test_atoms_are_write_locked(self):
         mu = atom_measure((0.0, B2))

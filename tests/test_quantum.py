@@ -8,7 +8,7 @@ itself. Kolmogorov factorizations are verified by reconstruction.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qwss import (
@@ -29,8 +29,11 @@ from qwss import (
     partial_trace_environment,
     process_operator,
     total_mass,
+    validate_psd,
     xhat_apply,
 )
+
+from qwss.quantum import MODEL_TOL
 
 from helpers import (
     frob,
@@ -256,6 +259,153 @@ class TestModelValidation:
             model.modes[0].system_op[0, 0] = 9.0
         with pytest.raises(ValueError):
             model.env_state[0, 0] = 9.0
+
+    @pytest.mark.parametrize("field", ["system_op", "environment_op"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_mode_rejects_non_finite_operators(self, field, bad):
+        ops = {"system_op": [[1.0]], "environment_op": [[0.0, 1.0], [0.0, 0.0]]}
+        ops[field] = np.array(ops[field], dtype=complex)
+        ops[field][0, -1] = bad
+        with pytest.raises(ValueError, match=f"^{field} holds a non-finite entry$"):
+            Mode(nu=0.0, **ops)
+
+    def test_uncentered_mode_is_reported_before_a_later_misshapen_one(self):
+        modes = (
+            Mode(nu=0.0, system_op=[[1]], environment_op=SZ),
+            Mode(nu=1.0, system_op=[[1]], environment_op=np.eye(3)),
+        )
+        kw = dict(dim_system=1, dim_environment=2, env_state=[[1, 0], [0, 0]])
+        with pytest.raises(ValueError, match="^mode 0 environment factor is not centered"):
+            QuantumModel(modes=modes, **kw)
+        with pytest.raises(DimensionMismatchError, match="^mode 0 environment_op shape"):
+            QuantumModel(modes=modes[::-1], **kw)
+
+
+def per_pair_reference(dh, dk, rho, modes, ratios):
+    """The mode checks of ``QuantumModel`` as a per-mode, per-pair loop: the
+    constructor's own code before its checks became stack operations.
+    Returns the mode weights or raises the first failure; appends to
+    ``ratios`` the size of every tested quantity over its threshold."""
+    modes = tuple(modes)
+    nus = [m.nu for m in modes]
+    if len(set(nus)) != len(nus):
+        raise ValueError("mode frequencies must be pairwise distinct")
+    for i, m in enumerate(modes):
+        if m.system_op.shape != (dh, dh):
+            raise DimensionMismatchError(
+                f"mode {i} system_op shape {m.system_op.shape} != ({dh}, {dh})"
+            )
+        if m.environment_op.shape != (dk, dk):
+            raise DimensionMismatchError(
+                f"mode {i} environment_op shape {m.environment_op.shape} != ({dk}, {dk})"
+            )
+        mean = complex(np.trace(rho @ m.environment_op))
+        tol = MODEL_TOL * max(1.0, float(np.abs(m.environment_op).max()))
+        ratios.append(abs(mean) / tol)
+        if abs(mean) > tol:
+            raise ValueError(
+                f"mode {i} environment factor is not centered: tr[rho D] = {mean:.3e}"
+            )
+    weights = []
+    for i, mi in enumerate(modes):
+        for j, mj in enumerate(modes):
+            g = complex(np.trace(rho @ mi.environment_op.conj().T @ mj.environment_op))
+            scale = max(
+                1.0,
+                float(np.abs(mi.environment_op).max())
+                * float(np.abs(mj.environment_op).max()),
+            )
+            tol = MODEL_TOL * scale
+            if i == j:
+                ratios.extend((abs(g.imag) / tol, -g.real / tol))
+                if abs(g.imag) > tol or g.real < -tol:
+                    raise ValueError(
+                        f"mode {i} has invalid second moment tr[rho D^H D] = {g:.3e}"
+                    )
+                weights.append(max(g.real, 0.0))
+            else:
+                ratios.append(abs(g) / tol)
+                if abs(g) > tol:
+                    raise ValueError(
+                        f"modes {i} and {j} are not orthogonal under rho: "
+                        f"tr[rho Di^H Dj] = {g:.3e}"
+                    )
+    return tuple(weights)
+
+
+def _outcome(f, *args, **kwargs):
+    try:
+        return "ok", f(*args, **kwargs)
+    except Exception as e:  # the outcome is compared, whatever it is
+        return type(e), str(e)
+
+
+class TestBatchedValidation:
+    """The stacked checks against ``per_pair_reference``: same verdict, same
+    first error, and bit-identical mode weights."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        dh=st.integers(min_value=1, max_value=3),
+        dk=st.integers(min_value=1, max_value=5),
+        m=st.integers(min_value=0, max_value=30),
+        units=st.booleans(),
+        defect=st.sampled_from([None, "uncentered", "non-orthogonal", "misshapen"]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_matches_per_pair_reference(self, dh, dk, m, units, defect, seed):
+        rng = rng_for(seed)
+        if units:  # off-diagonal matrix units, orthogonal under I/dk
+            rho = np.eye(dk) / dk
+            eye = np.eye(dk)
+            ops = [np.outer(eye[i], eye[j]) for i in range(dk) for j in range(dk) if i != j]
+            ops = [ops[k] for k in rng.permutation(len(ops))[:m]]
+        else:  # a centered family has at most dk^2 - 1 members
+            rho = random_density_matrix(rng, dk)
+            raw = [random_complex_matrix(rng, dk) for _ in range(min(m, dk * dk - 1))]
+            ops = orthogonalize_environment_ops(rho, raw)
+        ops = [d * 10.0 ** rng.uniform(-3, 3) * np.exp(2j * np.pi * rng.uniform()) for d in ops]
+        n = len(ops)
+        if defect == "uncentered":
+            assume(n >= 1)
+            k = int(rng.integers(n))
+            ops[k] = ops[k] + 10.0 ** rng.uniform(-3, 0) * np.eye(dk)
+        elif defect == "non-orthogonal":  # a pair in the second half of the rows
+            assume(n >= 2)
+            k = int(rng.integers(n // 2, n))
+            j = int(rng.integers(k))
+            ops[k] = ops[k] + 10.0 ** rng.uniform(-3, 0) * ops[j]
+        elif defect == "misshapen":  # and, half the time, another mode uncentered
+            assume(n >= 1)
+            k = int(rng.integers(n))
+            ops[k] = random_complex_matrix(rng, dk + 1)
+            other = int(rng.integers(n))
+            if other != k and rng.uniform() < 0.5:
+                ops[other] = ops[other] + np.eye(dk)
+        modes = tuple(
+            Mode(nu=float(i), system_op=random_complex_matrix(rng, dh), environment_op=d)
+            for i, d in enumerate(ops)
+        )
+        ratios = []
+        want = _outcome(
+            per_pair_reference, dh, dk, validate_psd(rho), modes, ratios
+        )
+        # the matmul sums in another order, so a value within rounding of its
+        # threshold may be decided either way: draws that close are skipped
+        assume(not any(0.9 <= r <= 1.1 for r in ratios))
+        got = _outcome(
+            QuantumModel, dim_system=dh, dim_environment=dk, env_state=rho, modes=modes
+        )
+        if want[0] == "ok":
+            assert got[0] == "ok"
+            weights = got[1].mode_weights
+            assert np.array(weights).tobytes() == np.array(want[1]).tobytes()
+        else:
+            assert got == want
+
+    def test_empty_model_has_no_weights(self):
+        model = QuantumModel(dim_system=2, dim_environment=3, env_state=np.eye(3) / 3, modes=())
+        assert model.mode_weights == ()
 
 
 class TestOrthogonalize:
@@ -507,6 +657,17 @@ class TestKolmogorov:
         assert fact.rank <= len(model.modes) * d
         err = np.abs(fact.reconstruction() - blocks).max()
         assert err < 1e-10
+
+    @pytest.mark.parametrize("n", [1, 2, 48])
+    def test_reconstruction_matches_blocks(self, n):
+        rng = rng_for(52 + n)
+        fact = KolmogorovFactorization(
+            rank=3, factors=rng.standard_normal((n, 3, 2)) + 1j * rng.standard_normal((n, 3, 2))
+        )
+        got = fact.reconstruction()
+        assert got.shape == (n, n, 2, 2) and got.flags.c_contiguous
+        want = np.array([[fact.block(i, j) for j in range(n)] for i in range(n)])
+        assert np.abs(got - want).max() < 1e-12
 
     def test_factorization_container_validates_shape(self):
         with pytest.raises(DimensionMismatchError):
