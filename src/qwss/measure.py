@@ -357,6 +357,40 @@ def integrate_pair(
     return out
 
 
+def _fft_length(n: int) -> int:
+    """Smallest ``2**a * 3**b * 5**c >= n``: an FFT length numpy transforms fast."""
+    best = 1 << max(0, n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            m = p35
+            while m < n:
+                m *= 2
+            best = min(best, m)
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def _chirp(alpha: float, count: int) -> np.ndarray:
+    """``exp(i*pi*alpha*k**2)`` for ``k = 0..count-1``.
+
+    ``k**2`` is an exact int64. ``alpha`` is split into a head with as many
+    significant bits as keep ``head * k**2`` exact in a double, and a small
+    tail; the exact product is reduced modulo 2 before the tail is added. The
+    phase so carries the rounding of a number in ``[0, 2)``, not that of
+    ``alpha * k**2``, whose ``k**2`` reaches 4e8 at 16384 bins and 4096 lags.
+    """
+    k2 = np.arange(count, dtype=np.int64) ** 2
+    bits = max(1, 53 - int(k2[-1]).bit_length())
+    mant, expo = np.frexp(alpha)
+    head = np.ldexp(np.round(np.ldexp(mant, bits)), int(expo) - bits)
+    k2 = k2.astype(np.float64)
+    phase = np.remainder(head * k2, 2.0) + (alpha - head) * k2
+    return np.exp(1j * np.pi * phase)
+
+
 def covariance_from_spectrum(
     mu: OperatorSpectralMeasure, dt: float, lags: int
 ) -> CovarianceTable:
@@ -367,6 +401,11 @@ def covariance_from_spectrum(
     contributes ``w * sinc(tau*w) * exp(2*pi*i*tau*c) * S`` (numpy sinc, i.e.
     ``sin(pi x)/(pi x)``), so the only discretization in the whole transform
     is the piecewise-constant density representation itself.
+
+    With ``c = c0 + b*w`` on bin ``b``, lag ``m`` needs the sum
+    ``sum_b z**(m*b) S_b`` with ``z = exp(2*pi*i*dt*w)``: a chirp-z transform
+    (Rabiner, Schafer & Rader 1969), evaluated for every lag at once by
+    Bluestein's FFT convolution (1970) in ``O((bins + lags) log)`` time.
     """
     dt = float(dt)
     if not (np.isfinite(dt) and dt > 0):
@@ -380,15 +419,24 @@ def covariance_from_spectrum(
         vals += np.exp(2j * np.pi * nu_k * taus)[:, None, None] * w
     den = mu.density
     if den is not None:
-        wdt = den.width
-        mids = den.midpoints()
-        # (lags+1, bins) closed-form per-bin integral of exp(2 pi i tau nu)
-        factor = (
-            wdt
-            * np.sinc(taus[:, None] * wdt)
-            * np.exp(2j * np.pi * taus[:, None] * mids[None, :])
-        )
-        vals += (factor @ den.values.reshape(den.bins, -1)).reshape(vals.shape)
+        wdt, bins = den.width, den.bins
+        # z**(m*b) = c_m * c_b * conj(c_(m-b)) with c_k = exp(i*pi*dt*w*k**2);
+        # the cyclic convolution is exact for m - b in [-(bins-1), lags]
+        # once its length is at least bins + lags
+        chirp = _chirp(dt * wdt, max(bins, lags + 1))
+        size = _fft_length(bins + lags)
+        chirped = np.zeros((size, mu.dim * mu.dim), dtype=np.complex128)
+        chirped[:bins] = chirp[:bins, None] * den.values.reshape(bins, -1)
+        kernel = np.zeros(size, dtype=np.complex128)
+        kernel[: lags + 1] = chirp[: lags + 1].conj()
+        kernel[size - bins + 1 :] = chirp[1:bins][::-1].conj()
+        sums = np.fft.ifft(
+            np.fft.fft(chirped, axis=0) * np.fft.fft(kernel)[:, None], axis=0
+        )[: lags + 1]
+        c0 = den.nu_min + 0.5 * wdt
+        factor = wdt * np.sinc(taus * wdt) * np.exp(2j * np.pi * taus * c0)
+        factor *= chirp[: lags + 1]
+        vals += (factor[:, None] * sums).reshape(vals.shape)
     vals[0] = hermitize(vals[0])
     return CovarianceTable(dt=dt, values=vals)
 
@@ -408,7 +456,10 @@ def spectrum_from_covariance(
         S(nu) = dt * sum_j w_j C(j*dt) exp(-2*pi*i*nu*j*dt)
 
     on the grid ``nu_i = -1/(2dt) + i/(bins*dt)``; cell ``i`` of the returned
-    density covers ``[nu_i, nu_i + 1/(bins*dt))``. Each cell is projected to
+    density covers ``[nu_i, nu_i + 1/(bins*dt))``. On that grid the phasor is
+    ``(-1)**j * exp(-2*pi*i*i*j/bins)``, so the sum is one length-``bins``
+    FFT of the signed, windowed table folded modulo ``bins`` (lags ``j`` and
+    ``j - bins`` share a slot when ``bins <= 2m``). Each cell is projected to
     the nearest PSD matrix (a no-op up to rounding for Bartlett on genuine
     covariance tables). The grid sums exactly: total mass equals ``C(0)`` up
     to the PSD projection. With ``bins == number of lags`` (even), the grid
@@ -430,11 +481,13 @@ def spectrum_from_covariance(
         w = 1.0 - np.abs(j) / (m + 1)
     else:
         w = np.ones_like(j, dtype=float)
-    two_sided = table.two_sided()
-    nu = -1.0 / (2.0 * dt) + np.arange(bins) / (bins * dt)
-    kernel = np.exp(-2j * np.pi * nu[:, None] * (j[None, :] * dt)) * w[None, :]
+    w = np.where(j % 2, -w, w)  # the (-1)**j of the half-band grid offset
     d = table.dim
-    raw = dt * (kernel @ two_sided.reshape(2 * m + 1, d * d)).reshape(bins, d, d)
+    signed = (w[:, None, None] * table.two_sided()).reshape(2 * m + 1, d * d)
+    folded = np.zeros((bins, d * d), dtype=np.complex128)
+    folded[: m + 1] = signed[m:]
+    folded[bins - m :] += signed[:m]
+    raw = dt * np.fft.fft(folded, axis=0).reshape(bins, d, d)
     density = DensityGrid(
         nu_min=-1.0 / (2.0 * dt), nu_max=1.0 / (2.0 * dt), values=nearest_psd(raw)
     )

@@ -99,9 +99,12 @@ class Mode:
         for name, a in (("system_op", m), ("environment_op", d)):
             if not np.isfinite(a).all():
                 raise ValueError(f"{name} holds a non-finite entry")
+        nu = float(self.nu)
+        if not np.isfinite(nu):
+            raise ValueError(f"mode frequency must be finite, got {nu}")
         m.setflags(write=False)
         d.setflags(write=False)
-        object.__setattr__(self, "nu", float(self.nu))
+        object.__setattr__(self, "nu", nu)
         object.__setattr__(self, "system_op", m)
         object.__setattr__(self, "environment_op", d)
 

@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import AliasingError, DimensionMismatchError
 from .linalg import hermitize, nearest_psd, psd_sqrt
-from .measure import CovarianceTable, DensityGrid, OperatorSpectralMeasure
+from .measure import CovarianceTable, DensityGrid, OperatorSpectralMeasure, _fft_length
 
 __all__ = ["Trajectory", "synthesize", "lag_covariance", "welch_estimate"]
 
@@ -160,19 +160,20 @@ def lag_covariance(traj: Trajectory, lags: int) -> CovarianceTable:
     """Unbiased lag-product estimate ``C(m*dt) ~ mean_t x_{t+m} x_t^H``.
 
     Each lag ``m`` averages over its ``n - m`` available products (unbiased
-    for the mean-zero processes produced here). The sums are taken as an FFT
-    correlation zero-padded to at least ``2n - 1`` samples, so no product
-    wraps around. The zero lag is hermitized.
+    for the mean-zero processes produced here). The sums are taken as one
+    batched FFT correlation of every component pair, zero-padded to at least
+    ``n + lags`` samples (the smallest 5-smooth length), so no product read
+    at lags ``0..lags`` wraps around. The zero lag is hermitized.
     """
     lags = int(lags)
     n = traj.n
     if lags < 0 or 2 * lags >= n:
         raise ValueError(f"lags must satisfy 0 <= lags < n/2, got {lags} with n={n}")
-    spec = np.fft.fft(traj.samples, n=1 << (2 * n - 1).bit_length(), axis=0)
-    vals = np.empty((lags + 1, traj.dim, traj.dim), dtype=np.complex128)
-    for i in range(traj.dim):
-        # row i of C(m): sum_t x_{t+m,i} conj(x_{t,j}) for every j at once
-        vals[:, i, :] = np.fft.ifft(spec[:, i, None] * spec.conj(), axis=0)[: lags + 1]
+    d = traj.dim
+    spec = np.fft.fft(traj.samples, n=_fft_length(n + lags), axis=0)
+    # entry (i, j): sum_t x_{t+m,i} conj(x_{t,j})
+    cross = (spec[:, :, None] * spec[:, None, :].conj()).reshape(-1, d * d)
+    vals = np.fft.ifft(cross, axis=0)[: lags + 1].reshape(lags + 1, d, d)
     vals /= (n - np.arange(lags + 1))[:, None, None]
     vals[0] = hermitize(vals[0])
     return CovarianceTable(dt=traj.dt, values=vals)
@@ -231,7 +232,7 @@ def welch_estimate(
     idx = starts[:, None] + np.arange(segment)[None, :]
     segs = traj.samples[idx]  # (count, segment, dim)
     spectra = np.fft.fft(w[None, :, None] * segs, axis=1)
-    acc = np.einsum("ksi,ksj->sij", spectra, spectra.conj()) / count
+    acc = (spectra.transpose(1, 2, 0) @ spectra.transpose(1, 0, 2).conj()) / count
     acc *= traj.dt / float(np.sum(w * w))
     acc = np.fft.fftshift(acc, axes=0)
     nyquist = 1.0 / (2.0 * traj.dt)

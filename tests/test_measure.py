@@ -1,5 +1,8 @@
 """Spectral measures, the Bochner pair, kernel checks, and measure addition."""
 
+import tracemalloc
+from fractions import Fraction
+
 import numpy as np
 import pytest
 import scipy.integrate
@@ -13,11 +16,12 @@ from qwss.errors import (
     OffGridLagError,
 )
 from qwss.filters import Tabulated
-from qwss.linalg import is_psd
+from qwss.linalg import is_psd, nearest_psd
 from qwss.measure import (
     CovarianceTable,
     DensityGrid,
     OperatorSpectralMeasure,
+    _chirp,
     add_scaled,
     check_psd_kernel,
     covariance_from_spectrum,
@@ -198,6 +202,43 @@ class TestIntegratePair:
         assert is_psd(got)
 
 
+def bochner_reference(mu, dt, lags):
+    """Direct Bochner sum at each lag index in ``lags``: exact atom phasors
+    plus ``w * sinc(tau*w) * exp(2*pi*i*tau*c) * S`` per density bin."""
+    den = mu.density
+    out = []
+    for m in lags:
+        tau = m * dt
+        c = np.zeros((mu.dim, mu.dim), dtype=complex)
+        for nu, w in mu.atoms:
+            c += np.exp(2j * np.pi * nu * tau) * w
+        if den is not None:
+            f = den.width * np.sinc(tau * den.width)
+            f = f * np.exp(2j * np.pi * tau * den.midpoints())
+            c += np.tensordot(f, den.values, axes=1)
+        out.append(c)
+    return np.array(out)
+
+
+def lag_window_reference(table, bins, window):
+    """Direct lag-window sum ``dt * sum_j w_j C(j*dt) exp(-2*pi*i*nu*j*dt)``
+    on each grid frequency, projected to PSD per cell."""
+    m, dt = table.max_lag_index, table.dt
+    j = np.arange(-m, m + 1)
+    w = 1.0 - np.abs(j) / (m + 1) if window == "bartlett" else np.ones(2 * m + 1)
+    two_sided = table.two_sided()
+    raw = [
+        dt * np.tensordot(w * np.exp(-2j * np.pi * nu * j * dt), two_sided, axes=1)
+        for nu in -1.0 / (2.0 * dt) + np.arange(bins) / (bins * dt)
+    ]
+    return nearest_psd(np.array(raw))
+
+
+def random_psd_stack(rng, count, d):
+    a = rng.standard_normal((count, d, d)) + 1j * rng.standard_normal((count, d, d))
+    return a @ a.conj().transpose(0, 2, 1)
+
+
 class TestBochnerTransform:
     def test_zero_lag_is_total_mass(self):
         mu = OperatorSpectralMeasure(
@@ -256,6 +297,70 @@ class TestBochnerTransform:
                 want += (re + 1j * im) * den.values[b]
             assert frob(table.values[m] - want) < 1e-10
 
+    # (dim, atoms, bins, dt, lags): one and odd bin counts, zero lags, and
+    # lags past 1/(dt*w), the first zero of a bin's sinc, in every row with
+    # lags > 0 but the 33-bin one
+    @pytest.mark.parametrize(
+        "dim, atoms, bins, dt, lags",
+        [
+            (1, 2, 1, 0.3, 40),
+            (1, 0, 1, 0.1, 0),
+            (2, 1, 7, 0.45, 60),
+            (2, 3, 33, 0.2, 0),
+            (3, 3, 33, 0.07, 200),
+            (4, 2, 64, 0.5, 301),
+            (4, 0, 255, 0.5, 1000),
+        ],
+    )
+    def test_matches_direct_sum(self, dim, atoms, bins, dt, lags):
+        rng = rng_for(100 * dim + bins)
+        lo = -rng.uniform(0.2, 1.0)
+        hi = rng.uniform(0.2, 1.0)
+        mu = OperatorSpectralMeasure(
+            dim=dim,
+            atoms=tuple(
+                (nu, random_psd(rng, dim)) for nu in np.sort(rng.uniform(lo, hi, atoms))
+            ),
+            density=DensityGrid(lo, hi, random_psd_stack(rng, bins, dim)),
+        )
+        got = covariance_from_spectrum(mu, dt=dt, lags=lags).values
+        want = bochner_reference(mu, dt, range(lags + 1))
+        assert np.abs(got - want).max() < 1e-12 * np.abs(want).max()
+
+    def test_large_grid_matches_direct_sum_at_spot_lags(self):
+        # bins + lags = 20480 puts the chirp's k**2 near 4e8
+        rng = rng_for(41)
+        bins, lags, dt = 16384, 4096, 0.01
+        mu = OperatorSpectralMeasure(
+            dim=2, density=DensityGrid(-37.3, 41.9, random_psd_stack(rng, bins, 2))
+        )
+        got = covariance_from_spectrum(mu, dt=dt, lags=lags).values
+        spots = np.unique(np.r_[0, 1, rng.integers(2, lags, 12), lags - 1, lags])
+        want = bochner_reference(mu, dt, spots)
+        assert np.abs(got[spots] - want).max() < 1e-12 * np.abs(got).max()
+
+    def test_chirp_phase_is_reduced_exactly(self):
+        # alpha * k**2 reaches 2e4 here, where its rounding alone would put
+        # about 6e-12 rad of error into the phase
+        alpha = 0.01 * (41.9 + 37.3) / 16384
+        k = [0, 1, 7, 4095, 16383, 20479, 20480]
+        exact = [float(Fraction(alpha) * j * j % 2) for j in k]
+        want = np.exp(1j * np.pi * np.array(exact))
+        assert np.abs(_chirp(alpha, 20481)[k] - want).max() < 1e-14
+
+    def test_memory_stays_linear_in_bins_and_lags(self):
+        # the (lags+1, bins) complex table alone would be 67 MB
+        mu = OperatorSpectralMeasure(
+            dim=1, density=DensityGrid(-2.0, 3.0, np.ones((4096, 1, 1)))
+        )
+        tracemalloc.start()
+        try:
+            covariance_from_spectrum(mu, dt=0.1, lags=1024)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
 
 class TestSpectrumFromCovariance:
     def test_total_mass_matches_zero_lag(self):
@@ -312,6 +417,27 @@ class TestSpectrumFromCovariance:
         table = covariance_from_spectrum(mu, dt=0.25, lags=256)
         back = spectrum_from_covariance(table, bins=512)
         assert rel_frob(total_mass(back), total_mass(mu)) < 0.02
+
+    # (dim, lags m, bins): bins = m + 1; bins in [m+2, 2m], where lags j and
+    # j - bins fold into one slot; bins = 2m + 1 odd and above
+    @pytest.mark.parametrize("window", ["bartlett", "boxcar"])
+    @pytest.mark.parametrize(
+        "dim, m, bins",
+        [(1, 7, 8), (2, 7, 11), (3, 7, 14), (2, 7, 15), (4, 20, 64), (2, 31, 45)],
+    )
+    def test_matches_direct_sum(self, window, dim, m, bins):
+        rng = rng_for(7 * m + bins)
+        vals = np.concatenate(
+            [
+                random_psd(rng, dim)[None],
+                0.3 * rng.standard_normal((m, dim, dim))
+                + 0.3j * rng.standard_normal((m, dim, dim)),
+            ]
+        )
+        table = CovarianceTable(dt=0.37, values=vals)
+        got = spectrum_from_covariance(table, bins=bins, window=window).density.values
+        want = lag_window_reference(table, bins, window)
+        assert np.abs(got - want).max() < 1e-12 * np.abs(want).max()
 
 
 class TestCheckPsdKernel:

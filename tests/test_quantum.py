@@ -269,6 +269,12 @@ class TestModelValidation:
         with pytest.raises(ValueError, match=f"^{field} holds a non-finite entry$"):
             Mode(nu=0.0, **ops)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_mode_rejects_non_finite_frequency(self, bad):
+        # two NaN frequencies would pass the pairwise-distinct check
+        with pytest.raises(ValueError, match="^mode frequency must be finite, got"):
+            Mode(nu=bad, system_op=[[1.0]], environment_op=SX)
+
     def test_uncentered_mode_is_reported_before_a_later_misshapen_one(self):
         modes = (
             Mode(nu=0.0, system_op=[[1]], environment_op=SZ),

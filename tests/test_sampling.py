@@ -293,7 +293,7 @@ class TestLagCovariance:
     @pytest.mark.parametrize("dim", [1, 2, 3, 4])
     def test_fft_sums_match_direct_lag_products(self, dim):
         rng = rng_for(10 + dim)
-        for n in (64, 37):
+        for n in (64, 37, 250):  # 250 + 124 pads to 375, not a power of two
             x = rng.standard_normal((n, dim)) + 1j * rng.standard_normal((n, dim))
             lags = (n - 1) // 2  # n/2 - 1 for even n, the largest allowed
             want = np.stack(
@@ -321,6 +321,20 @@ class TestWelchEstimate:
         est = welch_estimate(tr, segment=32)
         assert est.atoms == ()
         assert np.abs(est.density.values).max() == 0.0
+
+    def test_matches_per_segment_outer_products(self):
+        rng = rng_for(31)
+        x = rng.standard_normal((200, 3)) + 1j * rng.standard_normal((200, 3))
+        segment, hop = 32, 16
+        w = 0.5 * (1.0 - np.cos(2.0 * np.pi * np.arange(segment) / segment))
+        want = np.zeros((segment, 3, 3), dtype=complex)
+        starts = range(0, 200 - segment + 1, hop)
+        for t in starts:
+            spec = np.fft.fft(w[:, None] * x[t : t + segment], axis=0)
+            want += np.einsum("si,sj->sij", spec, spec.conj())
+        want = np.fft.fftshift(want, axes=0) * 0.1 / (len(starts) * np.sum(w * w))
+        got = welch_estimate(Trajectory(dt=0.1, samples=x), segment=segment).density
+        assert np.abs(got.values - want).max() < 1e-12 * np.abs(want).max()
 
     def test_grid_covers_nyquist_band(self):
         tr = Trajectory(dt=0.25, samples=np.zeros((128, 1)))
