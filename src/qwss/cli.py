@@ -56,6 +56,9 @@ from .quantum import kolmogorov_decompose, model_spectral_measure
 from .sampling import Trajectory, lag_covariance, synthesize, welch_estimate
 from .serialize import (
     _as_int,
+    _as_object,
+    _as_real,
+    _loads,
     _matrix_header,
     _write_rows,
     covariance_from_csv,
@@ -115,18 +118,14 @@ def _error_json(exc: BaseException) -> str:
 
 
 def _pos_real(v, loc):
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise SchemaError("expected a number", location=loc)
-    x = float(v)
-    if not (np.isfinite(x) and x > 0):
+    x = _as_real(v, loc)
+    if not x > 0:
         raise SchemaError(f"must be a positive number, got {v}", location=loc)
     return x
 
 
 def _unit_real(v, loc):
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise SchemaError("expected a number", location=loc)
-    x = float(v)
+    x = _as_real(v, loc)
     if not (0.0 <= x <= 0.9):
         raise SchemaError(f"must be in [0, 0.9], got {v}", location=loc)
     return x
@@ -175,26 +174,15 @@ def _times_value(v, loc):
         except ValueError:
             raise SchemaError(f"cannot parse times {v!r}", location=loc) from None
     if isinstance(v, list):
-        out = []
-        for i, x in enumerate(v):
-            if isinstance(x, bool) or not isinstance(x, (int, float)):
-                raise SchemaError("times must be numbers", location=f"{loc}[{i}]")
-            out.append(float(x))
-        return out
+        return [_as_real(x, f"{loc}[{i}]") for i, x in enumerate(v)]
     raise SchemaError("expected a comma list or array of times", location=loc)
-
-
-def _inline_object(v, loc):
-    if not isinstance(v, dict):
-        raise SchemaError("expected an object", location=loc)
-    return v
 
 
 # per-command config schema: key -> caster; "input"/"output" override positionals
 _CONFIG_SCHEMAS = {
     "bochner": {"dt": _pos_real, "lags": _int_at_least(0)},
     "inverse": {"bins": _int_at_least(1), "window": _choice("bartlett", "boxcar")},
-    "filter": {"filter": _inline_object},
+    "filter": {"filter": _as_object},
     "checkpsd": {"times": _times_value, "tol": _pos_real},
     "kolmogorov": {"tol": _pos_real},
     "model": {"dt": _pos_real, "lags": _int_at_least(0), "covariance": _string},
@@ -232,14 +220,7 @@ def _apply_config(args: argparse.Namespace) -> None:
         raw = Path(args.config).read_text(encoding="utf-8")
     except OSError as e:
         raise SchemaError(f"cannot read config: {e}") from None
-    try:
-        doc = json.loads(raw)
-    except json.JSONDecodeError as e:
-        raise SchemaError(f"config is not valid JSON: {e}") from None
-    except RecursionError:
-        raise SchemaError("config is not valid JSON: nested too deeply") from None
-    if not isinstance(doc, dict):
-        raise SchemaError("config must be a JSON object")
+    doc = _loads(raw)
     schema = _CONFIG_SCHEMAS[args.command_name]
     for key, value in doc.items():
         if key == "command":

@@ -549,8 +549,10 @@ def check_psd_kernel(cov, times: Sequence[float], tol: float = TOL_PSD) -> Kerne
     ``cov`` is a CovarianceTable (sample times must then fall on its lag grid;
     off-grid lags raise rather than interpolate) or a callable ``tau ->
     matrix``. Returns a verdict with the minimum eigenvalue of the block Gram
-    matrix as witness.
+    matrix as witness. ``tol`` must be finite and > 0.
     """
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
     blocks, n, d = _kernel_lookup(cov, times, tol)
     gram = blocks.transpose(0, 2, 1, 3).reshape(n * d, n * d)
     scale = max(1.0, float(np.abs(gram).max()))

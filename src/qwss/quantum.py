@@ -355,7 +355,10 @@ def kolmogorov_decompose(blocks, tol: float = 1e-9) -> KolmogorovFactorization:
     ``tol`` (witness eigenvalue reported otherwise). Eigenvalues above
     ``tol * lambda_max`` are kept, so the rank is minimal at that threshold
     and the factorization is unique up to a unitary on the rank space.
+    ``tol`` must be finite and > 0.
     """
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
     k = np.ascontiguousarray(blocks, dtype=np.complex128)
     if k.ndim != 4 or k.shape[0] != k.shape[1] or k.shape[2] != k.shape[3]:
         raise DimensionMismatchError(

@@ -3,8 +3,11 @@
 Conventions shared by every format:
 
 - frequencies are cycles per unit time in all files
-- complex scalars serialize as two-element arrays ``[re, im]``
-- matrices serialize as row-major nested arrays of complex scalars
+- every complex field is a stack of matrices (one matrix, or ``(..., d, d)``
+  for density values, multipliers, kernel blocks and factors), and one stack
+  codec handles them all: ``_enc`` writes row-major nested arrays with
+  ``[re, im]`` as the last axis, and ``_as_stack`` reads them back, naming a
+  bad entry by its JSON path (``density.values[3]``, ``blocks[1][2]``)
 - JSON documents carry a ``"kind"`` discriminator, reject unknown keys, and
   are emitted with a fixed key order and shortest round-trip float formatting,
   so serializing equal objects yields byte-identical output
@@ -78,12 +81,13 @@ __all__ = [
 # --- primitive encoding / decoding ---------------------------------------
 
 
-def _enc_complex(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
+def _interleave(a: np.ndarray) -> np.ndarray:
+    """A complex stack as reals with ``[re, im]`` as a new last axis."""
+    return np.stack((a.real, a.imag), -1)
 
 
-def _enc_matrix(m: np.ndarray) -> list:
-    return [[_enc_complex(z) for z in row] for row in np.asarray(m)]
+def _enc(a: np.ndarray) -> list:
+    return _interleave(a).tolist()
 
 
 def _dumps(doc: dict) -> bytes:
@@ -123,7 +127,10 @@ def _check_kind(doc: dict, kind: str):
 def _as_real(v, loc: str) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise SchemaError("expected a real number", location=loc)
-    x = float(v)
+    try:
+        x = float(v)
+    except OverflowError:
+        raise SchemaError("number is too large for a float", location=loc) from None
     if not math.isfinite(x):
         raise SchemaError("number must be finite", location=loc)
     return x
@@ -143,15 +150,28 @@ def _as_bool(v, loc: str) -> bool:
     return v
 
 
-def _as_complex(v, loc: str) -> complex:
-    if not isinstance(v, list) or len(v) != 2:
-        raise SchemaError("expected a complex scalar as [re, im]", location=loc)
-    return complex(_as_real(v[0], loc), _as_real(v[1], loc))
+def _as_stack(v, loc: str, shape: tuple) -> np.ndarray:
+    """Decode nested ``[re, im]`` arrays at JSON path ``loc`` to a complex stack.
 
-
-def _as_matrix(
-    v, loc: str, rows: int | None = None, cols: int | None = None
-) -> np.ndarray:
+    ``shape`` gives the size of each axis; a ``None`` size is free for the
+    first entry and taken from it for the rest. Entries of a leading axis are
+    located as ``loc[i]``; a matrix (the last two axes) is checked as a whole
+    at its own path, and with 0 expected rows it may be ``[]``.
+    """
+    if len(shape) > 2:
+        v = _as_list(v, loc)
+        if shape[0] is not None and len(v) != shape[0]:
+            raise SchemaError(
+                f"expected {shape[0]} entries, got {len(v)}", location=loc
+            )
+        first = _as_stack(v[0], f"{loc}[0]", shape[1:])
+        rest = [
+            _as_stack(e, f"{loc}[{i}]", first.shape) for i, e in enumerate(v[1:], 1)
+        ]
+        return np.stack([first] + rest)
+    rows, cols = shape
+    if rows == 0 and v == []:
+        return np.empty((0, cols), dtype=np.complex128)
     if not isinstance(v, list) or not v:
         raise SchemaError("expected a non-empty nested array matrix", location=loc)
     width = None
@@ -163,8 +183,11 @@ def _as_matrix(
             width = len(row)
         elif len(row) != width:
             raise SchemaError("matrix rows must have equal length", location=loc)
-        out.append([_as_complex(z, loc) for z in row])
-    m = np.array(out, dtype=np.complex128)
+        for z in row:
+            if not isinstance(z, list) or len(z) != 2:
+                raise SchemaError("expected a complex scalar as [re, im]", location=loc)
+            out.append(complex(_as_real(z[0], loc), _as_real(z[1], loc)))
+    m = np.array(out, dtype=np.complex128).reshape(len(v), width)
     if rows is not None and m.shape[0] != rows:
         raise SchemaError(f"expected {rows} rows, got {m.shape[0]}", location=loc)
     if cols is not None and m.shape[1] != cols:
@@ -192,7 +215,7 @@ def measure_to_document(mu: OperatorSpectralMeasure) -> dict:
         "kind": "spectral_measure",
         "dim": int(mu.dim),
         "atoms": [
-            {"nu": float(nu), "weight": _enc_matrix(w)} for nu, w in mu.atoms
+            {"nu": float(nu), "weight": _enc(w)} for nu, w in mu.atoms
         ],
     }
     if mu.density is not None:
@@ -201,7 +224,7 @@ def measure_to_document(mu: OperatorSpectralMeasure) -> dict:
             "nu_min": float(den.nu_min),
             "nu_max": float(den.nu_max),
             "bins": int(den.bins),
-            "values": [_enc_matrix(v) for v in den.values],
+            "values": _enc(den.values),
         }
     return doc
 
@@ -226,8 +249,7 @@ def measure_from_document(doc: dict) -> OperatorSpectralMeasure:
         entry = _as_object(entry, loc)
         _check_keys(entry, ("nu", "weight"), (), loc)
         nu = _as_real(entry["nu"], f"{loc}.nu")
-        w = _as_matrix(entry["weight"], f"{loc}.weight", rows=dim, cols=dim)
-        atoms.append((nu, w))
+        atoms.append((nu, _as_stack(entry["weight"], f"{loc}.weight", (dim, dim))))
     density = None
     if "density" in doc:
         den = _as_object(doc["density"], "density")
@@ -235,14 +257,7 @@ def measure_from_document(doc: dict) -> OperatorSpectralMeasure:
         nu_min = _as_real(den["nu_min"], "density.nu_min")
         nu_max = _as_real(den["nu_max"], "density.nu_max")
         bins = _as_int(den["bins"], "density.bins", minimum=1)
-        raw = _as_list(den["values"], "density.values")
-        if len(raw) != bins:
-            raise SchemaError(
-                f"bins={bins} but {len(raw)} values given", location="density.values"
-            )
-        vals = np.empty((bins, dim, dim), dtype=np.complex128)
-        for b, v in enumerate(raw):
-            vals[b] = _as_matrix(v, f"density.values[{b}]", rows=dim, cols=dim)
+        vals = _as_stack(den["values"], "density.values", (bins, dim, dim))
         density = _located(
             lambda b: f"density.values[{b}]",
             lambda: DensityGrid(nu_min=nu_min, nu_max=nu_max, values=vals),
@@ -278,8 +293,8 @@ def filter_to_document(filt: FilterSpec) -> dict:
         return {
             "kind": "filter",
             "variant": "exp_operator",
-            "gamma": _enc_matrix(filt.gamma),
-            "a": _enc_matrix(filt.a),
+            "gamma": _enc(filt.gamma),
+            "a": _enc(filt.a),
         }
     if isinstance(filt, Tabulated):
         return {
@@ -287,7 +302,7 @@ def filter_to_document(filt: FilterSpec) -> dict:
             "variant": "tabulated",
             "nu_min": float(filt.nu_min),
             "nu_max": float(filt.nu_max),
-            "values": [_enc_matrix(v) for v in filt.values],
+            "values": _enc(filt.values),
         }
     if isinstance(filt, Composition):
         return {
@@ -334,23 +349,19 @@ def filter_from_document(doc: dict, loc: str | None = None) -> FilterSpec:
     if variant == "derivative":
         return Derivative(dim=_as_int(doc["dim"], f"{prefix}dim", minimum=1))
     if variant == "exp_operator":
-        g = _as_matrix(doc["gamma"], f"{prefix}gamma")
-        a = _as_matrix(doc["a"], f"{prefix}a", rows=g.shape[0], cols=g.shape[0])
+        g = _as_stack(doc["gamma"], f"{prefix}gamma", (None, None))
+        a = _as_stack(doc["a"], f"{prefix}a", (len(g), len(g)))
         return ExpOperator(gamma=g, a=a)
     if variant == "tabulated":
         raw = _as_list(doc["values"], f"{prefix}values")
         if not raw:
             raise SchemaError("need at least one bin", location=f"{prefix}values")
-        first = _as_matrix(raw[0], f"{prefix}values[0]")
-        d = first.shape[0]
-        if first.shape[1] != d:
+        d, cols = _as_stack(raw[0], f"{prefix}values[0]", (None, None)).shape
+        if cols != d:
             raise SchemaError(
                 "multiplier matrices must be square", location=f"{prefix}values[0]"
             )
-        vals = np.empty((len(raw), d, d), dtype=np.complex128)
-        vals[0] = first
-        for b in range(1, len(raw)):
-            vals[b] = _as_matrix(raw[b], f"{prefix}values[{b}]", rows=d, cols=d)
+        vals = _as_stack(raw, f"{prefix}values", (None, d, d))
         return Tabulated(
             nu_min=_as_real(doc["nu_min"], f"{prefix}nu_min"),
             nu_max=_as_real(doc["nu_max"], f"{prefix}nu_max"),
@@ -378,12 +389,12 @@ def model_to_document(model: QuantumModel) -> dict:
         "kind": "quantum_model",
         "dim_system": int(model.dim_system),
         "dim_environment": int(model.dim_environment),
-        "env_state": _enc_matrix(model.env_state),
+        "env_state": _enc(model.env_state),
         "modes": [
             {
                 "nu": float(m.nu),
-                "system_op": _enc_matrix(m.system_op),
-                "environment_op": _enc_matrix(m.environment_op),
+                "system_op": _enc(m.system_op),
+                "environment_op": _enc(m.environment_op),
             }
             for m in model.modes
         ],
@@ -400,7 +411,7 @@ def model_from_document(doc: dict) -> QuantumModel:
     _check_kind(doc, "quantum_model")
     dh = _as_int(doc["dim_system"], "dim_system", minimum=1)
     dk = _as_int(doc["dim_environment"], "dim_environment", minimum=1)
-    rho = _as_matrix(doc["env_state"], "env_state", rows=dk, cols=dk)
+    rho = _as_stack(doc["env_state"], "env_state", (dk, dk))
     modes = []
     for i, entry in enumerate(_as_list(doc["modes"], "modes")):
         loc = f"modes[{i}]"
@@ -409,11 +420,9 @@ def model_from_document(doc: dict) -> QuantumModel:
         modes.append(
             Mode(
                 nu=_as_real(entry["nu"], f"{loc}.nu"),
-                system_op=_as_matrix(
-                    entry["system_op"], f"{loc}.system_op", rows=dh, cols=dh
-                ),
-                environment_op=_as_matrix(
-                    entry["environment_op"], f"{loc}.environment_op", rows=dk, cols=dk
+                system_op=_as_stack(entry["system_op"], f"{loc}.system_op", (dh, dh)),
+                environment_op=_as_stack(
+                    entry["environment_op"], f"{loc}.environment_op", (dk, dk)
                 ),
             )
         )
@@ -440,7 +449,7 @@ def kernel_to_document(blocks: np.ndarray) -> dict:
     return {
         "kind": "kernel",
         "dim": int(k.shape[2]),
-        "blocks": [[_enc_matrix(k[i, j]) for j in range(k.shape[1])] for i in range(k.shape[0])],
+        "blocks": _enc(k),
     }
 
 
@@ -448,20 +457,10 @@ def kernel_from_document(doc: dict) -> np.ndarray:
     _check_keys(doc, ("kind", "dim", "blocks"), (), None)
     _check_kind(doc, "kernel")
     d = _as_int(doc["dim"], "dim", minimum=1)
-    rows = _as_list(doc["blocks"], "blocks")
-    n = len(rows)
+    n = len(_as_list(doc["blocks"], "blocks"))
     if n < 1:
         raise SchemaError("need at least one block row", location="blocks")
-    out = np.empty((n, n, d, d), dtype=np.complex128)
-    for i, row in enumerate(rows):
-        row = _as_list(row, f"blocks[{i}]")
-        if len(row) != n:
-            raise SchemaError(
-                f"expected {n} blocks per row, got {len(row)}", location=f"blocks[{i}]"
-            )
-        for j, block in enumerate(row):
-            out[i, j] = _as_matrix(block, f"blocks[{i}][{j}]", rows=d, cols=d)
-    return out
+    return _as_stack(doc["blocks"], "blocks", (n, n, d, d))
 
 
 def serialize_kernel(blocks: np.ndarray) -> bytes:
@@ -477,7 +476,7 @@ def factorization_to_document(fact: KolmogorovFactorization) -> dict:
         "kind": "kolmogorov_factorization",
         "rank": int(fact.rank),
         "dim": int(fact.factors.shape[2]),
-        "factors": [_enc_matrix(v) for v in fact.factors],
+        "factors": _enc(fact.factors),
     }
 
 
@@ -489,15 +488,9 @@ def factorization_from_document(doc: dict) -> KolmogorovFactorization:
     raw = _as_list(doc["factors"], "factors")
     if not raw:
         raise SchemaError("need at least one factor", location="factors")
-    out = np.zeros((len(raw), rank, d), dtype=np.complex128)
-    for i, v in enumerate(raw):
-        loc = f"factors[{i}]"
-        if rank == 0:
-            if v != []:
-                raise SchemaError("rank 0 factors must be empty arrays", location=loc)
-        else:
-            out[i] = _as_matrix(v, loc, rows=rank, cols=d)
-    return KolmogorovFactorization(rank=rank, factors=out)
+    return KolmogorovFactorization(
+        rank=rank, factors=_as_stack(raw, "factors", (None, rank, d))
+    )
 
 
 def serialize_factorization(fact: KolmogorovFactorization) -> bytes:
@@ -563,12 +556,8 @@ def _write_rows(header: list[str], axis: np.ndarray, flat: np.ndarray) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for k in range(flat.shape[0]):
-        row = [repr(float(axis[k]))]
-        for z in flat[k]:
-            row.append(repr(float(z.real)))
-            row.append(repr(float(z.imag)))
-        writer.writerow(row)
+    n = flat.shape[0]
+    writer.writerows(np.column_stack((axis, _interleave(flat).reshape(n, -1))).tolist())
     return buf.getvalue()
 
 

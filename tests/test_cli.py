@@ -211,6 +211,15 @@ class TestCheckpsd:
         err, _ = read_error(capsys)
         assert err["code"] == "off_grid_lag"
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+    def test_tol_out_of_range_is_invalid_value(self, tmp_path, capsys, tol):
+        src = tmp_path / "cov.csv"
+        src.write_text("tau,re_00,im_00\n0.0,1.0,0.0\n0.5,0.5,0.0\n")
+        assert run("checkpsd", src, "--times", "0,0.5", "--tol", tol) == 1
+        err, out = read_error(capsys)
+        assert err["code"] == "invalid_value" and "tol" in err["message"]
+        assert out == ""
+
 
 class TestKolmogorov:
     def test_factors_psd_kernel(self, tmp_path):
@@ -231,6 +240,18 @@ class TestKolmogorov:
         err, _ = read_error(capsys)
         assert err["code"] == "not_psd"
         assert "-1.0" in err["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+    def test_tol_out_of_range_is_invalid_value(self, tmp_path, capsys, tol):
+        rng = np.random.default_rng(5)
+        v = rng.standard_normal((3, 4, 2)) + 1j * rng.standard_normal((3, 4, 2))
+        src = tmp_path / "kernel.json"
+        src.write_bytes(serialize_kernel(np.einsum("iax,jay->ijxy", v.conj(), v)))
+        out = tmp_path / "factors.json"
+        assert run("kolmogorov", src, out, "--tol", tol) == 1
+        err, _ = read_error(capsys)
+        assert err["code"] == "invalid_value" and "tol" in err["message"]
         assert not out.exists()
 
 
@@ -349,6 +370,26 @@ class TestConfig:
         assert run("bochner", decoy_in, decoy_out, "--config", cfg) == 0
         assert real_out.exists() and not decoy_out.exists()
 
+    @pytest.mark.parametrize(
+        "argv, config, location",
+        [
+            (("bochner", "in.json", "out.csv"), {"dt": 10**400}, "dt"),
+            (("estimate", "in.qwss", "out.json"), {"overlap": 10**400}, "overlap"),
+            (("checkpsd", "in.csv"), {"times": [0.0, 10**400]}, "times[1]"),
+            (("checkpsd", "in.csv"), {"times": [0.0, float("nan")]}, "times[1]"),
+        ],
+        ids=["dt", "overlap", "times", "nan-times"],
+    )
+    def test_number_outside_float_range_is_a_schema_error(
+        self, tmp_path, capsys, argv, config, location
+    ):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert run(*argv, "--config", cfg) == 1
+        err, _ = read_error(capsys)
+        assert err["code"] == "schema"
+        assert err["location"] == location
+
     def test_times_list_in_config(self, tmp_path, capsys):
         src = tmp_path / "cov.csv"
         src.write_text("tau,re_00,im_00\n0.0,1.0,0.0\n0.5,2.0,0.0\n")
@@ -397,6 +438,16 @@ class TestErrorReporting:
         err, _ = read_error(capsys)
         assert err["code"] == "not_psd"
         assert err["location"] == location
+
+    def test_huge_atom_frequency_is_a_schema_error(self, tmp_path, capsys):
+        doc = json.loads(serialize_measure(rich_measure()))
+        doc["atoms"][0]["nu"] = 10**400
+        src = tmp_path / "measure.json"
+        src.write_text(json.dumps(doc))
+        assert run("bochner", src, tmp_path / "c.csv", "--dt", 0.1) == 1
+        err, _ = read_error(capsys)
+        assert err["code"] == "schema"
+        assert err["location"] == "atoms[0].nu"
 
     @pytest.mark.parametrize(
         "argv",

@@ -635,6 +635,11 @@ class TestKolmogorov:
         with pytest.raises(DimensionMismatchError):
             kolmogorov_decompose(np.ones((2, 3, 1, 1)))
 
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1.0])
+    def test_tol_must_be_finite_and_positive(self, tol):
+        with pytest.raises(ValueError, match="tol must be finite and > 0"):
+            kolmogorov_decompose(np.ones((2, 2, 1, 1)), tol=tol)
+
     def test_zero_kernel_has_rank_zero(self):
         fact = kolmogorov_decompose(np.zeros((3, 3, 2, 2)))
         assert fact.rank == 0

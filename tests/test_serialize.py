@@ -6,12 +6,17 @@ a schema error that names the offending location. The CSV and binary codecs
 get the same treatment.
 """
 
+import copy
+import csv
+import io
 import json
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from qwss import (
     Composition,
@@ -50,10 +55,13 @@ from qwss import (
     trajectory_to_binary,
     trajectory_to_csv,
 )
+from qwss import serialize as ser
+from qwss.cli import _density_csv
 from qwss.serialize import write_bytes_atomic
 
 from helpers import count_eigvalsh, random_complex_matrix, random_psd, rng_for
 
+HUGE = 10**400  # a JSON integer past the float range
 B2 = np.array([[2, 1j], [-1j, 1]], dtype=complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -167,6 +175,25 @@ class TestMeasureDocuments:
         with pytest.raises(SchemaError):
             deserialize_measure(b"[1, 2]\n")
 
+    @pytest.mark.parametrize(
+        "path, location",
+        [
+            (("atoms", 0, "nu"), "atoms[0].nu"),
+            (("atoms", 0, "weight", 0, 0, 0), "atoms[0].weight"),
+            (("density", "values", 1, 1, 0, 1), "density.values[1]"),
+        ],
+    )
+    def test_int_past_float_range_is_a_schema_error(self, path, location):
+        doc = json.loads(serialize_measure(rich_measure()))
+        *head, last = path
+        node = doc
+        for key in head:
+            node = node[key]
+        node[last] = HUGE
+        with pytest.raises(SchemaError, match="too large") as exc:
+            deserialize_measure(json.dumps(doc).encode())
+        assert exc.value.location == location
+
 
 class TestFilterDocuments:
     @pytest.mark.parametrize(
@@ -212,6 +239,13 @@ class TestFilterDocuments:
         doc["s"] = 1.0
         with pytest.raises(SchemaError, match="s"):
             deserialize_filter(json.dumps(doc).encode())
+
+    def test_rejects_non_square_multiplier_at_first_bin(self):
+        doc = json.loads(serialize_filter(Tabulated(-1.0, 1.0, np.stack([B2, B2]))))
+        del doc["values"][0][1]
+        with pytest.raises(SchemaError, match="must be square") as exc:
+            deserialize_filter(json.dumps(doc).encode())
+        assert exc.value.location == "values[0]"
 
     def test_rejects_broken_nested_filter_with_path(self):
         doc = json.loads(
@@ -464,3 +498,610 @@ class TestRoundTripProperties:
         )
         table = CovarianceTable(dt=float(rng.uniform(0.01, 1.0)), values=vals)
         assert covariance_from_csv(covariance_to_csv(table)) == table
+
+
+# --- reference codec ------------------------------------------------------------
+# The per-matrix encoder, decode loops and CSV row loop that the stack codec
+# replaced. The stack codec must match them byte for byte when encoding and
+# error for error (type and location) when decoding.
+
+
+def ref_enc_matrix(m):
+    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m)]
+
+
+def ref_dumps(doc) -> bytes:
+    return (json.dumps(doc, indent=2, allow_nan=False) + "\n").encode("utf-8")
+
+
+def ref_measure_doc(mu):
+    doc = {
+        "kind": "spectral_measure",
+        "dim": int(mu.dim),
+        "atoms": [
+            {"nu": float(nu), "weight": ref_enc_matrix(w)} for nu, w in mu.atoms
+        ],
+    }
+    if mu.density is not None:
+        den = mu.density
+        doc["density"] = {
+            "nu_min": float(den.nu_min),
+            "nu_max": float(den.nu_max),
+            "bins": int(den.bins),
+            "values": [ref_enc_matrix(v) for v in den.values],
+        }
+    return doc
+
+
+def ref_filter_doc(filt):
+    if isinstance(filt, ExpOperator):
+        return {
+            "kind": "filter",
+            "variant": "exp_operator",
+            "gamma": ref_enc_matrix(filt.gamma),
+            "a": ref_enc_matrix(filt.a),
+        }
+    if isinstance(filt, Tabulated):
+        return {
+            "kind": "filter",
+            "variant": "tabulated",
+            "nu_min": float(filt.nu_min),
+            "nu_max": float(filt.nu_max),
+            "values": [ref_enc_matrix(v) for v in filt.values],
+        }
+    if isinstance(filt, Composition):
+        return {
+            "kind": "filter",
+            "variant": "composition",
+            "first": ref_filter_doc(filt.first),
+            "second": ref_filter_doc(filt.second),
+        }
+    return ser.filter_to_document(filt)  # shift, derivative: no matrices
+
+
+def ref_model_doc(model):
+    return {
+        "kind": "quantum_model",
+        "dim_system": int(model.dim_system),
+        "dim_environment": int(model.dim_environment),
+        "env_state": ref_enc_matrix(model.env_state),
+        "modes": [
+            {
+                "nu": float(m.nu),
+                "system_op": ref_enc_matrix(m.system_op),
+                "environment_op": ref_enc_matrix(m.environment_op),
+            }
+            for m in model.modes
+        ],
+    }
+
+
+def ref_kernel_doc(blocks):
+    k = np.ascontiguousarray(blocks, dtype=np.complex128)
+    return {
+        "kind": "kernel",
+        "dim": int(k.shape[2]),
+        "blocks": [
+            [ref_enc_matrix(k[i, j]) for j in range(k.shape[1])]
+            for i in range(k.shape[0])
+        ],
+    }
+
+
+def ref_factorization_doc(fact):
+    return {
+        "kind": "kolmogorov_factorization",
+        "rank": int(fact.rank),
+        "dim": int(fact.factors.shape[2]),
+        "factors": [ref_enc_matrix(v) for v in fact.factors],
+    }
+
+
+def ref_write_rows(header, axis, flat) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for k in range(flat.shape[0]):
+        row = [repr(float(axis[k]))]
+        for z in flat[k]:
+            row.append(repr(float(z.real)))
+            row.append(repr(float(z.imag)))
+        writer.writerow(row)
+    return buf.getvalue()
+
+
+def ref_as_complex(v, loc):
+    if not isinstance(v, list) or len(v) != 2:
+        raise SchemaError("expected a complex scalar as [re, im]", location=loc)
+    return complex(ser._as_real(v[0], loc), ser._as_real(v[1], loc))
+
+
+def ref_as_matrix(v, loc, rows=None, cols=None):
+    if not isinstance(v, list) or not v:
+        raise SchemaError("expected a non-empty nested array matrix", location=loc)
+    width = None
+    out = []
+    for row in v:
+        if not isinstance(row, list) or not row:
+            raise SchemaError("matrix rows must be non-empty arrays", location=loc)
+        if width is None:
+            width = len(row)
+        elif len(row) != width:
+            raise SchemaError("matrix rows must have equal length", location=loc)
+        out.append([ref_as_complex(z, loc) for z in row])
+    m = np.array(out, dtype=np.complex128)
+    if rows is not None and m.shape[0] != rows:
+        raise SchemaError(f"expected {rows} rows, got {m.shape[0]}", location=loc)
+    if cols is not None and m.shape[1] != cols:
+        raise SchemaError(f"expected {cols} columns, got {m.shape[1]}", location=loc)
+    return m
+
+
+def ref_measure_from_document(doc):
+    ser._check_keys(doc, ("kind", "dim", "atoms"), ("density",), None)
+    ser._check_kind(doc, "spectral_measure")
+    dim = ser._as_int(doc["dim"], "dim", minimum=1)
+    atoms = []
+    for i, entry in enumerate(ser._as_list(doc["atoms"], "atoms")):
+        loc = f"atoms[{i}]"
+        entry = ser._as_object(entry, loc)
+        ser._check_keys(entry, ("nu", "weight"), (), loc)
+        nu = ser._as_real(entry["nu"], f"{loc}.nu")
+        w = ref_as_matrix(entry["weight"], f"{loc}.weight", rows=dim, cols=dim)
+        atoms.append((nu, w))
+    density = None
+    if "density" in doc:
+        den = ser._as_object(doc["density"], "density")
+        ser._check_keys(den, ("nu_min", "nu_max", "bins", "values"), (), "density")
+        nu_min = ser._as_real(den["nu_min"], "density.nu_min")
+        nu_max = ser._as_real(den["nu_max"], "density.nu_max")
+        bins = ser._as_int(den["bins"], "density.bins", minimum=1)
+        raw = ser._as_list(den["values"], "density.values")
+        if len(raw) != bins:
+            raise SchemaError(
+                f"bins={bins} but {len(raw)} values given", location="density.values"
+            )
+        vals = np.empty((bins, dim, dim), dtype=np.complex128)
+        for b, v in enumerate(raw):
+            vals[b] = ref_as_matrix(v, f"density.values[{b}]", rows=dim, cols=dim)
+        density = ser._located(
+            lambda b: f"density.values[{b}]",
+            lambda: DensityGrid(nu_min=nu_min, nu_max=nu_max, values=vals),
+        )
+    return ser._located(
+        lambda i: f"atoms[{i}].weight",
+        lambda: OperatorSpectralMeasure(dim=dim, atoms=tuple(atoms), density=density),
+    )
+
+
+def ref_filter_from_document(doc, loc=None):
+    prefix = f"{loc}." if loc else ""
+    doc = ser._as_object(doc, loc or "filter")
+    if "variant" not in doc:
+        raise SchemaError("missing key 'variant'", location=loc)
+    variant = doc["variant"]
+    if variant not in ser._FILTER_KEYS:
+        raise SchemaError(
+            f"unknown filter variant {variant!r}", location=f"{prefix}variant"
+        )
+    required, optional = ser._FILTER_KEYS[variant]
+    ser._check_keys(doc, ("kind", "variant") + required, optional, loc)
+    ser._check_kind(doc, "filter")
+    if variant == "shift":
+        return Shift(
+            dim=ser._as_int(doc["dim"], f"{prefix}dim", minimum=1),
+            s=ser._as_real(doc["s"], f"{prefix}s"),
+        )
+    if variant == "derivative":
+        return Derivative(dim=ser._as_int(doc["dim"], f"{prefix}dim", minimum=1))
+    if variant == "exp_operator":
+        g = ref_as_matrix(doc["gamma"], f"{prefix}gamma")
+        a = ref_as_matrix(doc["a"], f"{prefix}a", rows=g.shape[0], cols=g.shape[0])
+        return ExpOperator(gamma=g, a=a)
+    if variant == "tabulated":
+        raw = ser._as_list(doc["values"], f"{prefix}values")
+        if not raw:
+            raise SchemaError("need at least one bin", location=f"{prefix}values")
+        first = ref_as_matrix(raw[0], f"{prefix}values[0]")
+        d = first.shape[0]
+        if first.shape[1] != d:
+            raise SchemaError(
+                "multiplier matrices must be square", location=f"{prefix}values[0]"
+            )
+        vals = np.empty((len(raw), d, d), dtype=np.complex128)
+        vals[0] = first
+        for b in range(1, len(raw)):
+            vals[b] = ref_as_matrix(raw[b], f"{prefix}values[{b}]", rows=d, cols=d)
+        return Tabulated(
+            nu_min=ser._as_real(doc["nu_min"], f"{prefix}nu_min"),
+            nu_max=ser._as_real(doc["nu_max"], f"{prefix}nu_max"),
+            values=vals,
+        )
+    return Composition(
+        first=ref_filter_from_document(doc["first"], f"{prefix}first"),
+        second=ref_filter_from_document(doc["second"], f"{prefix}second"),
+    )
+
+
+def ref_model_from_document(doc):
+    ser._check_keys(
+        doc,
+        ("kind", "dim_system", "dim_environment", "env_state", "modes"),
+        (),
+        None,
+    )
+    ser._check_kind(doc, "quantum_model")
+    dh = ser._as_int(doc["dim_system"], "dim_system", minimum=1)
+    dk = ser._as_int(doc["dim_environment"], "dim_environment", minimum=1)
+    rho = ref_as_matrix(doc["env_state"], "env_state", rows=dk, cols=dk)
+    modes = []
+    for i, entry in enumerate(ser._as_list(doc["modes"], "modes")):
+        loc = f"modes[{i}]"
+        entry = ser._as_object(entry, loc)
+        ser._check_keys(entry, ("nu", "system_op", "environment_op"), (), loc)
+        modes.append(
+            Mode(
+                nu=ser._as_real(entry["nu"], f"{loc}.nu"),
+                system_op=ref_as_matrix(
+                    entry["system_op"], f"{loc}.system_op", rows=dh, cols=dh
+                ),
+                environment_op=ref_as_matrix(
+                    entry["environment_op"], f"{loc}.environment_op", rows=dk, cols=dk
+                ),
+            )
+        )
+    return QuantumModel(
+        dim_system=dh, dim_environment=dk, env_state=rho, modes=tuple(modes)
+    )
+
+
+def ref_kernel_from_document(doc):
+    ser._check_keys(doc, ("kind", "dim", "blocks"), (), None)
+    ser._check_kind(doc, "kernel")
+    d = ser._as_int(doc["dim"], "dim", minimum=1)
+    rows = ser._as_list(doc["blocks"], "blocks")
+    n = len(rows)
+    if n < 1:
+        raise SchemaError("need at least one block row", location="blocks")
+    out = np.empty((n, n, d, d), dtype=np.complex128)
+    for i, row in enumerate(rows):
+        row = ser._as_list(row, f"blocks[{i}]")
+        if len(row) != n:
+            raise SchemaError(
+                f"expected {n} blocks per row, got {len(row)}", location=f"blocks[{i}]"
+            )
+        for j, block in enumerate(row):
+            out[i, j] = ref_as_matrix(block, f"blocks[{i}][{j}]", rows=d, cols=d)
+    return out
+
+
+def ref_factorization_from_document(doc):
+    ser._check_keys(doc, ("kind", "rank", "dim", "factors"), (), None)
+    ser._check_kind(doc, "kolmogorov_factorization")
+    rank = ser._as_int(doc["rank"], "rank", minimum=0)
+    d = ser._as_int(doc["dim"], "dim", minimum=1)
+    raw = ser._as_list(doc["factors"], "factors")
+    if not raw:
+        raise SchemaError("need at least one factor", location="factors")
+    out = np.zeros((len(raw), rank, d), dtype=np.complex128)
+    for i, v in enumerate(raw):
+        loc = f"factors[{i}]"
+        if rank == 0:
+            if v != []:
+                raise SchemaError("rank 0 factors must be empty arrays", location=loc)
+        else:
+            out[i] = ref_as_matrix(v, loc, rows=rank, cols=d)
+    return KolmogorovFactorization(rank=rank, factors=out)
+
+
+# Signed zeros, the smallest subnormal and 1e300 format differently from
+# typical floats; draw them often.
+EXTREMES = (0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300)
+reals = st.one_of(
+    st.sampled_from(EXTREMES), st.floats(allow_nan=False, allow_infinity=False)
+)
+nonnegative = st.sampled_from((0.0, -0.0, 5e-324, 1e-300, 0.5, 1.0, 1e300))
+dims = st.integers(min_value=1, max_value=4)
+steps = st.sampled_from((0.125, 0.1, 1e-3, 3.0))
+
+
+@st.composite
+def complex_stacks(draw, shape):
+    parts = draw(arrays(np.float64, (2, *shape), elements=reals))
+    z = np.empty(shape, dtype=np.complex128)
+    z.real, z.imag = parts
+    return z
+
+
+@st.composite
+def psd_stacks(draw, count, d):
+    """Random PSD matrices, some replaced by diagonal ones with extreme
+    entries and ``-0.0`` imaginary parts below the diagonal."""
+    rng = rng_for(draw(st.integers(min_value=0, max_value=2**31 - 1)))
+    out = np.array([random_psd(rng, d) for _ in range(count)], dtype=np.complex128)
+    out = out.reshape(count, d, d)
+    extreme = draw(arrays(np.bool_, count))
+    diag = np.zeros((int(extreme.sum()), d, d), dtype=np.complex128)
+    diag[:, range(d), range(d)] = draw(
+        arrays(np.float64, (len(diag), d), elements=nonnegative)
+    )
+    below = np.tril_indices(d, -1)
+    diag[:, below[0], below[1]] = complex(0.0, -0.0)
+    out[extreme] = diag
+    return out
+
+
+@st.composite
+def measures(draw, density=None):
+    d = draw(dims)
+    nus = sorted(draw(st.lists(reals, max_size=3, unique=True)))
+    atoms = tuple(zip(nus, draw(psd_stacks(len(nus), d))))
+    grid = None
+    if density or (density is None and draw(st.booleans())):
+        nu_min, nu_max = draw(
+            st.sampled_from(((-1.5, 2.5), (-0.0, 1e300), (-1e300, 5e-324), (0.0, 0.1)))
+        )
+        values = draw(psd_stacks(draw(st.integers(min_value=1, max_value=4)), d))
+        grid = DensityGrid(nu_min=nu_min, nu_max=nu_max, values=values)
+    return OperatorSpectralMeasure(dim=d, atoms=atoms, density=grid)
+
+
+@st.composite
+def filters(draw):
+    d = draw(dims)
+    bins = draw(st.integers(min_value=1, max_value=3))
+    values = draw(complex_stacks((bins, d, d)))
+    tabulated = Tabulated(nu_min=-1.0, nu_max=1e300, values=values)
+    positive = st.sampled_from((5e-324, 0.5, 1e300))
+    gamma = np.diag(draw(arrays(np.float64, d, elements=positive)))
+    exp_operator = ExpOperator(gamma=gamma, a=draw(complex_stacks((d, d))))
+    return draw(
+        st.sampled_from(
+            (
+                tabulated,
+                exp_operator,
+                Composition(first=Shift(dim=d, s=-0.0), second=tabulated),
+                Composition(first=exp_operator, second=Derivative(dim=d)),
+            )
+        )
+    )
+
+
+@st.composite
+def models(draw):
+    d = draw(dims)
+    ops = draw(complex_stacks((2, d, d)))
+    return QuantumModel(
+        dim_system=d,
+        dim_environment=2,
+        env_state=np.eye(2) / 2,
+        modes=(
+            Mode(nu=-0.0, system_op=ops[0], environment_op=SX),
+            Mode(nu=1e300, system_op=ops[1], environment_op=SY),
+        ),
+    )
+
+
+points = st.integers(min_value=1, max_value=3)
+
+
+@st.composite
+def kernels(draw):
+    n, d = draw(points), draw(dims)
+    return draw(complex_stacks((n, n, d, d)))
+
+
+@st.composite
+def factorizations(draw):
+    n, rank, d = draw(points), draw(st.integers(min_value=0, max_value=3)), draw(dims)
+    factors = draw(complex_stacks((n, rank, d)))
+    return KolmogorovFactorization(rank=rank, factors=factors)
+
+
+@st.composite
+def tables(draw):
+    d = draw(dims)
+    lags = draw(st.integers(min_value=0, max_value=3))
+    values = np.concatenate(
+        [draw(psd_stacks(1, d)), draw(complex_stacks((lags, d, d)))]
+    )
+    return CovarianceTable(dt=draw(steps), values=values)
+
+
+@st.composite
+def trajectories(draw):
+    n = draw(st.integers(min_value=1, max_value=5))
+    return Trajectory(dt=draw(steps), samples=draw(complex_stacks((n, draw(dims)))))
+
+
+class TestStackEncoderMatchesReference:
+    @settings(max_examples=40, deadline=None)
+    @given(measures())
+    def test_measure(self, mu):
+        assert serialize_measure(mu) == ref_dumps(ref_measure_doc(mu))
+
+    @settings(max_examples=40, deadline=None)
+    @given(filters())
+    def test_filter(self, filt):
+        assert serialize_filter(filt) == ref_dumps(ref_filter_doc(filt))
+
+    @settings(max_examples=25, deadline=None)
+    @given(models())
+    def test_model(self, model):
+        assert serialize_model(model) == ref_dumps(ref_model_doc(model))
+
+    @settings(max_examples=40, deadline=None)
+    @given(kernels())
+    def test_kernel(self, blocks):
+        assert serialize_kernel(blocks) == ref_dumps(ref_kernel_doc(blocks))
+
+    @settings(max_examples=40, deadline=None)
+    @given(factorizations())
+    def test_factorization(self, fact):
+        assert serialize_factorization(fact) == ref_dumps(ref_factorization_doc(fact))
+
+    @settings(max_examples=40, deadline=None)
+    @given(tables())
+    def test_covariance_csv(self, table):
+        d, rows = table.dim, table.values.shape[0]
+        want = ref_write_rows(
+            ["tau"] + ser._matrix_header(d),
+            np.arange(rows) * table.dt,
+            table.values.reshape(rows, d * d),
+        )
+        assert covariance_to_csv(table) == want
+
+    @settings(max_examples=40, deadline=None)
+    @given(trajectories())
+    def test_trajectory_csv(self, traj):
+        want = ref_write_rows(
+            ["t"] + ser._vector_header(traj.dim),
+            np.arange(traj.n) * traj.dt,
+            traj.samples,
+        )
+        assert trajectory_to_csv(traj) == want
+
+    @settings(max_examples=30, deadline=None)
+    @given(measures(density=True))
+    def test_density_csv(self, mu):
+        den, d = mu.density, mu.dim
+        want = ref_write_rows(
+            ["nu"] + ser._matrix_header(d),
+            den.midpoints(),
+            den.values.reshape(den.bins, d * d),
+        )
+        assert _density_csv(mu) == want
+
+
+# --- differential decoding -------------------------------------------------------
+
+
+def _paths(node, path=()):
+    """``(path, value)`` of ``node`` and of everything nested in it."""
+    yield path, node
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        children = ()
+    for key, child in children:
+        yield from _paths(child, path + (key,))
+
+
+REPLACEMENTS = (True, "x", None, {}, [1.0], math.nan, HUGE)
+
+
+def _mutants(doc):
+    """Every document one edit away from ``doc``: each entry dropped,
+    duplicated, replaced by a wrong value, or nested one level too deep or
+    too shallow."""
+
+    def edited(path, edit):
+        new = copy.deepcopy(doc)
+        node = new
+        for key in path[:-1]:
+            node = node[key]
+        edit(node, path[-1])
+        return new
+
+    for path, value in list(_paths(doc))[1:]:
+        yield edited(path, lambda node, key: node.__delitem__(key))
+        if isinstance(path[-1], int):
+            yield edited(path, lambda node, key: node.insert(key, node[key]))
+        for wrong in REPLACEMENTS:
+            yield edited(path, lambda node, key, v=wrong: node.__setitem__(key, v))
+        yield edited(path, lambda node, key: node.__setitem__(key, [node[key]]))
+        if isinstance(value, list) and value:
+            yield edited(path, lambda node, key: node.__setitem__(key, node[key][0]))
+
+
+def _outcome(decode, doc):
+    try:
+        return ("ok", decode(doc))
+    except Exception as e:  # compare whatever either decoder raises
+        return (type(e), getattr(e, "location", None), str(e))
+
+
+def _same_value(a, b):
+    if isinstance(a, KolmogorovFactorization):
+        return a.rank == b.rank and _same_value(a.factors, b.factors)
+    if isinstance(a, np.ndarray):
+        return a.shape == b.shape and bool(np.array_equal(a, b))
+    return a == b
+
+
+def _preallocation(ref, new):
+    """The reference sized its output from ``dim`` before reading any entry;
+    a ``dim`` numpy cannot allocate made that a non-schema error, which the
+    stack decoder reports as a schema error at the first entry."""
+    return (
+        ref[0] is ValueError
+        and ref[2] == "Maximum allowed dimension exceeded"
+        and new[0] is SchemaError
+    )
+
+
+DIFFERENTIAL_CASES = {
+    "measure": (
+        lambda: ser.measure_to_document(rich_measure()),
+        ref_measure_from_document,
+        ser.measure_from_document,
+    ),
+    "filter": (
+        lambda: ser.filter_to_document(
+            Composition(
+                first=Tabulated(
+                    nu_min=-1.0, nu_max=1.0, values=np.stack([B2, 2 * B2, -B2])
+                ),
+                second=ExpOperator(gamma=B2, a=SY),
+            )
+        ),
+        ref_filter_from_document,
+        ser.filter_from_document,
+    ),
+    "model": (
+        lambda: ser.model_to_document(example_model()),
+        ref_model_from_document,
+        ser.model_from_document,
+    ),
+    "kernel": (
+        lambda: ser.kernel_to_document(np.ones((2, 2, 2, 2))),
+        ref_kernel_from_document,
+        ser.kernel_from_document,
+    ),
+    "factorization": (
+        lambda: ser.factorization_to_document(
+            KolmogorovFactorization(rank=2, factors=np.stack([B2, SX, SY]))
+        ),
+        ref_factorization_from_document,
+        ser.factorization_from_document,
+    ),
+    "factorization-rank-0": (
+        lambda: ser.factorization_to_document(
+            KolmogorovFactorization(rank=0, factors=np.zeros((3, 0, 2)))
+        ),
+        ref_factorization_from_document,
+        ser.factorization_from_document,
+    ),
+}
+
+
+class TestStackDecoderMatchesReference:
+    @pytest.mark.parametrize("kind", sorted(DIFFERENTIAL_CASES))
+    def test_mutated_documents(self, kind):
+        build, reference, decoder = DIFFERENTIAL_CASES[kind]
+        doc = build()
+        mismatches = []
+        count = 0
+        for mutant in _mutants(doc):
+            count += 1
+            ref, new = _outcome(reference, mutant), _outcome(decoder, mutant)
+            if ref[0] == "ok" and new[0] == "ok":
+                same = _same_value(ref[1], new[1])
+            else:
+                same = ref[:2] == new[:2] or _preallocation(ref, new)
+            if not same:
+                mismatches.append((mutant, ref, new))
+        assert count > 50
+        assert mismatches == []
