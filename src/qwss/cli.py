@@ -12,15 +12,23 @@ Subcommands:
 - ``estimate``:   trajectory -> measure JSON (+ lag covariance CSV)
 - ``demo ou``:    end-to-end resolvent-filtered white noise pipeline
 
-All frequencies in files and flags are cycles per unit time. A config file
-given with ``--config path.json`` holds the same names as the flags plus
-optional ``command``/``input``/``output`` keys; config values override
-flags. Unknown config keys are rejected.
+All frequencies in files and flags are cycles per unit time. ``_COMMANDS``
+declares each parameter once. A config file given with ``--config path.json``
+may set any of them: its keys are the subcommand's flags plus ``command``
+(which must match), ``input`` and ``output``, and for ``filter`` an inline
+filter document under ``filter``. Config values override flags.
 
-On validation failure every command prints one JSON object
-``{"error": {"code", "message", "location"}}`` to stderr and exits 1.
-``checkpsd`` exits 0 when the kernel passes and 2 when it fails; the verdict
-JSON goes to stdout either way. Output files are written atomically.
+Flags and config keys share one set of checks, run before any file is read
+or written. A malformed value (``--n 1e3``, ``--window foo``, a config
+``NaN`` or ``1e400``) is a ``schema`` error and a value out of range
+(``--tol -1``, ``"dt": 0``, a flag's ``nan``) an ``invalid_value`` error,
+both located at the parameter name. Unknown flags or config keys and missing
+parameters, positionals or subcommands are ``schema`` errors.
+
+Every failure prints one JSON object ``{"error": {"code", "message",
+"location"}}`` to stderr and exits 1; ``-h`` exits 0. ``checkpsd`` exits 0
+when the kernel passes and 2 when it fails, the one use of exit 2, with the
+verdict JSON on stdout either way. Output files are written atomically.
 """
 
 from __future__ import annotations
@@ -29,7 +37,9 @@ import argparse
 import hashlib
 import json
 import sys
+from collections.abc import Callable
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -114,25 +124,7 @@ def _error_json(exc: BaseException) -> str:
     return json.dumps(doc, allow_nan=False)
 
 
-# --- config handling ---------------------------------------------------------
-
-
-def _pos_real(v, loc):
-    x = _as_real(v, loc)
-    if not x > 0:
-        raise SchemaError(f"must be a positive number, got {v}", location=loc)
-    return x
-
-
-def _unit_real(v, loc):
-    x = _as_real(v, loc)
-    if not (0.0 <= x <= 0.9):
-        raise SchemaError(f"must be in [0, 0.9], got {v}", location=loc)
-    return x
-
-
-def _int_at_least(minimum):
-    return lambda v, loc: _as_int(v, loc, minimum=minimum)
+# --- parameters ----------------------------------------------------------------
 
 
 class _OutOfRange(ValueError):
@@ -143,109 +135,187 @@ class _OutOfRange(ValueError):
         self.location = location
 
 
-def _seed(v, loc):
-    v = _as_int(v, loc)
-    if not 0 <= v < 2**128:
-        raise _OutOfRange(f"seed must be in [0, 2**128), got {v}", location=loc)
-    return v
-
-
 def _string(v, loc):
     if not isinstance(v, str):
         raise SchemaError("expected a string", location=loc)
     return v
 
 
-def _choice(*allowed):
-    def cast(v, loc):
-        v = _string(v, loc)
-        if v not in allowed:
-            raise SchemaError(f"must be one of {allowed}, got {v!r}", location=loc)
-        return v
+class _Kind(NamedTuple):
+    """Decoders of a flag's text and of a config value (``SchemaError`` when
+    malformed), the range check of the value (``_OutOfRange``), and the
+    flag's placeholder in the help."""
 
-    return cast
+    text: Callable
+    json: Callable
+    check: Callable = lambda value, loc: None
+    metavar: str | None = None
 
 
-def _times_value(v, loc):
+def _number(convert, test, what):
+    """Kind of an ``int`` or ``float`` parameter in the range ``test``."""
+    is_int = convert is int
+    noun, from_json = ("an integer", _as_int) if is_int else ("a real number", _as_real)
+
+    def text(t, loc):
+        try:
+            return convert(t)
+        except ValueError:
+            raise SchemaError(f"expected {noun}, got {t!r}", location=loc) from None
+
+    def check(v, loc):
+        if not test(v):
+            raise _OutOfRange(f"{loc} must be {what}, got {v}", location=loc)
+
+    return _Kind(text, from_json, check)
+
+
+_FINITE = _number(float, np.isfinite, "a finite number")
+_POSITIVE = _number(float, lambda x: 0 < x < np.inf, "a positive finite number")
+_OVERLAP = _number(float, lambda x: 0 <= x <= 0.9, "in [0, 0.9]")
+_COUNT = _number(int, lambda m: m >= 0, ">= 0")
+_SIZE = _number(int, lambda m: m >= 1, ">= 1")
+_SEED = _number(int, lambda s: 0 <= s < 2**128, "in [0, 2**128)")
+_PATH = _Kind(_string, _string)
+
+
+def _times(v, loc):
     if isinstance(v, str):
         parts = [p for p in v.split(",") if p.strip()]
-        try:
-            return [float(p) for p in parts]
-        except ValueError:
-            raise SchemaError(f"cannot parse times {v!r}", location=loc) from None
+        return [_FINITE.text(p, f"{loc}[{i}]") for i, p in enumerate(parts)]
     if isinstance(v, list):
         return [_as_real(x, f"{loc}[{i}]") for i, x in enumerate(v)]
     raise SchemaError("expected a comma list or array of times", location=loc)
 
 
-# per-command config schema: key -> caster; "input"/"output" override positionals
-_CONFIG_SCHEMAS = {
-    "bochner": {"dt": _pos_real, "lags": _int_at_least(0)},
-    "inverse": {"bins": _int_at_least(1), "window": _choice("bartlett", "boxcar")},
-    "filter": {"filter": _as_object},
-    "checkpsd": {"times": _times_value, "tol": _pos_real},
-    "kolmogorov": {"tol": _pos_real},
-    "model": {"dt": _pos_real, "lags": _int_at_least(0), "covariance": _string},
-    "synth": {
-        "dt": _pos_real,
-        "n": _int_at_least(1),
-        "seed": _seed,
-        "format": _choice("auto", "binary", "csv"),
-    },
-    "estimate": {
-        "segment": _int_at_least(1),
-        "overlap": _unit_real,
-        "taper": _choice("hann", "bartlett", "boxcar"),
-        "lags": _int_at_least(0),
-        "covariance": _string,
-    },
-    "demo ou": {
-        "gamma": _pos_real,
-        "intensity": _pos_real,
-        "band": _pos_real,
-        "bins": _int_at_least(1),
-        "dt": _pos_real,
-        "n": _int_at_least(1),
-        "seed": _seed,
-        "lags": _int_at_least(0),
-        "segment": _int_at_least(1),
-    },
+def _each_finite(times, loc):
+    for i, t in enumerate(times):
+        _FINITE.check(t, f"{loc}[{i}]")
+
+
+def _one_of(*allowed):
+    def decode(v, loc):
+        if _string(v, loc) not in allowed:
+            raise SchemaError(f"must be one of {allowed}, got {v!r}", location=loc)
+        return v
+
+    return _Kind(decode, decode, metavar="{%s}" % ",".join(allowed))
+
+
+class _Param(NamedTuple):
+    """A positional or ``--name`` flag, and the config key ``name``.
+    ``required`` is True, or the parameter whose presence makes it required."""
+
+    name: str
+    kind: _Kind = _PATH
+    default: object = None
+    required: bool | str = False
+    help: str | None = None
+    positional: bool = False
+
+
+_IN, _OUT = _Param("input", positional=True), _Param("output", positional=True)
+_TOL = _Param("tol", _POSITIVE, 1e-9)
+
+# subcommand -> (help line, parameters)
+_COMMANDS = {
+    "bochner": ("measure JSON to covariance table CSV", (
+        _IN, _OUT,
+        _Param("dt", _POSITIVE, required=True),
+        _Param("lags", _COUNT, 128),
+    )),
+    "inverse": ("covariance table CSV to measure JSON", (
+        _IN, _OUT,
+        _Param("bins", _SIZE),
+        _Param("window", _one_of("bartlett", "boxcar"), "bartlett"),
+    )),
+    "filter": ("push a measure through a filter", (
+        _IN,
+        # a filter file; in a config, an inline filter document
+        _Param("filter", _Kind(_string, _as_object), positional=True),
+        _OUT,
+    )),
+    "checkpsd": ("kernel positivity verdict for a table", (
+        _IN,
+        _Param("times", _Kind(_times, _times, _each_finite), required=True,
+               help="comma-separated sample times"),
+        _TOL,
+        _Param("out", help="also write the verdict JSON here"),
+    )),
+    "kolmogorov": ("factor a PSD block kernel", (_IN, _OUT, _TOL)),
+    "model": ("quantum model JSON to spectral measure", (
+        _IN, _OUT,
+        _Param("covariance", help="also write a covariance table CSV here"),
+        _Param("dt", _POSITIVE, required="covariance"),
+        _Param("lags", _COUNT, 128),
+    )),
+    "synth": ("draw a trajectory from a measure", (
+        _IN, _OUT,
+        _Param("dt", _POSITIVE, required=True),
+        _Param("n", _SIZE, required=True),
+        _Param("seed", _SEED, required=True),
+        _Param("format", _one_of("auto", "binary", "csv"), "auto"),
+    )),
+    "estimate": ("estimate spectrum (and covariance)", (
+        _IN, _OUT,
+        _Param("segment", _SIZE, required=True),
+        _Param("overlap", _OVERLAP, 0.5),
+        _Param("taper", _one_of("hann", "bartlett", "boxcar"), "hann"),
+        _Param("covariance", help="also write a lag covariance CSV here"),
+        _Param("lags", _COUNT, required="covariance"),
+    )),
+    "demo ou": ("resolvent-filtered white noise pipeline", (
+        _Param("output", positional=True, help="output directory"),
+        _Param("gamma", _POSITIVE, 1.0),
+        _Param("intensity", _POSITIVE, 1.0),
+        _Param("band", _POSITIVE, 50.0),
+        _Param("bins", _SIZE, 4096),
+        _Param("dt", _POSITIVE, 0.01),
+        _Param("n", _SIZE, 32768),
+        _Param("seed", _SEED, 7),
+        _Param("lags", _COUNT, 500),
+        _Param("segment", _SIZE, 1024),
+    )),
 }
 
 
-def _apply_config(args: argparse.Namespace) -> None:
-    if not getattr(args, "config", None):
-        return
-    try:
-        raw = Path(args.config).read_text(encoding="utf-8")
-    except OSError as e:
-        raise SchemaError(f"cannot read config: {e}") from None
-    doc = _loads(raw)
-    schema = _CONFIG_SCHEMAS[args.command_name]
-    for key, value in doc.items():
+def _resolve(args: argparse.Namespace) -> None:
+    """Decode, check and default the parameters of the command in ``args``,
+    config values overriding flags. A command calls this before any I/O."""
+    params = {p.name: p for p in _COMMANDS[args.command_name][1]}
+    values = {}
+
+    def take(p, decode, raw):
+        values[p.name] = decode(raw, p.name)
+        p.kind.check(values[p.name], p.name)
+
+    for p in params.values():
+        if getattr(args, p.name) is not None:
+            take(p, p.kind.text, getattr(args, p.name))
+    config = {}
+    if args.config is not None:
+        try:
+            config = _loads(Path(args.config).read_text(encoding="utf-8"))
+        except OSError as e:
+            raise SchemaError(f"cannot read config: {e}") from None
+    for key, raw in config.items():
         if key == "command":
-            name = _string(value, "command")
-            if name != args.command_name:
+            if _string(raw, key) != args.command_name:
                 raise SchemaError(
-                    f"config is for command {name!r}, invoked {args.command_name!r}",
-                    location="command",
+                    f"config is for command {raw!r}, invoked {args.command_name!r}",
+                    location=key,
                 )
-        elif key == "input" and hasattr(args, "input"):
-            args.input = _string(value, "input")
-        elif key == "output" and hasattr(args, "output"):
-            args.output = _string(value, "output")
-        elif key in schema:
-            setattr(args, key, schema[key](value, key))
+        elif key in params:
+            take(params[key], params[key].kind.json, raw)
         else:
             raise SchemaError(f"unknown config key {key!r}", location=key)
-
-
-def _require(args: argparse.Namespace, *names: str) -> None:
-    for name in names:
-        if getattr(args, name, None) is None:
+    for p in params.values():
+        if p.name not in values and (p.required is True or p.required in values):
             raise SchemaError(
-                f"parameter {name!r} is required (flag --{name} or config key)"
+                f"parameter {p.name!r} is required (flag --{p.name} or config key)",
+                location=p.name,
             )
+        setattr(args, p.name, values.get(p.name, p.default))
 
 
 # --- shared I/O helpers --------------------------------------------------------
@@ -284,7 +354,7 @@ def _density_csv(mu: OperatorSpectralMeasure) -> str:
 
 
 def _cmd_bochner(args) -> int:
-    _require(args, "dt")
+    _resolve(args)
     mu = deserialize_measure(_read_bytes(args.input))
     table = covariance_from_spectrum(mu, dt=args.dt, lags=args.lags)
     write_text_atomic(args.output, covariance_to_csv(table))
@@ -292,6 +362,7 @@ def _cmd_bochner(args) -> int:
 
 
 def _cmd_inverse(args) -> int:
+    _resolve(args)
     table = covariance_from_csv(_read_bytes(args.input))
     bins = args.bins
     if bins is None:
@@ -302,21 +373,21 @@ def _cmd_inverse(args) -> int:
 
 
 def _cmd_filter(args) -> int:
+    _resolve(args)
     mu = deserialize_measure(_read_bytes(args.input))
-    if args.filter is not None:
+    if isinstance(args.filter, dict):
         filt = filter_from_document(args.filter, "filter")
     else:
-        filt = deserialize_filter(_read_bytes(args.filter_path))
+        filt = deserialize_filter(_read_bytes(args.filter))
     out = apply_filter(mu, filt)
     write_bytes_atomic(args.output, serialize_measure(out))
     return 0
 
 
 def _cmd_checkpsd(args) -> int:
-    _require(args, "times")
-    times = _times_value(args.times, "times")
+    _resolve(args)
     table = covariance_from_csv(_read_bytes(args.input))
-    verdict = check_psd_kernel(table, times=times, tol=args.tol)
+    verdict = check_psd_kernel(table, times=args.times, tol=args.tol)
     payload = json.dumps(verdict_to_document(verdict), allow_nan=False)
     if args.out:
         write_text_atomic(args.out, payload + "\n")
@@ -325,6 +396,7 @@ def _cmd_checkpsd(args) -> int:
 
 
 def _cmd_kolmogorov(args) -> int:
+    _resolve(args)
     blocks = deserialize_kernel(_read_bytes(args.input))
     fact = kolmogorov_decompose(blocks, tol=args.tol)
     write_bytes_atomic(args.output, serialize_factorization(fact))
@@ -332,18 +404,18 @@ def _cmd_kolmogorov(args) -> int:
 
 
 def _cmd_model(args) -> int:
+    _resolve(args)
     model = deserialize_model(_read_bytes(args.input))
     mu = model_spectral_measure(model)
     write_bytes_atomic(args.output, serialize_measure(mu))
     if args.covariance:
-        _require(args, "dt")
         table = covariance_from_spectrum(mu, dt=args.dt, lags=args.lags)
         write_text_atomic(args.covariance, covariance_to_csv(table))
     return 0
 
 
 def _cmd_synth(args) -> int:
-    _require(args, "dt", "n", "seed")
+    _resolve(args)
     mu = deserialize_measure(_read_bytes(args.input))
     traj = synthesize(mu, dt=args.dt, n=args.n, seed=args.seed)
     _write_trajectory(args.output, traj, args.format)
@@ -351,14 +423,13 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    _require(args, "segment")
+    _resolve(args)
     traj = _read_trajectory(args.input)
     mu = welch_estimate(
         traj, segment=args.segment, overlap=args.overlap, taper=args.taper
     )
     write_bytes_atomic(args.output, serialize_measure(mu))
     if args.covariance:
-        _require(args, "lags")
         table = lag_covariance(traj, lags=args.lags)
         write_text_atomic(args.covariance, covariance_to_csv(table))
     return 0
@@ -369,7 +440,8 @@ def _sha256(path: Path) -> str:
 
 
 def _cmd_demo_ou(args) -> int:
-    out = Path(args.out)
+    _resolve(args)
+    out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)
     gamma = np.array([[args.gamma]], dtype=np.complex128)
     intensity = np.array([[args.intensity]], dtype=np.complex128)
@@ -422,15 +494,9 @@ def _cmd_demo_ou(args) -> int:
         "kind": "demo_summary",
         "demo": "ou",
         "parameters": {
-            "gamma": args.gamma,
-            "intensity": args.intensity,
-            "band": args.band,
-            "bins": args.bins,
-            "dt": args.dt,
-            "n": args.n,
-            "seed": args.seed,
-            "lags": args.lags,
-            "segment": args.segment,
+            p.name: getattr(args, p.name)
+            for p in _COMMANDS["demo ou"][1]
+            if not p.positional
         },
         "diagnostics": {
             "covariance_zero_lag": float(table.values[0, 0, 0].real),
@@ -456,123 +522,46 @@ def _cmd_demo_ou(args) -> int:
 # --- parser --------------------------------------------------------------------
 
 
-def _add_config_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--config",
-        metavar="PATH",
-        help="JSON file whose values override the flags",
-    )
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors are ``schema`` errors, not exit 2."""
+
+    def error(self, message):
+        raise SchemaError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="qwss",
-        description="Operator-valued stationary process toolkit",
+    """The parser of ``_COMMANDS``; flags stay text until ``_resolve``."""
+    parser = _Parser(
+        prog="qwss", description="Operator-valued stationary process toolkit"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("bochner", help="measure JSON to covariance table CSV")
-    p.add_argument("input")
-    p.add_argument("output")
-    p.add_argument("--dt", type=float)
-    p.add_argument("--lags", type=int, default=128)
-    _add_config_flag(p)
-    p.set_defaults(func=_cmd_bochner, command_name="bochner")
-
-    p = sub.add_parser("inverse", help="covariance table CSV to measure JSON")
-    p.add_argument("input")
-    p.add_argument("output")
-    p.add_argument("--bins", type=int)
-    p.add_argument("--window", choices=("bartlett", "boxcar"), default="bartlett")
-    _add_config_flag(p)
-    p.set_defaults(func=_cmd_inverse, command_name="inverse")
-
-    p = sub.add_parser("filter", help="push a measure through a filter")
-    p.add_argument("input")
-    p.add_argument("filter_path", metavar="filter")
-    p.add_argument("output")
-    _add_config_flag(p)
-    p.set_defaults(func=_cmd_filter, command_name="filter", filter=None)
-
-    p = sub.add_parser("checkpsd", help="kernel positivity verdict for a table")
-    p.add_argument("input")
-    p.add_argument("--times", help="comma-separated sample times")
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--out", help="also write the verdict JSON here")
-    _add_config_flag(p)
-    p.set_defaults(func=_cmd_checkpsd, command_name="checkpsd")
-
-    p = sub.add_parser("kolmogorov", help="factor a PSD block kernel")
-    p.add_argument("input")
-    p.add_argument("output")
-    p.add_argument("--tol", type=float, default=1e-9)
-    _add_config_flag(p)
-    p.set_defaults(func=_cmd_kolmogorov, command_name="kolmogorov")
-
-    p = sub.add_parser("model", help="quantum model JSON to spectral measure")
-    p.add_argument("input")
-    p.add_argument("output")
-    p.add_argument("--covariance", help="also write a covariance table CSV here")
-    p.add_argument("--dt", type=float)
-    p.add_argument("--lags", type=int, default=128)
-    _add_config_flag(p)
-    p.set_defaults(func=_cmd_model, command_name="model")
-
-    p = sub.add_parser("synth", help="draw a trajectory from a measure")
-    p.add_argument("input")
-    p.add_argument("output")
-    p.add_argument("--dt", type=float)
-    p.add_argument("--n", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--format", choices=("auto", "binary", "csv"), default="auto")
-    _add_config_flag(p)
-    p.set_defaults(func=_cmd_synth, command_name="synth")
-
-    p = sub.add_parser("estimate", help="estimate spectrum (and covariance)")
-    p.add_argument("input")
-    p.add_argument("output")
-    p.add_argument("--segment", type=int)
-    p.add_argument("--overlap", type=float, default=0.5)
-    p.add_argument("--taper", choices=("hann", "bartlett", "boxcar"), default="hann")
-    p.add_argument("--covariance", help="also write a lag covariance CSV here")
-    p.add_argument("--lags", type=int)
-    _add_config_flag(p)
-    p.set_defaults(func=_cmd_estimate, command_name="estimate")
-
-    p = sub.add_parser("demo", help="end-to-end demonstration pipelines")
-    demo_sub = p.add_subparsers(dest="demo", required=True)
-    d = demo_sub.add_parser("ou", help="resolvent-filtered white noise pipeline")
-    d.add_argument("out", help="output directory")
-    d.add_argument("--gamma", type=float, default=1.0)
-    d.add_argument("--intensity", type=float, default=1.0)
-    d.add_argument("--band", type=float, default=50.0)
-    d.add_argument("--bins", type=int, default=4096)
-    d.add_argument("--dt", type=float, default=0.01)
-    d.add_argument("--n", type=int, default=32768)
-    d.add_argument("--seed", type=int, default=7)
-    d.add_argument("--lags", type=int, default=500)
-    d.add_argument("--segment", type=int, default=1024)
-    _add_config_flag(d)
-    d.set_defaults(func=_cmd_demo_ou, command_name="demo ou")
-
+    for name, (summary, params) in _COMMANDS.items():
+        if name == "demo ou":
+            demo = sub.add_parser("demo", help="end-to-end demonstration pipelines")
+            demo_sub = demo.add_subparsers(dest="demo", required=True)
+            p = demo_sub.add_parser("ou", help=summary)
+        else:
+            p = sub.add_parser(name, help=summary)
+        for param in params:
+            flag = param.name if param.positional else f"--{param.name}"
+            p.add_argument(flag, metavar=param.kind.metavar, help=param.help)
+        p.add_argument(
+            "--config", metavar="PATH", help="JSON file whose values override the flags"
+        )
+        # looked up per call, so that a stand-in for a command takes effect
+        func = globals()["_cmd_" + name.replace(" ", "_")]
+        p.set_defaults(func=func, command_name=name)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        if getattr(args, "seed", None) is not None:
-            _seed(args.seed, "seed")
-        _apply_config(args)
+        args = build_parser().parse_args(argv)
         # stderr carries only the JSON error: a NaN or inf that overflow
         # leaves behind fails validation, so numpy's warnings add nothing
         with np.errstate(all="ignore"):
             return args.func(args)
-    except QwssError as e:
-        print(_error_json(e), file=sys.stderr)
-        return 1
-    except (ValueError, OSError, MemoryError) as e:
+    except (QwssError, ValueError, OSError, MemoryError) as e:
         print(_error_json(e), file=sys.stderr)
         return 1
 

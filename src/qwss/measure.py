@@ -249,6 +249,8 @@ class CovarianceTable:
         if not (np.isfinite(dt) and dt > 0):
             raise ValueError(f"dt must be positive, got {self.dt}")
         validate_psd(v[0], name="C(0)")
+        if not np.isfinite(v.view(np.float64)).all():
+            raise ValueError("covariance values must be finite")
         object.__setattr__(self, "dt", dt)
         object.__setattr__(self, "values", _locked(v))
 

@@ -334,7 +334,7 @@ def filter_from_document(doc: dict, loc: str | None = None) -> FilterSpec:
     if "variant" not in doc:
         raise SchemaError("missing key 'variant'", location=loc)
     variant = doc["variant"]
-    if variant not in _FILTER_KEYS:
+    if not isinstance(variant, str) or variant not in _FILTER_KEYS:
         raise SchemaError(
             f"unknown filter variant {variant!r}", location=f"{prefix}variant"
         )

@@ -21,6 +21,7 @@ from qwss import (
     apply_filter,
     covariance_from_csv,
     covariance_from_spectrum,
+    covariance_to_csv,
     deserialize_factorization,
     deserialize_measure,
     model_covariance,
@@ -31,6 +32,7 @@ from qwss import (
     total_mass,
     trajectory_from_binary,
     trajectory_from_csv,
+    trajectory_to_binary,
     white_noise,
 )
 from qwss import cli
@@ -170,6 +172,28 @@ class TestFilter:
         err, _ = read_error(capsys)
         assert err["code"] == "schema"
         assert err["location"] == "variant"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("variant", [{}, [1]], ids=["object", "array"])
+    def test_non_string_variant_is_a_schema_error(self, tmp_path, capsys, variant):
+        src = tmp_path / "in.json"
+        src.write_bytes(serialize_measure(white_noise([[1.0]], band=2.0, bins=4)))
+        shift = {"kind": "filter", "variant": "shift", "dim": 1, "s": 0.5}
+        bad = {"kind": "filter", "variant": variant, "dim": 1}
+        fdoc = tmp_path / "f.json"
+        fdoc.write_text(json.dumps(bad))
+        cfg = tmp_path / "cfg.json"
+        nested = {"kind": "filter", "variant": "composition", "first": bad, "second": shift}
+        cfg.write_text(json.dumps({"filter": nested}))
+        out = tmp_path / "out.json"
+        for argv, location in [
+            (("filter", src, fdoc, out), "variant"),
+            (("filter", src, fdoc, out, "--config", cfg), "filter.first.variant"),
+        ]:
+            assert run(*argv) == 1
+            err, _ = read_error(capsys)
+            assert err["code"] == "schema"
+            assert err["location"] == location
         assert not out.exists()
 
 
@@ -591,6 +615,186 @@ class TestDemo:
             assert (out / name).read_bytes() == golden, name
 
 
+# Every subcommand called on small valid inputs: the leading positionals,
+# then the flags. Every size stays small, so nothing allocates much.
+CONTRACT = {
+    "bochner": (("bochner", "{i}/mu.json", "{o}/c.csv"), {"--dt": "0.25", "--lags": "8"}),
+    "inverse": (
+        ("inverse", "{i}/cov.csv", "{o}/m.json"),
+        {"--bins": "16", "--window": "boxcar"},
+    ),
+    "filter": (("filter", "{i}/mu.json", "{i}/f.json", "{o}/m.json"), {}),
+    "checkpsd": (
+        ("checkpsd", "{i}/cov.csv"),
+        {"--times": "0,0.25", "--tol": "1e-9", "--out": "{o}/v.json"},
+    ),
+    "kolmogorov": (("kolmogorov", "{i}/kernel.json", "{o}/k.json"), {"--tol": "1e-9"}),
+    "model": (
+        ("model", "{i}/model.json", "{o}/m.json"),
+        {"--covariance": "{o}/c.csv", "--dt": "0.25", "--lags": "8"},
+    ),
+    "synth": (
+        ("synth", "{i}/mu.json", "{o}/t.qwss"),
+        {"--dt": "0.25", "--n": "64", "--seed": "1", "--format": "binary"},
+    ),
+    "estimate": (
+        ("estimate", "{i}/t.qwss", "{o}/m.json"),
+        {
+            "--segment": "16",
+            "--taper": "boxcar",
+            "--covariance": "{o}/c.csv",
+            "--lags": "8",
+        },
+    ),
+    "demo": (
+        ("demo", "ou", "{o}/demo"),
+        dict(zip(DEMO_ARGS[::2], map(str, DEMO_ARGS[1::2]))),
+    ),
+}
+
+
+class TestUsageContract:
+    """A malformed, out-of-range or missing parameter and a malformed command
+    line each exit 1 with one JSON error line, no stdout and no output file;
+    flags and config keys share their checks."""
+
+    @pytest.fixture
+    def dirs(self, tmp_path):
+        i, o = tmp_path / "in", tmp_path / "out"
+        i.mkdir()
+        o.mkdir()
+        mu = white_noise(np.array([[1.0]]), band=2.0, bins=16)
+        (i / "mu.json").write_bytes(serialize_measure(mu))
+        shift = {"kind": "filter", "variant": "shift", "dim": 1, "s": 0.5}
+        (i / "f.json").write_text(json.dumps(shift))
+        table = covariance_from_spectrum(mu, dt=0.25, lags=8)
+        (i / "cov.csv").write_text(covariance_to_csv(table))
+        (i / "kernel.json").write_bytes(serialize_kernel(np.ones((2, 2, 1, 1))))
+        (i / "model.json").write_bytes(serialize_model(example_model()))
+        traj = synthesize(mu, dt=0.25, n=64, seed=1)
+        (i / "t.qwss").write_bytes(trajectory_to_binary(traj))
+        return i, o
+
+    @staticmethod
+    def argv(dirs, sub, changes=(), drop_positional=False):
+        head, flags = CONTRACT[sub]
+        flags = dict(flags)
+        for flag, value in dict(changes).items():
+            flags.pop(flag, None)
+            if value is not None:
+                flags[flag] = value
+        argv = list(head[:-1] if drop_positional else head)
+        for flag, value in flags.items():
+            argv += [flag, value]
+        i, o = dirs
+        return [a.format(i=i, o=o) for a in argv]
+
+    @staticmethod
+    def one_error(dirs, capsys, argv):
+        assert run(*argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1, captured.err
+        doc = json.loads(captured.err)
+        assert set(doc) == {"error"} and set(doc["error"]) == {"code", "message", "location"}
+        assert list(dirs[1].rglob("*")) == []
+        return doc["error"]
+
+    @pytest.mark.parametrize("sub", sorted(CONTRACT))
+    def test_base_call_succeeds(self, dirs, capsys, sub):
+        assert run(*self.argv(dirs, sub)) == 0
+        assert list(dirs[1].iterdir())
+
+    @pytest.mark.parametrize(
+        "sub, flag, value, code, location",
+        [
+            ("bochner", "--dt", "abc", "schema", "dt"),
+            ("bochner", "--lags", "-1", "invalid_value", "lags"),
+            ("inverse", "--bins", "1e3", "schema", "bins"),
+            ("inverse", "--bins", "0", "invalid_value", "bins"),
+            ("inverse", "--window", "hamming", "schema", "window"),
+            ("checkpsd", "--tol", "abc", "schema", "tol"),
+            ("checkpsd", "--tol", "-1", "invalid_value", "tol"),
+            ("checkpsd", "--times", "0,x", "schema", "times[1]"),
+            ("checkpsd", "--times", "0,nan", "invalid_value", "times[1]"),
+            ("checkpsd", "--times", "0,1e400", "invalid_value", "times[1]"),
+            ("kolmogorov", "--tol", "1e-9x", "schema", "tol"),
+            ("kolmogorov", "--tol", "inf", "invalid_value", "tol"),
+            ("model", "--lags", "1.5", "schema", "lags"),
+            ("model", "--dt", "0", "invalid_value", "dt"),
+            ("model", "--dt", None, "schema", "dt"),
+            ("synth", "--seed", "0x10", "schema", "seed"),
+            ("synth", "--n", "0", "invalid_value", "n"),
+            ("synth", "--format", "hdf5", "schema", "format"),
+            ("synth", "--seed", None, "schema", "seed"),
+            ("estimate", "--overlap", "half", "schema", "overlap"),
+            ("estimate", "--overlap", "0.95", "invalid_value", "overlap"),
+            ("estimate", "--taper", "hamming", "schema", "taper"),
+            ("estimate", "--lags", None, "schema", "lags"),
+            ("demo", "--n", "1e3", "schema", "n"),
+            ("demo", "--gamma", "nan", "invalid_value", "gamma"),
+            ("demo", "--bins", "0", "invalid_value", "bins"),
+        ],
+    )
+    def test_bad_or_missing_flag(self, dirs, capsys, sub, flag, value, code, location):
+        err = self.one_error(dirs, capsys, self.argv(dirs, sub, {flag: value}))
+        assert (err["code"], err["location"]) == (code, location)
+
+    @pytest.mark.parametrize("sub", sorted(CONTRACT))
+    @pytest.mark.parametrize("change", ["unknown flag", "missing positional"])
+    def test_malformed_command_line(self, dirs, capsys, sub, change):
+        if change == "unknown flag":
+            argv = self.argv(dirs, sub, {"--bogus": "1"})
+        else:
+            argv = self.argv(dirs, sub, drop_positional=True)
+        err = self.one_error(dirs, capsys, argv)
+        assert err["code"] == "schema"
+
+    @pytest.mark.parametrize("argv", [(), ("nope",), ("demo",)], ids=repr)
+    def test_missing_or_unknown_subcommand(self, dirs, capsys, argv):
+        assert self.one_error(dirs, capsys, argv)["code"] == "schema"
+
+    @pytest.mark.parametrize(
+        "sub, key, text, value",
+        [
+            ("bochner", "lags", "-1", -1),
+            ("inverse", "bins", "0", 0),
+            ("inverse", "window", "hamming", "hamming"),
+            ("checkpsd", "tol", "0", 0),
+            ("kolmogorov", "tol", "-1", -1),
+            ("model", "dt", "0", 0),
+            ("synth", "n", "0", 0),
+            ("estimate", "overlap", "0.95", 0.95),
+            ("estimate", "segment", "0", 0),
+            ("demo", "band", "-5", -5),
+        ],
+    )
+    def test_flag_and_config_share_checks(self, dirs, capsys, tmp_path, sub, key, text, value):
+        flag_err = self.one_error(dirs, capsys, self.argv(dirs, sub, {f"--{key}": text}))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        argv = self.argv(dirs, sub, {"--config": str(cfg)})
+        assert self.one_error(dirs, capsys, argv) == flag_err
+        assert flag_err["location"] == key
+
+    def test_config_keys_are_flags_and_positionals(self, dirs, tmp_path):
+        i, o = dirs
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"command": "checkpsd", "input": str(i / "cov.csv"), "out": str(o / "v.json")}))
+        assert run("checkpsd", "missing.csv", "--times", "0,0.25", "--config", cfg) == 0
+        assert (o / "v.json").exists()
+        cfg.write_text(json.dumps({"output": str(o / "demo")}))
+        assert run("demo", "ou", tmp_path / "decoy", *DEMO_ARGS, "--config", cfg) == 0
+        assert (o / "demo" / "summary.json").exists() and not (tmp_path / "decoy").exists()
+
+    @pytest.mark.parametrize("sub", sorted(CONTRACT))
+    def test_help_exits_zero(self, capsys, sub):
+        with pytest.raises(SystemExit) as exc:
+            run(*CONTRACT[sub][0][: 2 if sub == "demo" else 1], "-h")
+        assert exc.value.code == 0
+        assert "usage:" in capsys.readouterr().out
+
+
 @pytest.fixture
 def datadir():
     import pathlib
@@ -605,3 +809,15 @@ class TestConsoleScript:
         )
         assert proc.returncode == 0
         assert "bochner" in proc.stdout
+
+    def test_usage_error_exits_one_with_json(self, tmp_path):
+        proc = subprocess.run(
+            [sys.executable, "-m", "qwss", "checkpsd", tmp_path / "no.csv", "--tol", "abc"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
+        err = json.loads(proc.stderr)["error"]
+        assert (err["code"], err["location"]) == ("schema", "tol")

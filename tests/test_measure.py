@@ -138,6 +138,14 @@ class TestCovarianceTable:
         with pytest.raises(NotPositiveSemidefiniteError):
             CovarianceTable(dt=1.0, values=np.array([[[1.0, 2.0], [2.0, 1.0]]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1j * np.nan, -1j * np.inf])
+    @pytest.mark.parametrize("lag", [1, 2])
+    def test_rejects_non_finite_entry_at_any_lag(self, bad, lag):
+        vals = np.array([[[1.0]], [[0.5]], [[0.2]]], dtype=np.complex128)
+        vals[lag, 0, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            CovarianceTable(dt=1.0, values=vals)
+
     def test_lags_grid(self):
         t = CovarianceTable(dt=0.25, values=np.stack([B2, B2, B2]))
         assert np.allclose(t.lags(), [0.0, 0.25, 0.5])
