@@ -8,27 +8,35 @@ Subcommands:
 - ``checkpsd``:   covariance table CSV + sample times -> verdict JSON
 - ``kolmogorov``: kernel JSON -> factorization JSON
 - ``model``:      quantum model JSON -> spectral measure JSON (+ covariance CSV)
-- ``synth``:      measure JSON -> trajectory (binary or CSV)
+- ``synth``:      measure JSON -> trajectory (CSV for ``.csv``, else binary)
 - ``estimate``:   trajectory -> measure JSON (+ lag covariance CSV)
 - ``demo ou``:    end-to-end resolvent-filtered white noise pipeline
 
-All frequencies in files and flags are cycles per unit time. ``_COMMANDS``
-declares each parameter once. A config file given with ``--config path.json``
-may set any of them: its keys are the subcommand's flags plus ``command``
-(which must match), ``input`` and ``output``, and for ``filter`` an inline
-filter document under ``filter``. Config values override flags.
+All frequencies in files and flags are cycles per unit time. A trajectory
+is CSV when its file name ends in ``.csv`` and binary otherwise, on read and
+write alike; there is no format flag. ``_COMMANDS`` declares each parameter
+once. A config file given with ``--config path.json`` may set any of them:
+its keys are the subcommand's flags plus ``command`` (which must match),
+``input`` and ``output``, and for ``filter`` an inline filter document under
+``filter``. Config values override flags.
 
 Flags and config keys share one set of checks, run before any file is read
 or written. A malformed value (``--n 1e3``, ``--window foo``, a config
 ``NaN`` or ``1e400``) is a ``schema`` error and a value out of range
-(``--tol -1``, ``"dt": 0``, a flag's ``nan``) an ``invalid_value`` error,
-both located at the parameter name. Unknown flags or config keys and missing
-parameters, positionals or subcommands are ``schema`` errors.
+(``--tol -1``, ``--n 63``, ``"dt": 0``, a flag's ``nan``) an
+``invalid_value`` error, both located at the parameter name. Unknown flags
+or config keys and missing parameters, positionals or subcommands are
+``schema`` errors. Constraints that tie a parameter to another one or to
+the input (``segment <= n``, ``lags < n/2``) are checked by the library.
 
 Every failure prints one JSON object ``{"error": {"code", "message",
 "location"}}`` to stderr and exits 1; ``-h`` exits 0. ``checkpsd`` exits 0
 when the kernel passes and 2 when it fails, the one use of exit 2, with the
-verdict JSON on stdout either way. Output files are written atomically.
+verdict JSON on stdout either way.
+
+A command writes no file itself: it returns its outputs, and ``main``
+writes all of them or none (``serialize.write_files``), then prints the
+command's stdout. A failure leaves no output file and no temp file.
 """
 
 from __future__ import annotations
@@ -56,7 +64,6 @@ from .errors import (
 from .filters import ExpOperator, apply_filter, ou_covariance, white_noise
 from .measure import (
     CovarianceTable,
-    OperatorSpectralMeasure,
     check_psd_kernel,
     covariance_from_spectrum,
     spectrum_from_covariance,
@@ -69,25 +76,22 @@ from .serialize import (
     _as_object,
     _as_real,
     _loads,
-    _matrix_header,
-    _write_rows,
     covariance_from_csv,
     covariance_to_csv,
     deserialize_filter,
     deserialize_kernel,
     deserialize_measure,
     deserialize_model,
+    density_to_csv,
     filter_from_document,
     serialize_factorization,
     serialize_measure,
-    serialize_verdict,
     trajectory_from_binary,
     trajectory_from_csv,
     trajectory_to_binary,
     trajectory_to_csv,
     verdict_to_document,
-    write_bytes_atomic,
-    write_text_atomic,
+    write_files,
 )
 
 __all__ = ["main"]
@@ -175,6 +179,8 @@ _POSITIVE = _number(float, lambda x: 0 < x < np.inf, "a positive finite number")
 _OVERLAP = _number(float, lambda x: 0 <= x <= 0.9, "in [0, 0.9]")
 _COUNT = _number(int, lambda m: m >= 0, ">= 0")
 _SIZE = _number(int, lambda m: m >= 1, ">= 1")
+_POWER_OF_TWO = _number(int, lambda m: m >= 1 and m & (m - 1) == 0, "a power of two")
+_EVEN = _number(int, lambda m: m >= 2 and m % 2 == 0, "even and >= 2")
 _SEED = _number(int, lambda s: 0 <= s < 2**128, "in [0, 2**128)")
 _PATH = _Kind(_string, _string)
 
@@ -252,13 +258,12 @@ _COMMANDS = {
     "synth": ("draw a trajectory from a measure", (
         _IN, _OUT,
         _Param("dt", _POSITIVE, required=True),
-        _Param("n", _SIZE, required=True),
+        _Param("n", _POWER_OF_TWO, required=True),
         _Param("seed", _SEED, required=True),
-        _Param("format", _one_of("auto", "binary", "csv"), "auto"),
     )),
     "estimate": ("estimate spectrum (and covariance)", (
         _IN, _OUT,
-        _Param("segment", _SIZE, required=True),
+        _Param("segment", _EVEN, required=True),
         _Param("overlap", _OVERLAP, 0.5),
         _Param("taper", _one_of("hann", "bartlett", "boxcar"), "hann"),
         _Param("covariance", help="also write a lag covariance CSV here"),
@@ -271,10 +276,10 @@ _COMMANDS = {
         _Param("band", _POSITIVE, 50.0),
         _Param("bins", _SIZE, 4096),
         _Param("dt", _POSITIVE, 0.01),
-        _Param("n", _SIZE, 32768),
+        _Param("n", _POWER_OF_TWO, 32768),
         _Param("seed", _SEED, 7),
         _Param("lags", _COUNT, 500),
-        _Param("segment", _SIZE, 1024),
+        _Param("segment", _EVEN, 1024),
     )),
 }
 
@@ -331,48 +336,36 @@ def _read_trajectory(path: str) -> Trajectory:
     return trajectory_from_binary(_read_bytes(path))
 
 
-def _write_trajectory(path: str, traj: Trajectory, fmt: str) -> None:
-    if fmt == "auto":
-        fmt = "csv" if path.endswith(".csv") else "binary"
-    if fmt == "csv":
-        write_text_atomic(path, trajectory_to_csv(traj))
-    else:
-        write_bytes_atomic(path, trajectory_to_binary(traj))
+class _Result(NamedTuple):
+    """What a command produced: its files as ``{path: bytes or str}``, which
+    ``main`` writes all or none of, then its stdout text and exit status."""
 
-
-def _density_csv(mu: OperatorSpectralMeasure) -> str:
-    """Plot-ready CSV of the density part: nu at bin midpoints, re/im columns."""
-    den = mu.density
-    if den is None:
-        raise SchemaError("measure has no density part to tabulate")
-    d = mu.dim
-    flat = den.values.reshape(den.bins, d * d)
-    return _write_rows(["nu"] + _matrix_header(d), den.midpoints(), flat)
+    files: dict
+    stdout: str = ""
+    status: int = 0
 
 
 # --- commands -------------------------------------------------------------------
 
 
-def _cmd_bochner(args) -> int:
+def _cmd_bochner(args) -> _Result:
     _resolve(args)
     mu = deserialize_measure(_read_bytes(args.input))
     table = covariance_from_spectrum(mu, dt=args.dt, lags=args.lags)
-    write_text_atomic(args.output, covariance_to_csv(table))
-    return 0
+    return _Result({args.output: covariance_to_csv(table)})
 
 
-def _cmd_inverse(args) -> int:
+def _cmd_inverse(args) -> _Result:
     _resolve(args)
     table = covariance_from_csv(_read_bytes(args.input))
     bins = args.bins
     if bins is None:
         bins = max(256, table.values.shape[0])
     mu = spectrum_from_covariance(table, bins=bins, window=args.window)
-    write_bytes_atomic(args.output, serialize_measure(mu))
-    return 0
+    return _Result({args.output: serialize_measure(mu)})
 
 
-def _cmd_filter(args) -> int:
+def _cmd_filter(args) -> _Result:
     _resolve(args)
     mu = deserialize_measure(_read_bytes(args.input))
     if isinstance(args.filter, dict):
@@ -380,80 +373,67 @@ def _cmd_filter(args) -> int:
     else:
         filt = deserialize_filter(_read_bytes(args.filter))
     out = apply_filter(mu, filt)
-    write_bytes_atomic(args.output, serialize_measure(out))
-    return 0
+    return _Result({args.output: serialize_measure(out)})
 
 
-def _cmd_checkpsd(args) -> int:
+def _cmd_checkpsd(args) -> _Result:
     _resolve(args)
     table = covariance_from_csv(_read_bytes(args.input))
     verdict = check_psd_kernel(table, times=args.times, tol=args.tol)
-    payload = json.dumps(verdict_to_document(verdict), allow_nan=False)
-    if args.out:
-        write_text_atomic(args.out, payload + "\n")
-    print(payload)
-    return 0 if verdict.passed else 2
+    payload = json.dumps(verdict_to_document(verdict), allow_nan=False) + "\n"
+    files = {args.out: payload} if args.out else {}
+    return _Result(files, payload, 0 if verdict.passed else 2)
 
 
-def _cmd_kolmogorov(args) -> int:
+def _cmd_kolmogorov(args) -> _Result:
     _resolve(args)
     blocks = deserialize_kernel(_read_bytes(args.input))
     fact = kolmogorov_decompose(blocks, tol=args.tol)
-    write_bytes_atomic(args.output, serialize_factorization(fact))
-    return 0
+    return _Result({args.output: serialize_factorization(fact)})
 
 
-def _cmd_model(args) -> int:
+def _cmd_model(args) -> _Result:
     _resolve(args)
     model = deserialize_model(_read_bytes(args.input))
     mu = model_spectral_measure(model)
-    write_bytes_atomic(args.output, serialize_measure(mu))
+    files = {args.output: serialize_measure(mu)}
     if args.covariance:
         table = covariance_from_spectrum(mu, dt=args.dt, lags=args.lags)
-        write_text_atomic(args.covariance, covariance_to_csv(table))
-    return 0
+        files[args.covariance] = covariance_to_csv(table)
+    return _Result(files)
 
 
-def _cmd_synth(args) -> int:
+def _cmd_synth(args) -> _Result:
     _resolve(args)
     mu = deserialize_measure(_read_bytes(args.input))
     traj = synthesize(mu, dt=args.dt, n=args.n, seed=args.seed)
-    _write_trajectory(args.output, traj, args.format)
-    return 0
+    if args.output.endswith(".csv"):
+        return _Result({args.output: trajectory_to_csv(traj)})
+    return _Result({args.output: trajectory_to_binary(traj)})
 
 
-def _cmd_estimate(args) -> int:
+def _cmd_estimate(args) -> _Result:
     _resolve(args)
     traj = _read_trajectory(args.input)
     mu = welch_estimate(
         traj, segment=args.segment, overlap=args.overlap, taper=args.taper
     )
-    write_bytes_atomic(args.output, serialize_measure(mu))
+    files = {args.output: serialize_measure(mu)}
     if args.covariance:
         table = lag_covariance(traj, lags=args.lags)
-        write_text_atomic(args.covariance, covariance_to_csv(table))
-    return 0
+        files[args.covariance] = covariance_to_csv(table)
+    return _Result(files)
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
-def _cmd_demo_ou(args) -> int:
+def _cmd_demo_ou(args) -> _Result:
     _resolve(args)
-    out = Path(args.output)
-    out.mkdir(parents=True, exist_ok=True)
     gamma = np.array([[args.gamma]], dtype=np.complex128)
     intensity = np.array([[args.intensity]], dtype=np.complex128)
     a = np.eye(1, dtype=np.complex128)
 
     noise = white_noise(intensity, band=args.band, bins=args.bins)
     filtered = apply_filter(noise, ExpOperator(gamma=gamma, a=a))
-    write_bytes_atomic(out / "spectrum.json", serialize_measure(filtered))
-    write_text_atomic(out / "spectrum.csv", _density_csv(filtered))
-
     table = covariance_from_spectrum(filtered, dt=args.dt, lags=args.lags)
-    write_text_atomic(out / "covariance.csv", covariance_to_csv(table))
     theory_vals = np.stack(
         [
             ou_covariance(gamma, intensity, a, m * args.dt)
@@ -461,16 +441,19 @@ def _cmd_demo_ou(args) -> int:
         ]
     )
     theory = CovarianceTable(dt=args.dt, values=theory_vals)
-    write_text_atomic(out / "covariance_theory.csv", covariance_to_csv(theory))
-
     traj = synthesize(filtered, dt=args.dt, n=args.n, seed=args.seed)
-    write_bytes_atomic(out / "trajectory.qwss", trajectory_to_binary(traj))
-
     estimated = welch_estimate(traj, segment=args.segment)
-    write_bytes_atomic(out / "estimated_spectrum.json", serialize_measure(estimated))
-    write_text_atomic(out / "estimated_spectrum.csv", _density_csv(estimated))
     est_table = lag_covariance(traj, lags=args.lags)
-    write_text_atomic(out / "estimated_covariance.csv", covariance_to_csv(est_table))
+    outputs = {
+        "spectrum.json": serialize_measure(filtered),
+        "spectrum.csv": density_to_csv(filtered).encode(),
+        "covariance.csv": covariance_to_csv(table).encode(),
+        "covariance_theory.csv": covariance_to_csv(theory).encode(),
+        "trajectory.qwss": trajectory_to_binary(traj),
+        "estimated_spectrum.json": serialize_measure(estimated),
+        "estimated_spectrum.csv": density_to_csv(estimated).encode(),
+        "estimated_covariance.csv": covariance_to_csv(est_table).encode(),
+    }
 
     sum_sq = float(np.sum(np.abs(theory.values) ** 2))
     est_err = float(
@@ -480,16 +463,6 @@ def _cmd_demo_ou(args) -> int:
         np.abs(total_mass(estimated) - total_mass(filtered)).max()
         / np.abs(total_mass(filtered)).max()
     )
-    files = [
-        "spectrum.json",
-        "spectrum.csv",
-        "covariance.csv",
-        "covariance_theory.csv",
-        "trajectory.qwss",
-        "estimated_spectrum.json",
-        "estimated_spectrum.csv",
-        "estimated_covariance.csv",
-    ]
     summary = {
         "kind": "demo_summary",
         "demo": "ou",
@@ -505,18 +478,15 @@ def _cmd_demo_ou(args) -> int:
             "total_mass_rel_error": mass_err,
         },
         "outputs": {
-            name: {
-                "bytes": (out / name).stat().st_size,
-                "sha256": _sha256(out / name),
-            }
-            for name in files
+            name: {"bytes": len(data), "sha256": hashlib.sha256(data).hexdigest()}
+            for name, data in outputs.items()
         },
     }
-    write_text_atomic(
-        out / "summary.json", json.dumps(summary, indent=2, allow_nan=False) + "\n"
-    )
-    print(f"wrote {len(files) + 1} files to {out}")
-    return 0
+    outputs["summary.json"] = json.dumps(summary, indent=2, allow_nan=False) + "\n"
+    out = Path(args.output)
+    out.mkdir(parents=True, exist_ok=True)
+    files = {out / name: data for name, data in outputs.items()}
+    return _Result(files, f"wrote {len(files)} files to {out}\n")
 
 
 # --- parser --------------------------------------------------------------------
@@ -560,7 +530,10 @@ def main(argv=None) -> int:
         # stderr carries only the JSON error: a NaN or inf that overflow
         # leaves behind fails validation, so numpy's warnings add nothing
         with np.errstate(all="ignore"):
-            return args.func(args)
+            result = args.func(args)
+        write_files(result.files)
+        sys.stdout.write(result.stdout)
+        return result.status
     except (QwssError, ValueError, OSError, MemoryError) as e:
         print(_error_json(e), file=sys.stderr)
         return 1

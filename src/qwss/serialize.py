@@ -11,8 +11,9 @@ Conventions shared by every format:
 - JSON documents carry a ``"kind"`` discriminator, reject unknown keys, and
   are emitted with a fixed key order and shortest round-trip float formatting,
   so serializing equal objects yields byte-identical output
-- CSV headers are ``tau`` (covariance tables) or ``t`` (trajectories)
-  followed by ``re_ij``/``im_ij`` columns in row-major index order
+- CSV headers are ``tau`` (covariance tables), ``nu`` (density tables) or
+  ``t`` (trajectories) followed by ``re_ij``/``im_ij`` columns in row-major
+  index order
 - the binary trajectory format is little-endian: magic ``QWSS``, version u32,
   dim u32, n u64, dt f64, then n*dim complex128 samples (interleaved re/im
   f64, time-major)
@@ -26,12 +27,13 @@ names the atom or bin and the witness eigenvalue; the decoder sets its
 from __future__ import annotations
 
 import csv
+import errno
 import io
 import json
 import math
 import os
+import secrets
 import struct
-import tempfile
 
 import numpy as np
 
@@ -73,8 +75,8 @@ __all__ = [
     "trajectory_from_csv",
     "trajectory_to_binary",
     "trajectory_from_binary",
-    "write_text_atomic",
-    "write_bytes_atomic",
+    "density_to_csv",
+    "write_files",
 ]
 
 
@@ -629,6 +631,17 @@ def covariance_from_csv(text) -> CovarianceTable:
     return CovarianceTable(dt=dt, values=data.reshape(data.shape[0], d, d))
 
 
+def density_to_csv(mu: OperatorSpectralMeasure) -> str:
+    """Plot-ready CSV of the density part: ``nu`` at bin midpoints, then the
+    matrix columns."""
+    den = mu.density
+    if den is None:
+        raise SchemaError("measure has no density part to tabulate")
+    d = mu.dim
+    flat = den.values.reshape(den.bins, d * d)
+    return _write_rows(["nu"] + _matrix_header(d), den.midpoints(), flat)
+
+
 def trajectory_to_csv(traj: Trajectory) -> str:
     times = np.arange(traj.n) * traj.dt
     return _write_rows(["t"] + _vector_header(traj.dim), times, traj.samples)
@@ -670,25 +683,37 @@ def trajectory_from_binary(data: bytes) -> Trajectory:
     return Trajectory(dt=dt, samples=samples.reshape(n, dim).astype(np.complex128))
 
 
-# --- atomic file output ----------------------------------------------------------
+# --- file output -------------------------------------------------------------
 
 
-def write_bytes_atomic(path, data: bytes) -> None:
-    """Write via a sibling temp file and rename, so failures leave no partial file."""
-    path = os.fspath(path)
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+def write_files(files: dict) -> None:
+    """Write every ``{path: bytes or str}`` entry (text as UTF-8), or none.
+
+    Each file goes to a sibling temp file first, and the temp files are
+    renamed into place only after all of them are written, so a failure
+    while writing leaves every target as it was and no temp file behind.
+    A target that is a directory, which the rename would fail on, is
+    refused before anything is written. New files get mode 0666 less the
+    umask, as ``open(path, "wb")`` does.
+    """
+    staged, renamed = [], 0
     try:
-        with os.fdopen(fd, "wb") as f:
-            f.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-
-
-def write_text_atomic(path, text: str) -> None:
-    write_bytes_atomic(path, text.encode("utf-8"))
+        for path, data in files.items():
+            path = os.fspath(path)
+            if os.path.isdir(path):
+                raise IsADirectoryError(errno.EISDIR, "output is a directory", path)
+            directory = os.path.dirname(os.path.abspath(path))
+            tmp = os.path.join(directory, f".tmp-{secrets.token_hex(8)}~")
+            fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
+            staged.append((tmp, path))
+            with os.fdopen(fd, "wb") as f:
+                f.write(data.encode("utf-8") if isinstance(data, str) else data)
+        for tmp, path in staged:
+            os.replace(tmp, path)
+            renamed += 1
+    finally:
+        for tmp, _ in staged[renamed:]:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass

@@ -615,6 +615,46 @@ class TestDemo:
             assert (out / name).read_bytes() == golden, name
 
 
+class TestAllOrNothing:
+    """A failed command leaves none of its outputs, and no temp file."""
+
+    def test_failed_demo_leaves_no_directory(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run("demo", "ou", out, *DEMO_ARGS, "--dt", 1.5) == 1
+        err, stdout = read_error(capsys)
+        assert err["code"] == "aliasing" and stdout == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "covariance, lags, code",
+        [("c.csv", 600, "invalid_value"), ("missing/c.csv", 8, "io")],
+    )
+    def test_failed_estimate_leaves_neither_output(
+        self, tmp_path, capsys, atom_measure_file, covariance, lags, code
+    ):
+        path, _ = atom_measure_file
+        traj = tmp_path / "in" / "t.qwss"
+        traj.parent.mkdir()
+        assert run("synth", path, traj, "--dt", 0.1, "--n", 1024, "--seed", 1) == 0
+        out = tmp_path / "out"
+        out.mkdir()
+        argv = ("estimate", traj, out / "e.json", "--segment", 16,
+                "--covariance", out / covariance, "--lags", lags)
+        assert run(*argv) == 1
+        assert read_error(capsys)[0]["code"] == code
+        assert list(out.rglob("*")) == []
+
+    def test_synth_csv_round_trips_through_estimate(self, tmp_path, atom_measure_file):
+        path, _ = atom_measure_file
+        for name in ("t.csv", "t.qwss"):
+            assert run("synth", path, tmp_path / name, "--dt", 0.1, "--n", 512,
+                       "--seed", 4) == 0
+            assert run("estimate", tmp_path / name, tmp_path / f"{name}.json",
+                       "--segment", 64) == 0
+        csv_est = (tmp_path / "t.csv.json").read_bytes()
+        assert csv_est == (tmp_path / "t.qwss.json").read_bytes()
+
+
 # Every subcommand called on small valid inputs: the leading positionals,
 # then the flags. Every size stays small, so nothing allocates much.
 CONTRACT = {
@@ -635,7 +675,7 @@ CONTRACT = {
     ),
     "synth": (
         ("synth", "{i}/mu.json", "{o}/t.qwss"),
-        {"--dt": "0.25", "--n": "64", "--seed": "1", "--format": "binary"},
+        {"--dt": "0.25", "--n": "64", "--seed": "1"},
     ),
     "estimate": (
         ("estimate", "{i}/t.qwss", "{o}/m.json"),
@@ -725,7 +765,6 @@ class TestUsageContract:
             ("model", "--dt", None, "schema", "dt"),
             ("synth", "--seed", "0x10", "schema", "seed"),
             ("synth", "--n", "0", "invalid_value", "n"),
-            ("synth", "--format", "hdf5", "schema", "format"),
             ("synth", "--seed", None, "schema", "seed"),
             ("estimate", "--overlap", "half", "schema", "overlap"),
             ("estimate", "--overlap", "0.95", "invalid_value", "overlap"),
@@ -739,6 +778,24 @@ class TestUsageContract:
     def test_bad_or_missing_flag(self, dirs, capsys, sub, flag, value, code, location):
         err = self.one_error(dirs, capsys, self.argv(dirs, sub, {flag: value}))
         assert (err["code"], err["location"]) == (code, location)
+
+    @pytest.mark.parametrize(
+        "sub, flag, value, message",
+        [
+            ("synth", "--n", "63", "n must be a power of two, got 63"),
+            ("demo", "--n", "1000", "n must be a power of two, got 1000"),
+            ("estimate", "--segment", "15", "segment must be even and >= 2, got 15"),
+            ("demo", "--segment", "0", "segment must be even and >= 2, got 0"),
+        ],
+    )
+    def test_single_parameter_constraint_fails_before_io(
+        self, dirs, capsys, sub, flag, value, message
+    ):
+        argv = self.argv(dirs, sub, {flag: value})
+        if sub != "demo":
+            argv[1] = str(dirs[0] / "missing")
+        err = self.one_error(dirs, capsys, argv)
+        assert err == {"code": "invalid_value", "message": message, "location": flag[2:]}
 
     @pytest.mark.parametrize("sub", sorted(CONTRACT))
     @pytest.mark.parametrize("change", ["unknown flag", "missing positional"])

@@ -11,6 +11,8 @@ import csv
 import io
 import json
 import math
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -56,8 +58,7 @@ from qwss import (
     trajectory_to_csv,
 )
 from qwss import serialize as ser
-from qwss.cli import _density_csv
-from qwss.serialize import write_bytes_atomic
+from qwss.serialize import density_to_csv, write_files
 
 from helpers import count_eigvalsh, random_complex_matrix, random_psd, rng_for
 
@@ -434,15 +435,39 @@ class TestTrajectoryBinary:
 class TestAtomicWrite:
     def test_writes_content(self, tmp_path):
         target = tmp_path / "out.json"
-        write_bytes_atomic(target, b"payload")
+        write_files({target: b"payload"})
         assert target.read_bytes() == b"payload"
         assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
 
     def test_overwrites_existing(self, tmp_path):
         target = tmp_path / "out.json"
         target.write_bytes(b"old")
-        write_bytes_atomic(target, b"new")
+        write_files({target: b"new"})
         assert target.read_bytes() == b"new"
+
+    def test_failed_staging_leaves_earlier_targets_untouched(self, tmp_path):
+        first, second = tmp_path / "a.json", tmp_path / "b.json"
+        first.write_bytes(b"old a")
+        second.write_bytes(b"old b")
+        files = {first: b"new a", second: b"new b", tmp_path / "no" / "c.json": b"c"}
+        with pytest.raises(FileNotFoundError):
+            write_files(files)
+        assert first.read_bytes() == b"old a" and second.read_bytes() == b"old b"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.json", "b.json"]
+
+    def test_directory_target_is_refused_before_any_rename(self, tmp_path):
+        (tmp_path / "d").mkdir()
+        with pytest.raises(IsADirectoryError):
+            write_files({tmp_path / "a.json": b"a", tmp_path / "d": b"d"})
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d"]
+
+    def test_new_files_follow_the_umask(self, tmp_path):
+        old = os.umask(0o027)
+        try:
+            write_files({tmp_path / "out.json": b"x"})
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE((tmp_path / "out.json").stat().st_mode) == 0o640
 
 
 finite = st.floats(
@@ -970,7 +995,7 @@ class TestStackEncoderMatchesReference:
             den.midpoints(),
             den.values.reshape(den.bins, d * d),
         )
-        assert _density_csv(mu) == want
+        assert density_to_csv(mu) == want
 
 
 # --- differential decoding -------------------------------------------------------
