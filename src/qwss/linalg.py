@@ -17,6 +17,18 @@ Python loop), and every slice comes out bit-identical to the single-matrix
 call on it. Tolerances scale per slice. A stack that fails a check raises for
 its first failing slice in C order, with the single-matrix message naming
 that slice and the slice's batch index in the error's ``index`` attribute.
+
+PSD certificate: ``validate_psd`` and ``nearest_psd`` first try one batched
+Cholesky factorization of the shifted Hermitian part ``H + c*I`` and return
+at once if every slice has a finite factor; other stacks take the eigenvalue
+route, the only one that builds errors. Let ``B(d) = 8*d*(d+1)*eps``. A
+factorization that completes is exact for ``A + dA`` with ``||dA||_2 <=
+d*g/(1-g)*max|A| <= B*max|A|/2``, ``g = gamma_{d+1}`` doubled for complex
+arithmetic (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd
+ed., Thm 10.3 and Sec. 3.6); ``eigvalsh``/``eigh`` (backward stable
+``zheevd``) move no eigenvalue by more than ``p(d)*u*d*max|H| <= B*max|H|/2``
+(Weyl, ``p(d) <= 8*(d+1)``). So a factor proves every computed eigenvalue
+``>= -c - B*(max|H| + |c|)``. A non-finite entry shows in the factor.
 """
 
 from __future__ import annotations
@@ -89,6 +101,20 @@ def _scale(a: np.ndarray):
     return np.fmax(1.0, np.abs(a).max(axis=(-2, -1), initial=0.0))
 
 
+def _rounding(d: int) -> float:
+    """``B(d)`` of the PSD certificate (module docstring)."""
+    return 8.0 * d * (d + 1) * np.finfo(float).eps
+
+
+def _factors(h: np.ndarray, shift) -> bool:
+    """True iff every slice of ``h + shift*I`` has a finite Cholesky factor."""
+    try:
+        factor = np.linalg.cholesky(h + np.multiply.outer(shift, np.eye(h.shape[-1])))
+    except np.linalg.LinAlgError:
+        return False
+    return bool(np.isfinite(factor).all())
+
+
 def _first(mask: np.ndarray) -> tuple[int, ...] | None:
     """Batch index of the first True entry of ``mask`` in C order, or None.
 
@@ -159,7 +185,12 @@ def validate_psd(
     callable (``i`` is a tuple when the batch has more than one axis).
     """
     a = _as_stack(m, name=name if isinstance(name, str) else "matrix")
-    failure = _psd_failure(a, np.linalg.eigvalsh(hermitize(a)), tol, herm_tol)
+    h, s = hermitize(a), _scale(a)
+    hermitian = np.all(hermitian_defect(a) <= herm_tol * s)
+    # c = tol*s/2 with tol >= 8*B(d) makes -c - B*(s + c) >= -tol*s
+    if tol >= 8.0 * _rounding(a.shape[-1]) and hermitian and _factors(h, tol * s / 2):
+        return a
+    failure = _psd_failure(a, np.linalg.eigvalsh(h), tol, herm_tol)
     if failure is not None:
         index, not_finite, not_herm, defect, lo = failure
         label = _slice_name(name, index)
@@ -185,9 +216,15 @@ def nearest_psd(m) -> np.ndarray:
 
     Hermitizes, then clips negative eigenvalues to zero. Idempotent, and a
     no-op up to rounding on matrices that are already PSD: a slice whose
-    lowest eigenvalue is nonnegative comes back as its Hermitian part.
+    lowest eigenvalue is nonnegative comes back as its Hermitian part. So does
+    a stack with Cholesky factors of ``H - delta*I``, ``delta = 2*B(d)*max|H|``
+    per slice, without ``eigh``: it would compute every eigenvalue
+    ``>= delta*(1 - B/2) - B*max|H| >= 0`` (module docstring).
     """
     a = hermitize(_as_stack(m))
+    delta = 2.0 * _rounding(a.shape[-1]) * np.abs(a).max(axis=(-2, -1), initial=0.0)
+    if np.all(delta >= np.finfo(float).tiny) and _factors(a, -delta):
+        return a
     w, u = np.linalg.eigh(a)
     clipped = hermitize((u * np.clip(w, 0.0, None)[..., None, :]) @ _adjoint(u))
     keep = np.all(w[..., :1] >= 0.0, axis=-1)  # w ascends: w[..., 0] is lowest

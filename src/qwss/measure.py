@@ -141,11 +141,6 @@ class DensityGrid(UniformGrid):
         super().__post_init__()
         validate_psd(self.values, name="density bin")
 
-    def value_at(self, nu: float) -> np.ndarray:
-        j = self.bin_index(nu)
-        d = self.dim
-        return self.values[j] if j is not None else np.zeros((d, d), complex)
-
 
 @dataclass(frozen=True, eq=False)
 class OperatorSpectralMeasure:

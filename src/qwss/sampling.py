@@ -160,20 +160,24 @@ def lag_covariance(traj: Trajectory, lags: int) -> CovarianceTable:
     """Unbiased lag-product estimate ``C(m*dt) ~ mean_t x_{t+m} x_t^H``.
 
     Each lag ``m`` averages over its ``n - m`` available products (unbiased
-    for the mean-zero processes produced here). The sums are taken as one
-    batched FFT correlation of every component pair, zero-padded to at least
-    ``n + lags`` samples (the smallest 5-smooth length), so no product read
-    at lags ``0..lags`` wraps around. The zero lag is hermitized.
+    for the mean-zero processes produced here). The sums are FFT correlations
+    of every component pair, zero-padded to the smallest 5-smooth ``N >= n +
+    lags``, so no product read at lags ``0..lags`` wraps around. One ifft per
+    row of the cross-spectrum keeps memory at the ``(d, N)`` spectrum and two
+    row blocks of its size. The zero lag is hermitized.
     """
     lags = int(lags)
     n = traj.n
     if lags < 0 or 2 * lags >= n:
         raise ValueError(f"lags must satisfy 0 <= lags < n/2, got {lags} with n={n}")
     d = traj.dim
-    spec = np.fft.fft(traj.samples, n=_fft_length(n + lags), axis=0)
-    # entry (i, j): sum_t x_{t+m,i} conj(x_{t,j})
-    cross = (spec[:, :, None] * spec[:, None, :].conj()).reshape(-1, d * d)
-    vals = np.fft.ifft(cross, axis=0)[: lags + 1].reshape(lags + 1, d, d)
+    spec = np.fft.fft(traj.samples.T, n=_fft_length(n + lags))
+    vals = np.empty((lags + 1, d, d), dtype=np.complex128)
+    for i in range(d):
+        # entry (i, j): sum_t x_{t+m,i} conj(x_{t,j}). spec[i, None] keeps the
+        # operand shapes equal at d = 1, as the batched product had them, so a
+        # large product reuses its temporary with swapped operands in both
+        vals[:, i, :] = np.fft.ifft(spec[i, None] * spec.conj())[:, : lags + 1].T
     vals /= (n - np.arange(lags + 1))[:, None, None]
     vals[0] = hermitize(vals[0])
     return CovarianceTable(dt=traj.dt, values=vals)

@@ -704,7 +704,10 @@ def write_files(files: dict) -> None:
                 raise IsADirectoryError(errno.EISDIR, "output is a directory", path)
             directory = os.path.dirname(os.path.abspath(path))
             tmp = os.path.join(directory, f".tmp-{secrets.token_hex(8)}~")
-            fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
+            try:
+                fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
+            except OSError as exc:  # name the output, not its temp file
+                raise OSError(exc.errno, exc.strerror, path) from None
             staged.append((tmp, path))
             with os.fdopen(fd, "wb") as f:
                 f.write(data.encode("utf-8") if isinstance(data, str) else data)

@@ -1,6 +1,10 @@
 """Shared random-object factories for the test suite."""
 
+import sys
+
 import numpy as np
+
+from qwss.linalg import validate_psd
 
 
 def rng_for(seed: int) -> np.random.Generator:
@@ -40,15 +44,25 @@ def rel_frob(got, want) -> float:
     return frob(np.asarray(got) - np.asarray(want)) / max(frob(want), 1e-300)
 
 
-def count_eigvalsh(monkeypatch) -> list:
-    """Record the shape of every ``numpy.linalg.eigvalsh`` argument from now
-    on; each PSD check makes exactly one such call."""
-    shapes = []
-    eigvalsh = np.linalg.eigvalsh
+def count_psd_checks(monkeypatch) -> list:
+    """Record, from now on, the shape of the stack behind every PSD decision
+    of ``validate_psd``: its first ``numpy.linalg.cholesky`` (certificate) or
+    ``numpy.linalg.eigvalsh`` (eigenvalue route) call. A certificate that
+    fails and the eigenvalue route after it are one decision."""
+    shapes, decided = [], []
 
-    def counting(a, *args, **kwargs):
-        shapes.append(np.shape(a))
-        return eigvalsh(a, *args, **kwargs)
+    def counting(fn):
+        def call(a, *args, **kwargs):
+            frame = sys._getframe(1)
+            while frame is not None and frame.f_code is not validate_psd.__code__:
+                frame = frame.f_back
+            if frame is not None and not any(frame is f for f in decided):
+                decided.append(frame)
+                shapes.append(np.shape(a))
+            return fn(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        return call
+
+    for name in ("cholesky", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counting(getattr(np.linalg, name)))
     return shapes

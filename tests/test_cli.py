@@ -430,6 +430,17 @@ class TestErrorReporting:
         assert err["code"] == "io"
         assert out == ""
 
+    def test_missing_output_directory_names_the_output(
+        self, tmp_path, capsys, monkeypatch, atom_measure_file
+    ):
+        path, _ = atom_measure_file
+        monkeypatch.chdir(tmp_path)
+        assert run("bochner", path, "missing/c.csv", "--dt", 0.1) == 1
+        err, out = read_error(capsys)
+        assert err["code"] == "io" and out == ""
+        assert err["message"].endswith(": 'missing/c.csv'"), err["message"]
+        assert list(tmp_path.rglob(".tmp-*~")) == []
+
     def test_schema_error_carries_location(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         doc = json.loads(serialize_measure(rich_measure()))

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
-    count_eigvalsh,
+    count_psd_checks,
     frob,
     random_complex_matrix,
     random_hpd,
@@ -274,7 +274,7 @@ class TestApplyFilter:
             density=DensityGrid(-1.0, 1.0, np.stack([random_psd(rng, 2)] * 5)),
         )
         filt = ExpOperator(gamma=random_hpd(rng, 2), a=random_complex_matrix(rng, 2))
-        shapes = count_eigvalsh(monkeypatch)
+        shapes = count_psd_checks(monkeypatch)
         apply_filter(mu, filt)
         assert sorted(shapes) == [(2, 2, 2), (5, 2, 2)]  # atoms, density bins
 

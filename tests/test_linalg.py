@@ -21,6 +21,7 @@ from helpers import (
     rng_for,
 )
 import qwss
+from qwss import linalg
 from qwss.errors import (
     DimensionMismatchError,
     NotPositiveDefiniteError,
@@ -316,3 +317,135 @@ class TestStacks:
         g = np.diag([0.0, 1.0])
         with pytest.raises(NotPositiveDefiniteError, match=r"at nu=0.0;"):
             resolvent(g, np.array([0.5, 0.0, 0.25]))
+
+
+# Eigenvalue-only copies of ``validate_psd`` and ``nearest_psd`` as they were
+# before the Cholesky certificate: the reference that every stack must match.
+def validate_psd_reference(m, tol=linalg.TOL_PSD, herm_tol=linalg.TOL_HERM, name="matrix"):
+    a = linalg._as_stack(m, name=name if isinstance(name, str) else "matrix")
+    failure = linalg._psd_failure(a, np.linalg.eigvalsh(hermitize(a)), tol, herm_tol)
+    if failure is not None:
+        index, not_finite, not_herm, defect, lo = failure
+        label = linalg._slice_name(name, index)
+        if not_finite:
+            raise NotPositiveSemidefiniteError(
+                f"{label} holds a non-finite entry", index=index or None
+            )
+        if not_herm:
+            raise NotPositiveSemidefiniteError(
+                f"{label} is not Hermitian: max |M - M^H| = {defect:.3e}",
+                index=index or None,
+            )
+        raise NotPositiveSemidefiniteError(
+            f"{label} is not PSD: min eigenvalue = {lo:.6e}",
+            witness=lo,
+            index=index or None,
+        )
+    return a
+
+
+def nearest_psd_reference(m):
+    a = hermitize(linalg._as_stack(m))
+    w, u = np.linalg.eigh(a)
+    clipped = hermitize((u * np.clip(w, 0.0, None)[..., None, :]) @ u.conj().swapaxes(-1, -2))
+    keep = np.all(w[..., :1] >= 0.0, axis=-1)
+    return np.where(keep[..., None, None], a, clipped)
+
+
+def _full_outcome(f, *args, **kwargs):
+    """Result bytes, or exception type, message, index and witness."""
+    try:
+        out = np.asarray(f(*args, **kwargs))
+    except Exception as e:  # the reference decides which exceptions count
+        return type(e), str(e), getattr(e, "index", None), repr(getattr(e, "witness", None))
+    return out.shape, out.dtype, out.tobytes()
+
+
+def _with_lowest(rng, d, lowest, top=1.0):
+    """Hermitian matrix with eigenvalues ``lowest`` and up to ``top`` in a
+    random unitary basis."""
+    q, _ = np.linalg.qr(random_complex_matrix(rng, d))
+    w = np.concatenate([[lowest], rng.uniform(0.1, 1.0, d - 1) * top])
+    return (q * w) @ q.conj().T
+
+
+def _certificate_slice(rng, kind, d, scale, tol):
+    if kind == "psd":
+        return scale * random_psd(rng, d)
+    if kind == "rank":
+        return scale * random_psd(rng, d, rank=int(rng.integers(1, d + 1)))
+    if kind == "zero":
+        return np.zeros((d, d), complex)
+    if kind == "nonherm":
+        return scale * (random_psd(rng, d) + 10.0 ** rng.uniform(-15, 0) * random_complex_matrix(rng, d))
+    if kind in ("nan", "inf"):
+        m = scale * random_psd(rng, d)
+        i, j = rng.integers(d, size=2)
+        v = np.nan if kind == "nan" else rng.choice([np.inf, -np.inf])
+        m[i, j] = complex(0.0, v) if rng.integers(2) else complex(v, 0.0)
+        return m
+    if kind == "edge":  # lowest eigenvalue at -tol*s*(1 +- 1e-6), s the unit-floored scale
+        m = _with_lowest(rng, d, 0.0, scale)
+        for _ in range(2):
+            s = max(1.0, np.abs(m).max())
+            m = _with_lowest(rng, d, -tol * s * (1.0 + rng.choice([-1e-6, 1e-6])), scale)
+        return m
+    # "tiny": lowest eigenvalue a tiny multiple of the largest, either sign
+    lowest = rng.choice([-1e-11, -1e-13, -1e-16, 0.0, 1e-16, 1e-13, 1e-12, 1e-11])
+    return _with_lowest(rng, d, lowest * scale, scale)
+
+
+certificate_kinds = st.lists(
+    st.sampled_from(["psd", "psd", "rank", "zero", "nonherm", "nan", "inf", "edge", "tiny"]),
+    min_size=0,
+    max_size=6,
+)
+
+
+class TestPsdCertificate:
+    """The Cholesky certificate changes no verdict, message or byte."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 12),
+        certificate_kinds,
+        st.sampled_from([-300, -20, 0, 0, 5, 150, 300]),
+        st.sampled_from([linalg.TOL_PSD, linalg.TOL_PSD, 1e-6, 1e-14, 0.0]),
+        st.booleans(),
+    )
+    def test_matches_eigenvalue_reference(self, seed, d, kinds, exponent, tol, single):
+        rng = rng_for(seed)
+        scale = 10.0 ** (exponent + rng.uniform(-0.5, 0.5))
+        x = np.array(
+            [_certificate_slice(rng, k, d, scale, tol) for k in kinds], dtype=complex
+        ).reshape(-1, d, d)
+        if single and len(x) == 1:
+            x = x[0]
+        with np.errstate(all="ignore"):
+            for args in ((x,), (x, tol), (x, tol, 1e-9)):
+                assert _full_outcome(validate_psd, *args, name="slice") == _full_outcome(
+                    validate_psd_reference, *args, name="slice"
+                )
+            assert _full_outcome(nearest_psd, x) == _full_outcome(nearest_psd_reference, x)
+
+    def test_psd_stack_is_decided_by_cholesky_alone(self, monkeypatch):
+        x = np.stack([random_psd(rng_for(i), 4) for i in range(8)])
+        monkeypatch.setattr(np.linalg, "eigvalsh", None)
+        monkeypatch.setattr(np.linalg, "eigh", None)
+        assert _same_bits(validate_psd(x), x)
+        assert _same_bits(nearest_psd(x), hermitize(x))
+
+    @pytest.mark.parametrize("d", [1, 4, 12])
+    def test_tol_below_rounding_bound_skips_the_certificate(self, monkeypatch, d):
+        bound = 8.0 * linalg._rounding(d)
+        x = random_psd(rng_for(d), d)
+        monkeypatch.setattr(np.linalg, "cholesky", None)
+        validate_psd(x, tol=0.99 * bound)
+        with pytest.raises(TypeError):  # a tol at the bound does try it
+            validate_psd(x, tol=bound)
+
+    def test_nan_factor_is_no_certificate(self):
+        # OpenBLAS's Cholesky may run through a NaN pivot without an error
+        x = np.array([[np.nan, 0.0], [0.0, 1.0]], dtype=complex)
+        assert not linalg._factors(x, 1e-9)

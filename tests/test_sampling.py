@@ -8,12 +8,14 @@ fixed seeds used here.
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from qwss import (
     AliasingError,
+    CovarianceTable,
     DensityGrid,
     ExpOperator,
     OperatorSpectralMeasure,
@@ -29,6 +31,9 @@ from qwss import (
     welch_estimate,
     white_noise,
 )
+
+from qwss.linalg import hermitize
+from qwss.measure import _fft_length
 
 from helpers import frob, random_psd, rel_frob, rng_for
 
@@ -306,6 +311,33 @@ class TestLagCovariance:
             got = lag_covariance(Trajectory(dt=0.5, samples=x), lags).values
             assert np.abs(got - want).max() < 1e-12 * np.abs(want).max()
 
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_row_blocks_match_batched_ifft_bit_for_bit(self, dim):
+        rng = rng_for(20 + dim)
+        # at n = 16385 the (N, 1) product at dim 1 passes 256 KiB, where numpy
+        # reuses the temporary of a product in place and rounds it differently
+        for n in (3, 37, 251, 1024, 16385):
+            x = rng.standard_normal((n, dim)) + 1j * rng.standard_normal((n, dim))
+            tr = Trajectory(dt=0.5, samples=x * 10.0 ** rng.uniform(-3, 3))
+            for lags in sorted({0, 1, (n - 1) // 2}):
+                got = lag_covariance(tr, lags)
+                assert got.values.tobytes() == lag_covariance_batched(tr, lags).values.tobytes()
+
+    def test_peak_memory_is_a_few_spectra(self):
+        rng = rng_for(30)
+        n, dim, lags = 2**16, 4, 128
+        x = rng.standard_normal((n, dim)) + 1j * rng.standard_normal((n, dim))
+        tr = Trajectory(dt=0.1, samples=x)
+        spectrum_bytes = dim * _fft_length(n + lags) * 16  # 4.3 MB
+        tracemalloc.start()
+        try:
+            lag_covariance(tr, lags)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the spectrum and two row blocks: 13.3 MB; the batched ifft took 39 MB
+        assert peak < 4 * spectrum_bytes
+
     def test_rejects_bad_lag_counts(self):
         tr = synthesize(flat_measure(2.0, [[1.0]]), dt=0.1, n=32, seed=0)
         with pytest.raises(ValueError):
@@ -313,6 +345,18 @@ class TestLagCovariance:
         with pytest.raises(ValueError):
             lag_covariance(tr, 16)  # 2*lags must stay below n
         assert lag_covariance(tr, 15).max_lag_index == 15
+
+
+def lag_covariance_batched(traj, lags):
+    """``lag_covariance`` as one batched ifft of all ``d**2`` cross-spectra,
+    the code the row blocks replaced."""
+    n, d = traj.n, traj.dim
+    spec = np.fft.fft(traj.samples, n=_fft_length(n + lags), axis=0)
+    cross = (spec[:, :, None] * spec[:, None, :].conj()).reshape(-1, d * d)
+    vals = np.fft.ifft(cross, axis=0)[: lags + 1].reshape(lags + 1, d, d)
+    vals /= (n - np.arange(lags + 1))[:, None, None]
+    vals[0] = hermitize(vals[0])
+    return CovarianceTable(dt=traj.dt, values=vals)
 
 
 class TestWelchEstimate:

@@ -60,7 +60,7 @@ from qwss import (
 from qwss import serialize as ser
 from qwss.serialize import density_to_csv, write_files
 
-from helpers import count_eigvalsh, random_complex_matrix, random_psd, rng_for
+from helpers import count_psd_checks, random_complex_matrix, random_psd, rng_for
 
 HUGE = 10**400  # a JSON integer past the float range
 B2 = np.array([[2, 1j], [-1j, 1]], dtype=complex)
@@ -139,7 +139,7 @@ class TestMeasureDocuments:
     def test_one_psd_check_per_part(self, monkeypatch):
         mu = rich_measure()
         data = serialize_measure(mu)
-        shapes = count_eigvalsh(monkeypatch)
+        shapes = count_psd_checks(monkeypatch)
         assert deserialize_measure(data) == mu
         assert sorted(shapes) == [(2, 2, 2), (4, 2, 2)]  # atoms, density bins
 
