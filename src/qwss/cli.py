@@ -434,12 +434,7 @@ def _cmd_demo_ou(args) -> _Result:
     noise = white_noise(intensity, band=args.band, bins=args.bins)
     filtered = apply_filter(noise, ExpOperator(gamma=gamma, a=a))
     table = covariance_from_spectrum(filtered, dt=args.dt, lags=args.lags)
-    theory_vals = np.stack(
-        [
-            ou_covariance(gamma, intensity, a, m * args.dt)
-            for m in range(args.lags + 1)
-        ]
-    )
+    theory_vals = ou_covariance(gamma, intensity, a, np.arange(args.lags + 1) * args.dt)
     theory = CovarianceTable(dt=args.dt, values=theory_vals)
     traj = synthesize(filtered, dt=args.dt, n=args.n, seed=args.seed)
     estimated = welch_estimate(traj, segment=args.segment)

@@ -132,6 +132,9 @@ class ExpOperator:
     def __post_init__(self):
         g = as_complex_matrix(self.gamma, name="gamma")
         a = as_complex_matrix(self.a, name="a")
+        for name, m in (("gamma", g), ("a", a)):
+            if not np.isfinite(m).all():
+                raise ValueError(f"{name} holds a non-finite entry")
         if g.shape != a.shape:
             raise DimensionMismatchError(
                 f"gamma {g.shape} and a {a.shape} must have equal shapes"
@@ -265,10 +268,8 @@ def apply_filter(
         # |e^{2 pi i s nu}| = 1, so the congruence fixes every weight exactly;
         # returning the (immutable) measure keeps the invariance bit-exact.
         return mu
-    d, k = mu.dim, len(mu.atoms)
-    den = mu.density
-    nus = np.array([nu for nu, _ in mu.atoms], dtype=float)
-    weights = np.array([w for _, w in mu.atoms], dtype=np.complex128).reshape(k, d, d)
+    k, den = len(mu.nus), mu.density
+    nus, weights = mu.nus, mu.weights
     if den is not None:
         nus = np.concatenate([nus, den.midpoints()])
         weights = np.concatenate([weights, den.values])
@@ -277,8 +278,8 @@ def apply_filter(
     density = None
     if den is not None:
         density = DensityGrid(den.nu_min, den.nu_max, out[k:])
-    atoms = tuple((nu, w) for (nu, _), w in zip(mu.atoms, out))
-    return OperatorSpectralMeasure(dim=d, atoms=atoms, density=density)
+    atoms = tuple(zip(mu.nus.tolist(), out[:k]))
+    return OperatorSpectralMeasure(dim=mu.dim, atoms=atoms, density=density)
 
 
 def _factors(filt: FilterSpec) -> list[FilterSpec]:
@@ -318,26 +319,17 @@ def in_domain(mu, filt: FilterSpec) -> bool:
     containing one); bounded-but-not-decaying (Shift, ScalarConvolution) and
     unbounded (Derivative) ones do not.
     """
-    if isinstance(mu, UnboundedWhiteNoise):
-        if mu.dim != filt.dim:
-            raise DimensionMismatchError(
-                f"measure dim {mu.dim} does not match filter dim {filt.dim}"
-            )
-        return _square_integrable(filt)
-    if not isinstance(mu, OperatorSpectralMeasure):
+    if not isinstance(mu, (OperatorSpectralMeasure, UnboundedWhiteNoise)):
         raise TypeError("mu must be an OperatorSpectralMeasure or UnboundedWhiteNoise")
     if mu.dim != filt.dim:
         raise DimensionMismatchError(
             f"measure dim {mu.dim} does not match filter dim {filt.dim}"
         )
+    if isinstance(mu, UnboundedWhiteNoise):
+        return _square_integrable(filt)
     bounds = mu.support_bounds()
-    if bounds is None:
-        return True
-    lo, hi = bounds
-    for f in _factors(filt):
-        if isinstance(f, Tabulated) and not f.covers(lo, hi):
-            return False
-    return True
+    tables = [f for f in _factors(filt) if isinstance(f, Tabulated)]
+    return bounds is None or all(f.covers(*bounds) for f in tables)
 
 
 def compose(l1: FilterSpec, l2: FilterSpec) -> FilterSpec:
@@ -393,7 +385,7 @@ def white_noise(s, band: float, bins: int = 1):
     )
 
 
-def ou_covariance(gamma, s, a, tau: float) -> np.ndarray:
+def ou_covariance(gamma, s, a, tau) -> np.ndarray:
     """Stationary covariance of white noise of intensity ``s`` convolved with
     the kernel ``exp(-gamma t) a``.
 
@@ -402,7 +394,9 @@ def ou_covariance(gamma, s, a, tau: float) -> np.ndarray:
         C(tau) = a^H M exp(-gamma tau) a,   gamma M + M gamma = s
 
     and ``C(-tau) = C(tau)^H``. Reduces to ``s/(2 gamma) * exp(-gamma |tau|)``
-    in the scalar case.
+    in the scalar case. ``tau`` is a number, giving one ``(d, d)`` matrix, or
+    an array of lags, giving a ``(*tau.shape, d, d)`` stack from one Lyapunov
+    solve and one ``eigh``.
     """
     g = as_complex_matrix(gamma, name="gamma")
     amat = as_complex_matrix(a, name="a")
@@ -412,10 +406,10 @@ def ou_covariance(gamma, s, a, tau: float) -> np.ndarray:
             f"gamma {g.shape}, s {smat.shape}, a {amat.shape} must share one shape"
         )
     m = solve_lyapunov(g, smat)
-    tau = float(tau)
+    tau = np.asarray(tau, dtype=float)
     # exp(-gamma |tau|) through the eigendecomposition of Hermitian gamma
     w, u = np.linalg.eigh(hermitize(g))
-    decay = (u * np.exp(-w * abs(tau))) @ u.conj().T
+    decay = (u * np.exp(-w * np.abs(tau)[..., None])[..., None, :]) @ u.conj().T
     core = m @ decay
     c = amat.conj().T @ core @ amat
-    return c if tau >= 0 else c.conj().T
+    return np.where((tau >= 0)[..., None, None], c, c.conj().swapaxes(-1, -2))

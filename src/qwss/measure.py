@@ -146,8 +146,10 @@ class DensityGrid(UniformGrid):
 class OperatorSpectralMeasure:
     """Finite-mass operator-valued spectral measure: atoms plus a density.
 
-    Atoms are ``(nu, weight)`` pairs with strictly increasing frequencies and
-    PSD weights. All stored arrays are write-locked copies.
+    ``atoms`` takes ``(nu, weight)`` pairs in any order, with distinct finite
+    frequencies and PSD weights, stored once as write-locked stacks: ``nus``
+    ``(K,)`` ascending and ``weights`` ``(K, d, d)``. ``atoms`` then holds
+    the ``(nu, weights[k])`` pairs in that order, views of the stacks.
     """
 
     dim: int
@@ -170,15 +172,14 @@ class OperatorSpectralMeasure:
                 )
             nus.append(nu)
             weights.append(w)
-        stack = _locked(np.array(weights, dtype=np.complex128).reshape(-1, d, d))
+        stack = np.array(weights, dtype=np.complex128).reshape(-1, d, d)
         if len(stack):
             validate_psd(stack, name=lambda i: f"atom {i} weight")
-        normalized = sorted(zip(nus, stack), key=lambda pair: pair[0])
-        for (n1, _), (n2, _) in zip(normalized, normalized[1:]):
-            if not n2 > n1:
-                raise ValueError(
-                    f"atom frequencies must be strictly increasing, got {n1} and {n2}"
-                )
+        order = np.argsort(nus, kind="stable")
+        nus, stack = _locked(np.array(nus)[order]), _locked(stack[order])
+        tied = nus[1:][nus[1:] == nus[:-1]]
+        if tied.size:
+            raise ValueError(f"atom frequencies must be distinct, got {tied[0]} twice")
         if self.density is not None and not isinstance(self.density, DensityGrid):
             raise TypeError(
                 f"density must be a DensityGrid or None, got {type(self.density).__name__}"
@@ -188,7 +189,9 @@ class OperatorSpectralMeasure:
                 f"density dim {self.density.dim} does not match measure dim {d}"
             )
         object.__setattr__(self, "dim", d)
-        object.__setattr__(self, "atoms", tuple(normalized))
+        object.__setattr__(self, "nus", nus)
+        object.__setattr__(self, "weights", stack)
+        object.__setattr__(self, "atoms", tuple(zip(nus.tolist(), stack)))
 
     @classmethod
     def empty(cls, dim: int) -> "OperatorSpectralMeasure":
@@ -196,27 +199,25 @@ class OperatorSpectralMeasure:
 
     def support_bounds(self) -> tuple[float, float] | None:
         """(min, max) frequency of the support, or None if empty."""
-        lo, hi = np.inf, -np.inf
-        for nu, _ in self.atoms:
-            lo, hi = min(lo, nu), max(hi, nu)
+        lo, hi = self.nus.min(initial=np.inf), self.nus.max(initial=-np.inf)
         if self.density is not None:
             lo = min(lo, self.density.nu_min)
             hi = max(hi, self.density.nu_max)
-        return None if lo > hi else (lo, hi)
+        return None if lo > hi else (float(lo), float(hi))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, OperatorSpectralMeasure):
             return NotImplemented
-        if self.dim != other.dim or len(self.atoms) != len(other.atoms):
-            return False
-        for (n1, w1), (n2, w2) in zip(self.atoms, other.atoms):
-            if n1 != n2 or not np.array_equal(w1, w2):
-                return False
-        return self.density == other.density
+        return (
+            self.dim == other.dim
+            and np.array_equal(self.nus, other.nus)
+            and np.array_equal(self.weights, other.weights)
+            and self.density == other.density
+        )
 
     def __repr__(self) -> str:
         return (
-            f"OperatorSpectralMeasure(dim={self.dim}, atoms={len(self.atoms)}, "
+            f"OperatorSpectralMeasure(dim={self.dim}, atoms={len(self.nus)}, "
             f"density={self.density!r})"
         )
 
@@ -301,9 +302,7 @@ class KernelVerdict:
 
 def total_mass(mu: OperatorSpectralMeasure) -> np.ndarray:
     """Total measure ``S(+inf)``; equals ``C(0)`` of the Bochner transform."""
-    out = np.zeros((mu.dim, mu.dim), dtype=np.complex128)
-    for _, w in mu.atoms:
-        out += w
+    out = mu.weights.sum(axis=0)
     if mu.density is not None:
         out += mu.density.values.sum(axis=0) * mu.density.width
     return out
@@ -312,13 +311,13 @@ def total_mass(mu: OperatorSpectralMeasure) -> np.ndarray:
 def cumulative(mu: OperatorSpectralMeasure, nu: float) -> np.ndarray:
     """Distribution value ``S(nu)``: mass of ``(-inf, nu]``.
 
-    Right-continuous: an atom at ``nu`` is included.
+    Right-continuous: an atom at ``nu`` is included. ``nu = +inf`` gives the
+    total mass and ``-inf`` zero; NaN raises.
     """
     nu = float(nu)
-    out = np.zeros((mu.dim, mu.dim), dtype=np.complex128)
-    for nu_k, w in mu.atoms:
-        if nu_k <= nu:
-            out += w
+    if np.isnan(nu):
+        raise ValueError("cumulative needs a frequency, got nan")
+    out = mu.weights[: np.searchsorted(mu.nus, nu, side="right")].sum(axis=0)
     den = mu.density
     if den is not None and nu > den.nu_min:
         covered = min(nu, den.nu_max) - den.nu_min
@@ -342,16 +341,13 @@ def integrate_pair(
     ``f`` and ``g`` are scalar functions of frequency; the density part uses
     the midpoint rule per bin. With ``f == g`` the result is PSD.
     """
-    out = np.zeros((mu.dim, mu.dim), dtype=np.complex128)
-    for nu_k, w in mu.atoms:
-        out += np.conj(complex(f(nu_k))) * complex(g(nu_k)) * w
-    den = mu.density
+    nus, weights, den = mu.nus, mu.weights, mu.density
     if den is not None:
-        mids = den.midpoints()
-        fv = np.array([complex(f(x)) for x in mids])
-        gv = np.array([complex(g(x)) for x in mids])
-        out += np.einsum("b,bkl->kl", np.conj(fv) * gv, den.values) * den.width
-    return out
+        nus = np.concatenate([nus, den.midpoints()])
+        weights = np.concatenate([weights, den.values * den.width])
+    fv = np.array([complex(f(x)) for x in nus.tolist()], dtype=np.complex128)
+    gv = np.array([complex(g(x)) for x in nus.tolist()], dtype=np.complex128)
+    return np.einsum("b,bkl->kl", np.conj(fv) * gv, weights)
 
 
 def _fft_length(n: int) -> int:
@@ -412,7 +408,7 @@ def covariance_from_spectrum(
         raise ValueError(f"lags must be >= 0, got {lags}")
     taus = np.arange(lags + 1) * dt
     vals = np.zeros((lags + 1, mu.dim, mu.dim), dtype=np.complex128)
-    for nu_k, w in mu.atoms:
+    for nu_k, w in zip(mu.nus.tolist(), mu.weights):
         vals += np.exp(2j * np.pi * nu_k * taus)[:, None, None] * w
     den = mu.density
     if den is not None:
@@ -516,7 +512,7 @@ def _table_blocks(table: CovarianceTable, times: np.ndarray) -> np.ndarray:
     return table.two_sided()[m.astype(np.intp) + top]
 
 
-def _kernel_lookup(cov, times: Sequence[float], tol: float):
+def _kernel_lookup(cov, times: Sequence[float]):
     """Blocks C(t_k - t_j) for all pairs, from a table or a callable."""
     times = [float(t) for t in times]
     if len(times) < 1:
@@ -550,7 +546,7 @@ def check_psd_kernel(cov, times: Sequence[float], tol: float = TOL_PSD) -> Kerne
     """
     if not (np.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and > 0, got {tol}")
-    blocks, n, d = _kernel_lookup(cov, times, tol)
+    blocks, n, d = _kernel_lookup(cov, times)
     gram = blocks.transpose(0, 2, 1, 3).reshape(n * d, n * d)
     scale = max(1.0, float(np.abs(gram).max()))
     if hermitian_defect(gram) > 1e-9 * scale:
@@ -582,16 +578,11 @@ def add_scaled(
         raise DimensionMismatchError(
             f"measure dims differ: {mu1.dim} vs {mu2.dim}"
         )
-    pooled = [(nu, a * w) for nu, w in mu1.atoms] + [(nu, b * w) for nu, w in mu2.atoms]
-    pooled.sort(key=lambda p: p[0])
-    atoms: list[tuple[float, np.ndarray]] = []
-    for nu, w in pooled:
-        if atoms and abs(nu - atoms[-1][0]) <= _ATOM_MERGE_RTOL * max(
-            1.0, abs(nu), abs(atoms[-1][0])
-        ):
-            atoms[-1] = (atoms[-1][0], atoms[-1][1] + w)
-        else:
-            atoms.append((nu, w))
+    nus = np.concatenate([mu1.nus, mu2.nus])
+    order = np.argsort(nus, kind="stable")
+    nus, weights = nus[order], np.concatenate([a * mu1.weights, b * mu2.weights])[order]
+    starts = _merge_starts(nus)
+    atoms = zip(nus[starts].tolist(), np.add.reduceat(weights, starts, axis=0))
 
     d1, d2 = mu1.density, mu2.density
     if d1 is None and d2 is None:
@@ -620,3 +611,23 @@ def add_scaled(
         v2 = np.repeat(d2.values, fine // n2, axis=0)
         density = DensityGrid(d1.nu_min, d1.nu_max, a * v1 + b * v2)
     return OperatorSpectralMeasure(dim=mu1.dim, atoms=tuple(atoms), density=density)
+
+
+def _merge_starts(nus: np.ndarray) -> np.ndarray:
+    """First index of each merge group of the ascending ``nus``: an atom joins
+    the current group if it is within ``_ATOM_MERGE_RTOL`` of the group's
+    first frequency. Gaps that wide between neighbours start groups; each
+    round then starts one at the earliest atom too far from its group's first."""
+
+    def far(first, nu):
+        scale = np.maximum(1.0, np.maximum(np.abs(nu), np.abs(first)))
+        return np.abs(nu - first) > _ATOM_MERGE_RTOL * scale
+
+    start = np.ones(len(nus), dtype=bool)
+    start[1:] = far(nus[:-1], nus[1:])
+    while True:
+        group = np.cumsum(start) - 1
+        late = np.flatnonzero(far(nus[start][group], nus))
+        if not late.size:
+            return np.flatnonzero(start)
+        start[late[np.r_[True, np.diff(group[late]) > 0]]] = True

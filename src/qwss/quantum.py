@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, NotPositiveSemidefiniteError
 from .linalg import as_complex_matrix, hermitian_defect, hermitize, validate_psd
-from .measure import OperatorSpectralMeasure
+from .measure import OperatorSpectralMeasure, _locked
 
 __all__ = [
     "Mode",
@@ -127,6 +127,10 @@ class QuantumModel:
     product. Use ``orthogonalize_environment_ops`` to massage raw operators
     into an admissible family first.
 
+    The modes are stored as write-locked stacks in mode order, ``nus`` ``(K,)``,
+    ``system_ops`` ``(K, dh, dh)`` and ``environment_ops`` ``(K, dk, dk)``,
+    which every model operation reads; ``modes`` holds the ``Mode`` inputs.
+
     The factors are checked as one ``(modes, dk, dk)`` stack: one batched
     trace for the means, one for the second moments (the mode weights), and
     one Gram matmul for every off-diagonal pair. The first failure is
@@ -210,14 +214,16 @@ class QuantumModel:
                 f"modes {i} and {j} are not orthogonal under rho: "
                 f"tr[rho Di^H Dj] = {g:.3e}"
             )
-        weights = [max(w, 0.0) for w in second.real.tolist()]
-        rho = rho.copy()
-        rho.setflags(write=False)
+        weights = np.where(0.0 > second.real, 0.0, second.real)
+        sys_ops = np.array([m.system_op for m in modes], dtype=np.complex128)
         object.__setattr__(self, "dim_system", dh)
         object.__setattr__(self, "dim_environment", dk)
-        object.__setattr__(self, "env_state", rho)
+        object.__setattr__(self, "env_state", _locked(rho))
         object.__setattr__(self, "modes", modes)
-        object.__setattr__(self, "_weights", tuple(weights))
+        object.__setattr__(self, "_weights", tuple(weights.tolist()))
+        object.__setattr__(self, "nus", _locked(np.array(nus, dtype=float)))
+        object.__setattr__(self, "system_ops", _locked(sys_ops.reshape(-1, dh, dh)))
+        object.__setattr__(self, "environment_ops", _locked(d))
 
     @property
     def mode_weights(self) -> tuple[float, ...]:
@@ -230,7 +236,9 @@ class QuantumModel:
             and self.dim_system == other.dim_system
             and self.dim_environment == other.dim_environment
             and np.array_equal(self.env_state, other.env_state)
-            and self.modes == other.modes
+            and np.array_equal(self.nus, other.nus)
+            and np.array_equal(self.system_ops, other.system_ops)
+            and np.array_equal(self.environment_ops, other.environment_ops)
         )
 
 
@@ -270,11 +278,10 @@ def orthogonalize_environment_ops(
 
 def xhat_apply(model: QuantumModel, f: Callable[[float], complex]) -> np.ndarray:
     """Spectral functional calculus: ``sum_k f(nu_k) M_k tensor D_k``."""
+    coeff = np.array([complex(f(nu)) for nu in model.nus.tolist()], dtype=np.complex128)
+    out = np.einsum("k,kab,kcd->acbd", coeff, model.system_ops, model.environment_ops)
     n = model.dim_system * model.dim_environment
-    out = np.zeros((n, n), dtype=np.complex128)
-    for m in model.modes:
-        out += complex(f(m.nu)) * np.kron(m.system_op, m.environment_op)
-    return out
+    return out.reshape(n, n)
 
 
 def process_operator(model: QuantumModel, t: float) -> np.ndarray:
@@ -285,26 +292,17 @@ def process_operator(model: QuantumModel, t: float) -> np.ndarray:
 
 def model_covariance(model: QuantumModel, tau: float) -> np.ndarray:
     """``E[X_t^H X_{t+tau}]``, independent of ``t`` by construction."""
-    tau = float(tau)
-    dh = model.dim_system
-    out = np.zeros((dh, dh), dtype=np.complex128)
-    for m, s in zip(model.modes, model.mode_weights):
-        out += (
-            np.exp(2j * np.pi * m.nu * tau)
-            * s
-            * (m.system_op.conj().T @ m.system_op)
-        )
-    return out
+    phase = np.exp(2j * np.pi * model.nus * float(tau)) * model.mode_weights
+    m = model.system_ops
+    return np.einsum("k,kij->ij", phase, m.conj().swapaxes(-1, -2) @ m)
 
 
 def model_spectral_measure(model: QuantumModel) -> OperatorSpectralMeasure:
     """Purely atomic measure with one atom ``s_k M_k^H M_k`` per mode."""
-    atoms = [
-        (m.nu, hermitize(s * (m.system_op.conj().T @ m.system_op)))
-        for m, s in zip(model.modes, model.mode_weights)
-    ]
-    atoms.sort(key=lambda pair: pair[0])
-    return OperatorSpectralMeasure(dim=model.dim_system, atoms=tuple(atoms))
+    m, s = model.system_ops, np.array(model.mode_weights)[:, None, None]
+    weights = hermitize(s * (m.conj().swapaxes(-1, -2) @ m))
+    atoms = tuple(zip(model.nus.tolist(), weights))
+    return OperatorSpectralMeasure(dim=model.dim_system, atoms=atoms)
 
 
 @dataclass(frozen=True, eq=False)

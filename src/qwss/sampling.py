@@ -121,11 +121,11 @@ def synthesize(
     if n < 1 or (n & (n - 1)) != 0:
         raise ValueError(f"n must be a power of two, got {n}")
     nyquist = 1.0 / (2.0 * dt)
-    for nu_k, _ in mu.atoms:
-        if not abs(nu_k) < nyquist:
-            raise AliasingError(
-                f"atom at nu={nu_k} outside the open band (-{nyquist}, {nyquist})"
-            )
+    outside = mu.nus[~(np.abs(mu.nus) < nyquist)]
+    if outside.size:
+        raise AliasingError(
+            f"atom at nu={outside[0]} outside the open band (-{nyquist}, {nyquist})"
+        )
     den = mu.density
     if den is not None:
         edge = nyquist * (1.0 + _BAND_EDGE_RTOL)
@@ -136,13 +136,13 @@ def synthesize(
             )
     d = mu.dim
     x = np.zeros((n, d), dtype=np.complex128)
-    if mu.atoms:
-        roots = psd_sqrt(np.stack([w for _, w in mu.atoms]))
-        xi = _normals(seed, _ATOM_ROW, len(mu.atoms), d)
+    if len(mu.nus):
+        roots = psd_sqrt(mu.weights)
+        xi = _normals(seed, _ATOM_ROW, len(mu.nus), d)
         amps = (roots @ xi[..., None])[..., 0]
         times = np.arange(n) * dt
         # one (n, d) phasor term per atom keeps memory at the output's size
-        for (nu_k, _), amp in zip(mu.atoms, amps):
+        for nu_k, amp in zip(mu.nus.tolist(), amps):
             x += np.exp(2j * np.pi * nu_k * times)[:, None] * amp
     if den is not None:
         freqs = np.fft.fftfreq(n, d=dt)

@@ -217,7 +217,8 @@ def measure_to_document(mu: OperatorSpectralMeasure) -> dict:
         "kind": "spectral_measure",
         "dim": int(mu.dim),
         "atoms": [
-            {"nu": float(nu), "weight": _enc(w)} for nu, w in mu.atoms
+            {"nu": nu, "weight": w}
+            for nu, w in zip(mu.nus.tolist(), _enc(mu.weights))
         ],
     }
     if mu.density is not None:
@@ -393,12 +394,10 @@ def model_to_document(model: QuantumModel) -> dict:
         "dim_environment": int(model.dim_environment),
         "env_state": _enc(model.env_state),
         "modes": [
-            {
-                "nu": float(m.nu),
-                "system_op": _enc(m.system_op),
-                "environment_op": _enc(m.environment_op),
-            }
-            for m in model.modes
+            {"nu": nu, "system_op": m, "environment_op": d}
+            for nu, m, d in zip(
+                model.nus.tolist(), _enc(model.system_ops), _enc(model.environment_ops)
+            )
         ],
     }
 

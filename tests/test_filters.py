@@ -140,6 +140,15 @@ class TestFilterValidation:
         with pytest.raises(NotPositiveDefiniteError):
             ExpOperator(gamma=np.array([[1.0, 1.0], [0.0, 1.0]]), a=np.eye(2))
 
+    @pytest.mark.parametrize(
+        "gamma, a, name",
+        [([[np.nan]], [[1.0]], "gamma"), ([[np.inf]], [[1.0]], "gamma"),
+         ([[1.0]], [[np.nan]], "a"), ([[1.0, np.nan], [np.nan, 1.0]], np.eye(2), "gamma")],
+    )
+    def test_exp_operator_rejects_non_finite_entries(self, gamma, a, name):
+        with pytest.raises(ValueError, match=f"^{name} holds a non-finite entry$"):
+            ExpOperator(gamma=gamma, a=a)
+
     def test_tabulated_needs_increasing_band(self):
         with pytest.raises(ValueError):
             Tabulated(nu_min=1.0, nu_max=0.0, values=np.ones((1, 1, 1), dtype=complex))
@@ -437,6 +446,21 @@ class TestOuCovariance:
                     want[i, j] = re + 1j * im
             got = ou_covariance(g, s, a, tau)
             assert frob(got - want) < 1e-8
+
+    @pytest.mark.parametrize("dim, lags", [(1, 500), (1, 4096), (3, 500)])
+    def test_array_of_lags_is_bit_identical_to_scalar_calls(self, dim, lags):
+        rng = rng_for(43 + dim)
+        g = random_psd(rng, dim) + np.eye(dim)
+        s = random_psd(rng, dim)
+        a = random_complex_matrix(rng, dim)
+        taus = np.arange(-lags, lags + 1) * 0.013
+        got = ou_covariance(g, s, a, taus)
+        assert got.shape == (len(taus), dim, dim)
+        want = np.stack([ou_covariance(g, s, a, float(t)) for t in taus])
+        assert np.array_equal(got, want)
+        assert ou_covariance(g, s, a, 0.4).shape == (dim, dim)
+        grid = ou_covariance(g, s, a, taus[1:].reshape(-1, 2))
+        assert np.array_equal(grid.reshape(want[1:].shape), want[1:])
 
     def test_adjoint_symmetry_and_psd_at_zero(self):
         rng = rng_for(42)

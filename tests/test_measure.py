@@ -165,6 +165,18 @@ class TestCumulative:
         )
         assert np.allclose(cumulative(mu, 10.0), total_mass(mu), atol=1e-12)
 
+    def test_nan_raises_and_infinities_bound_the_line(self):
+        mu = OperatorSpectralMeasure(
+            dim=2,
+            atoms=((0.1, B2),),
+            density=DensityGrid(-1.0, 1.0, np.broadcast_to(B2, (8, 2, 2)).copy()),
+        )
+        for m in (mu, flat_measure(np.eye(1), band=1.0, bins=4), atom_measure((0.3, B2))):
+            with pytest.raises(ValueError, match="nan"):
+                cumulative(m, np.nan)
+            assert np.array_equal(cumulative(m, np.inf), total_mass(m))
+            assert np.array_equal(cumulative(m, -np.inf), np.zeros((m.dim, m.dim)))
+
     def test_partial_bin_linear(self):
         mu = flat_measure(np.eye(1), band=1.0, bins=4)
         # mass of (-inf, 0.25] over a flat unit density on [-1, 1]
