@@ -42,7 +42,6 @@ command's stdout. A failure leaves no output file and no temp file.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 from collections.abc import Callable
@@ -426,6 +425,8 @@ def _cmd_estimate(args) -> _Result:
 
 
 def _cmd_demo_ou(args) -> _Result:
+    import hashlib  # here, so that importing qwss.cli does not load it
+
     _resolve(args)
     gamma = np.array([[args.gamma]], dtype=np.complex128)
     intensity = np.array([[args.intensity]], dtype=np.complex128)

@@ -52,7 +52,7 @@ from .linalg import (
     solve_lyapunov,
     validate_psd,
 )
-from .measure import DensityGrid, OperatorSpectralMeasure, UniformGrid
+from .measure import DensityGrid, OperatorSpectralMeasure, UniformGrid, _locked
 
 __all__ = [
     "Shift",
@@ -145,11 +145,8 @@ class ExpOperator:
             np.linalg.cholesky(hermitize(g))
         except np.linalg.LinAlgError as exc:
             raise NotPositiveDefiniteError("gamma must be positive definite") from exc
-        g, a = g.copy(), a.copy()
-        g.setflags(write=False)
-        a.setflags(write=False)
-        object.__setattr__(self, "gamma", g)
-        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "gamma", _locked(g))
+        object.__setattr__(self, "a", _locked(a))
 
     @property
     def dim(self) -> int:
@@ -202,8 +199,7 @@ class UnboundedWhiteNoise:
     intensity: np.ndarray
 
     def __post_init__(self):
-        s = validate_psd(self.intensity, name="white noise intensity").copy()
-        s.setflags(write=False)
+        s = _locked(validate_psd(self.intensity, name="white noise intensity"))
         object.__setattr__(self, "intensity", s)
 
     @property

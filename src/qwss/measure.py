@@ -224,10 +224,10 @@ class OperatorSpectralMeasure:
 
 @dataclass(frozen=True, eq=False)
 class CovarianceTable:
-    """One-sided uniform-lag covariance table.
+    """Uniform-lag covariance table, stored two-sided.
 
-    ``values[m]`` is ``C(m*dt)`` for ``m = 0..max_lag_index``; negative lags
-    follow from ``C(-tau) = C(tau)^H``.
+    ``values[m]`` is ``C(m*dt)``, ``m = 0..max_lag_index``: a view of the locked
+    stack ``C(-m*dt) .. C(m*dt)``, built once by ``C(-tau) = C(tau)^H``.
     """
 
     dt: float
@@ -247,8 +247,11 @@ class CovarianceTable:
         validate_psd(v[0], name="C(0)")
         if not np.isfinite(v.view(np.float64)).all():
             raise ValueError("covariance values must be finite")
+        stack = np.concatenate([v[1:][::-1].conj().transpose(0, 2, 1), v], axis=0)
+        stack.setflags(write=False)
         object.__setattr__(self, "dt", dt)
-        object.__setattr__(self, "values", _locked(v))
+        object.__setattr__(self, "values", stack[len(v) - 1 :])
+        object.__setattr__(self, "_two_sided", stack)
 
     @property
     def dim(self) -> int:
@@ -259,21 +262,18 @@ class CovarianceTable:
         return self.values.shape[0] - 1
 
     def at_index(self, m: int) -> np.ndarray:
-        """C(m*dt) for any integer m with |m| <= max_lag_index."""
-        if abs(m) > self.max_lag_index:
-            raise OffGridLagError(
-                f"lag index {m} outside table range +-{self.max_lag_index}"
-            )
-        return self.values[m] if m >= 0 else self.values[-m].conj().T.copy()
+        """C(m*dt) for any integer m with |m| <= max_lag_index, a read-only view."""
+        top = self.max_lag_index
+        if abs(m) > top:
+            raise OffGridLagError(f"lag index {m} outside table range +-{top}")
+        return self._two_sided[m + top]
 
     def lags(self) -> np.ndarray:
         return np.arange(self.values.shape[0]) * self.dt
 
     def two_sided(self) -> np.ndarray:
-        """C(k*dt) for k = -max_lag_index..max_lag_index, via C(-tau) = C(tau)^H."""
-        return np.concatenate(
-            [self.values[1:][::-1].conj().transpose(0, 2, 1), self.values], axis=0
-        )
+        """The stored read-only stack C(k*dt), k = -max_lag_index..max_lag_index."""
+        return self._two_sided
 
     def __eq__(self, other) -> bool:
         return (
@@ -442,7 +442,7 @@ def spectrum_from_covariance(
 ) -> OperatorSpectralMeasure:
     """Lag-window spectral estimate on ``bins`` cells over one Nyquist band.
 
-    Extends the table two-sidedly via ``C(-tau) = C(tau)^H``, tapers with the
+    Reads the table's stored two-sided stack, tapers with the
     chosen lag window (Bartlett default: ``1 - |j|/(m+1)``, whose transform is
     the nonnegative Fejer kernel), and evaluates
 
@@ -470,10 +470,7 @@ def spectrum_from_covariance(
         raise ValueError(f"unknown window {window!r}; choose from {_LAG_WINDOWS}")
     dt = table.dt
     j = np.arange(-m, m + 1)
-    if window == "bartlett":
-        w = 1.0 - np.abs(j) / (m + 1)
-    else:
-        w = np.ones_like(j, dtype=float)
+    w = 1.0 - np.abs(j) / (m + 1) if window == "bartlett" else np.ones(2 * m + 1)
     w = np.where(j % 2, -w, w)  # the (-1)**j of the half-band grid offset
     d = table.dim
     signed = (w[:, None, None] * table.two_sided()).reshape(2 * m + 1, d * d)
@@ -487,53 +484,69 @@ def spectrum_from_covariance(
     return OperatorSpectralMeasure(dim=d, atoms=(), density=density)
 
 
-def _table_blocks(table: CovarianceTable, times: np.ndarray) -> np.ndarray:
-    """Blocks ``C(t_k - t_j)`` for all pairs, gathered from the two-sided table.
-
-    An off-grid or out-of-range lag raises for the first such pair in
-    row-major order.
-    """
-    lags = times[None, :] - times[:, None]
-    ratio = lags / table.dt
-    m = np.rint(ratio)
-    off_grid = ~(np.abs(ratio - m) <= 1e-9 * np.maximum(1.0, np.abs(ratio)))
-    top = table.max_lag_index
-    bad = np.argwhere(off_grid | (np.abs(m) > top))
-    if bad.size:
-        bad = tuple(bad[0])
-        if off_grid[bad]:
-            raise OffGridLagError(
-                f"lag {float(lags[bad])} is not a multiple of dt={table.dt}; "
-                "refusing to interpolate"
-            )
-        raise OffGridLagError(
-            f"lag index {int(m[bad])} outside table range +-{top}"
-        )
-    return table.two_sided()[m.astype(np.intp) + top]
-
-
-def _kernel_lookup(cov, times: Sequence[float]):
-    """Blocks C(t_k - t_j) for all pairs, from a table or a callable."""
-    times = [float(t) for t in times]
+def _kernel_blocks(cov, times: Sequence[float]) -> np.ndarray:
+    """Blocks ``C(t_k - t_j)`` for all pairs, gathered from one stack of lags:
+    a table's two-sided stack (the first off-grid or out-of-range pair in
+    row-major order raises), or a callable's values at each distinct lag by
+    bit pattern, ``cov(0.0)`` first and the rest in order of first appearance."""
+    times = np.array([float(t) for t in times])
     if len(times) < 1:
         raise ValueError("check_psd_kernel needs at least one sample time")
-    n = len(times)
+    lags = times[None, :] - times[:, None]
     if isinstance(cov, CovarianceTable):
-        return _table_blocks(cov, np.array(times)), n, cov.dim
-    if not callable(cov):
-        raise TypeError("cov must be a CovarianceTable or a callable tau -> matrix")
-    d = as_complex_matrix(cov(0.0), name="C(0)").shape[0]
-    blocks = np.empty((n, n, d, d), dtype=np.complex128)
-    for a, ta in enumerate(times):
-        for b, tb in enumerate(times):
-            lag = tb - ta
-            c = as_complex_matrix(cov(lag), name=f"C({lag})")
-            if c.shape != (d, d):
-                raise DimensionMismatchError(
-                    f"C({lag}) has shape {c.shape}, expected ({d}, {d})"
+        ratio = lags / cov.dt
+        m = np.rint(ratio)
+        off_grid = ~(np.abs(ratio - m) <= 1e-9 * np.maximum(1.0, np.abs(ratio)))
+        top = cov.max_lag_index
+        bad = np.argwhere(off_grid | (np.abs(m) > top))
+        if bad.size:
+            bad = tuple(bad[0])
+            if off_grid[bad]:
+                raise OffGridLagError(
+                    f"lag {float(lags[bad])} is not a multiple of dt={cov.dt}; "
+                    "refusing to interpolate"
                 )
-            blocks[a, b] = c
-    return blocks, n, d
+            cov.at_index(int(m[bad]))  # out of range: raises at_index's error
+        stack, rows = cov.two_sided(), m.astype(np.intp) + top
+    elif callable(cov):
+        wanted = np.concatenate([[0.0], lags.ravel()])
+        _, first, rows = np.unique(
+            wanted.view(np.uint64), return_index=True, return_inverse=True
+        )
+        c0 = as_complex_matrix(cov(0.0), name="C(0)")
+        stack = np.empty((len(first), *c0.shape), dtype=np.complex128)
+        stack[0] = c0  # +0.0 has the smallest bit pattern
+        for u in np.argsort(first)[1:]:  # the other lags, by first appearance
+            lag = float(wanted[first[u]])
+            c = as_complex_matrix(cov(lag), name=f"C({lag})")
+            if c.shape != c0.shape:
+                raise DimensionMismatchError(
+                    f"C({lag}) has shape {c.shape}, expected {c0.shape}"
+                )
+            stack[u] = c
+        rows = rows[1:].reshape(lags.shape)
+    else:
+        raise TypeError("cov must be a CovarianceTable or a callable tau -> matrix")
+    return stack[rows]
+
+
+def _block_gram(blocks: np.ndarray) -> tuple[np.ndarray, float]:
+    """Gram matrix of ``(n, n, d, d)`` blocks, ``K[i,j][a,b]`` at ``(i*d+a, j*d+b)``,
+    and its scale ``max(1, max|K|)``; the first block holding NaN or inf raises."""
+    n, _, d, _ = blocks.shape
+    gram = blocks.transpose(0, 2, 1, 3).reshape(n * d, n * d)
+    top = float(np.abs(gram).max())
+    if not np.isfinite(top):  # the maximum is NaN or inf iff an entry is
+        i, j = np.argwhere(~np.isfinite(blocks).all(axis=(2, 3)))[0].tolist()
+        raise NotPositiveSemidefiniteError(
+            f"block kernel holds a non-finite entry in block ({i}, {j})"
+        )
+    return gram, max(1.0, top)
+
+
+def _gram_blocks(gram: np.ndarray, n: int, d: int) -> np.ndarray:
+    """The inverse of ``_block_gram``'s layout, as C-contiguous blocks."""
+    return np.ascontiguousarray(gram.reshape(n, d, n, d).transpose(0, 2, 1, 3))
 
 
 def check_psd_kernel(cov, times: Sequence[float], tol: float = TOL_PSD) -> KernelVerdict:
@@ -541,21 +554,20 @@ def check_psd_kernel(cov, times: Sequence[float], tol: float = TOL_PSD) -> Kerne
 
     ``cov`` is a CovarianceTable (sample times must then fall on its lag grid;
     off-grid lags raise rather than interpolate) or a callable ``tau ->
-    matrix``. Returns a verdict with the minimum eigenvalue of the block Gram
-    matrix as witness. ``tol`` must be finite and > 0.
+    matrix``, called once per distinct lag. Returns a verdict with the minimum
+    eigenvalue of the block Gram matrix as witness. ``tol`` must be finite and > 0.
     """
     if not (np.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and > 0, got {tol}")
-    blocks, n, d = _kernel_lookup(cov, times)
-    gram = blocks.transpose(0, 2, 1, 3).reshape(n * d, n * d)
-    scale = max(1.0, float(np.abs(gram).max()))
+    blocks = _kernel_blocks(cov, times)
+    gram, scale = _block_gram(blocks)
     if hermitian_defect(gram) > 1e-9 * scale:
         raise NotPositiveSemidefiniteError(
             "kernel is not Hermitian-symmetric: C(-tau) != C(tau)^H beyond tolerance"
         )
-    w = np.linalg.eigvalsh(hermitize(gram))
-    lo = float(w.min())
-    return KernelVerdict(passed=bool(lo >= -tol * scale), witness=lo, points=n, dim=d)
+    lo = float(np.linalg.eigvalsh(hermitize(gram)).min())
+    passed, n, d = bool(lo >= -tol * scale), len(blocks), blocks.shape[-1]
+    return KernelVerdict(passed=passed, witness=lo, points=n, dim=d)
 
 
 def add_scaled(

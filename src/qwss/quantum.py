@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, NotPositiveSemidefiniteError
 from .linalg import as_complex_matrix, hermitian_defect, hermitize, validate_psd
-from .measure import OperatorSpectralMeasure, _locked
+from .measure import OperatorSpectralMeasure, _block_gram, _gram_blocks, _locked
 
 __all__ = [
     "Mode",
@@ -94,16 +94,14 @@ class Mode:
     environment_op: np.ndarray
 
     def __post_init__(self):
-        m = as_complex_matrix(self.system_op, name="system_op").copy()
-        d = as_complex_matrix(self.environment_op, name="environment_op").copy()
+        m = _locked(as_complex_matrix(self.system_op, name="system_op"))
+        d = _locked(as_complex_matrix(self.environment_op, name="environment_op"))
         for name, a in (("system_op", m), ("environment_op", d)):
             if not np.isfinite(a).all():
                 raise ValueError(f"{name} holds a non-finite entry")
         nu = float(self.nu)
         if not np.isfinite(nu):
             raise ValueError(f"mode frequency must be finite, got {nu}")
-        m.setflags(write=False)
-        d.setflags(write=False)
         object.__setattr__(self, "nu", nu)
         object.__setattr__(self, "system_op", m)
         object.__setattr__(self, "environment_op", d)
@@ -317,12 +315,11 @@ class KolmogorovFactorization:
     factors: np.ndarray  # (n, rank, d)
 
     def __post_init__(self):
-        f = np.ascontiguousarray(self.factors, dtype=np.complex128).copy()
+        f = _locked(np.asarray(self.factors, dtype=np.complex128))
         if f.ndim != 3 or f.shape[1] != int(self.rank):
             raise DimensionMismatchError(
                 f"factors must have shape (n, rank, d), got {f.shape}"
             )
-        f.setflags(write=False)
         object.__setattr__(self, "rank", int(self.rank))
         object.__setattr__(self, "factors", f)
 
@@ -342,8 +339,7 @@ class KolmogorovFactorization:
         """All reconstructed blocks, shape (n, n, d, d)."""
         n, rank, d = self.factors.shape
         v = self.factors.transpose(1, 0, 2).reshape(rank, n * d)  # [V_0 ... V_n-1]
-        gram = (v.conj().T @ v).reshape(n, d, n, d)
-        return np.ascontiguousarray(gram.transpose(0, 2, 1, 3))
+        return _gram_blocks(v.conj().T @ v, n, d)
 
 
 def kolmogorov_decompose(blocks, tol: float = 1e-9) -> KolmogorovFactorization:
@@ -353,7 +349,7 @@ def kolmogorov_decompose(blocks, tol: float = 1e-9) -> KolmogorovFactorization:
     ``tol`` (witness eigenvalue reported otherwise). Eigenvalues above
     ``tol * lambda_max`` are kept, so the rank is minimal at that threshold
     and the factorization is unique up to a unitary on the rank space.
-    ``tol`` must be finite and > 0.
+    ``tol`` must be finite and > 0; a NaN or inf block raises.
     """
     if not (np.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and > 0, got {tol}")
@@ -363,8 +359,7 @@ def kolmogorov_decompose(blocks, tol: float = 1e-9) -> KolmogorovFactorization:
             f"blocks must have shape (n, n, d, d), got {k.shape}"
         )
     n, _, d, _ = k.shape
-    gram = k.transpose(0, 2, 1, 3).reshape(n * d, n * d)
-    scale = max(1.0, float(np.abs(gram).max()))
+    gram, scale = _block_gram(k)
     if hermitian_defect(gram) > tol * scale:
         raise NotPositiveSemidefiniteError(
             "block kernel is not Hermitian-symmetric: K[j,i] != K[i,j]^H"

@@ -232,9 +232,8 @@ def welch_estimate(
         raise ValueError(
             f"need at least 2 segments, got {count} (n={n}, segment={segment})"
         )
-    starts = np.arange(count) * hop
-    idx = starts[:, None] + np.arange(segment)[None, :]
-    segs = traj.samples[idx]  # (count, segment, dim)
+    windows = np.lib.stride_tricks.sliding_window_view(traj.samples, segment, axis=0)
+    segs = windows[::hop][:count].swapaxes(1, 2)  # (count, segment, dim) view
     spectra = np.fft.fft(w[None, :, None] * segs, axis=1)
     acc = (spectra.transpose(1, 2, 0) @ spectra.transpose(1, 0, 2).conj()) / count
     acc *= traj.dt / float(np.sum(w * w))

@@ -32,7 +32,6 @@ import io
 import json
 import math
 import os
-import secrets
 import struct
 
 import numpy as np
@@ -614,10 +613,8 @@ def _read_rows(text, index_name: str, expected_header) -> tuple[float, np.ndarra
 
 
 def covariance_to_csv(table: CovarianceTable) -> str:
-    d = table.dim
-    taus = np.arange(table.values.shape[0]) * table.dt
-    flat = table.values.reshape(table.values.shape[0], d * d)
-    return _write_rows(["tau"] + _matrix_header(d), taus, flat)
+    flat = table.values.reshape(len(table.values), table.dim**2)
+    return _write_rows(["tau"] + _matrix_header(table.dim), table.lags(), flat)
 
 
 def covariance_from_csv(text) -> CovarianceTable:
@@ -702,7 +699,7 @@ def write_files(files: dict) -> None:
             if os.path.isdir(path):
                 raise IsADirectoryError(errno.EISDIR, "output is a directory", path)
             directory = os.path.dirname(os.path.abspath(path))
-            tmp = os.path.join(directory, f".tmp-{secrets.token_hex(8)}~")
+            tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}~")
             try:
                 fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
             except OSError as exc:  # name the output, not its temp file

@@ -871,6 +871,17 @@ def datadir():
 
 
 class TestConsoleScript:
+    def test_imports_leave_out_secrets_and_hashlib(self):
+        check = (
+            "import sys\n"
+            "for name in ('qwss', 'qwss.cli'):\n"
+            "    __import__(name)\n"
+            "    loaded = [m for m in ('secrets', '_hashlib') if m in sys.modules]\n"
+            "    assert not loaded, (name, loaded)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", check], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
     def test_entry_point_runs(self):
         proc = subprocess.run(
             [sys.executable, "-m", "qwss", "--help"], capture_output=True, text=True

@@ -34,6 +34,7 @@ from qwss import (
 
 from qwss.linalg import hermitize
 from qwss.measure import _fft_length
+from qwss.sampling import _taper
 
 from helpers import frob, random_psd, rel_frob, rng_for
 
@@ -359,7 +360,32 @@ def lag_covariance_batched(traj, lags):
     return CovarianceTable(dt=traj.dt, values=vals)
 
 
+def welch_gathered(traj, segment, overlap, taper):
+    """``welch_estimate`` reading its segments by a fancy-index gather, the
+    copy that the strided window view replaced."""
+    w = _taper(taper, segment)
+    hop = max(1, int(round(segment * (1.0 - overlap))))
+    count = 1 + (traj.n - segment) // hop
+    idx = (np.arange(count) * hop)[:, None] + np.arange(segment)[None, :]
+    spectra = np.fft.fft(w[None, :, None] * traj.samples[idx], axis=1)
+    acc = (spectra.transpose(1, 2, 0) @ spectra.transpose(1, 0, 2).conj()) / count
+    acc *= traj.dt / float(np.sum(w * w))
+    return nearest_psd(np.fft.fftshift(acc, axes=0))
+
+
 class TestWelchEstimate:
+    @pytest.mark.parametrize("taper", ["hann", "bartlett", "boxcar"])
+    @pytest.mark.parametrize("overlap", [0.0, 0.5, 0.9])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n, segment", [(301, 16), (67, 4)])
+    def test_window_view_matches_the_gather(self, n, segment, dim, overlap, taper):
+        rng = rng_for(n + 10 * dim)
+        x = rng.standard_normal((n, dim)) + 1j * rng.standard_normal((n, dim))
+        tr = Trajectory(dt=0.1, samples=x)
+        got = welch_estimate(tr, segment=segment, overlap=overlap, taper=taper)
+        want = welch_gathered(tr, segment, overlap, taper)
+        assert got.density.values.tobytes() == want.tobytes()
+
     def test_zero_trajectory_gives_zero_density(self):
         tr = Trajectory(dt=0.1, samples=np.zeros((128, 2)))
         est = welch_estimate(tr, segment=32)
