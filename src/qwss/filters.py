@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 
@@ -72,34 +72,64 @@ __all__ = [
 ]
 
 
+class FilterSpec:
+    """Base of the filter variants. Each declares ``_psi(nus)``, its
+    characteristic at the frequencies ``nus`` as an ``(n, d, d)`` stack, and
+    whether ``psi`` is ``bounded`` and ``decays`` (is square-integrable) on the
+    whole line; ``covers(lo, hi)`` says whether ``psi`` is defined on
+    ``[lo, hi]``. ``Composition`` derives all three from its two factors.
+    """
+
+    bounded = True
+    decays = False
+
+    def covers(self, lo: float, hi: float) -> bool:
+        return True
+
+
+def _set_dim(filt: FilterSpec) -> None:
+    if int(filt.dim) < 1:
+        raise ValueError("dim must be >= 1")
+    object.__setattr__(filt, "dim", int(filt.dim))
+
+
+def _scalar(h: np.ndarray, d: int) -> np.ndarray:
+    return h[:, None, None] * np.eye(d, dtype=np.complex128)
+
+
 @dataclass(frozen=True)
-class Shift:
-    """Time shift ``x_t -> x_{t+s}``."""
+class Shift(FilterSpec):
+    """Time shift ``x_t -> x_{t+s}``; ``s`` must be finite."""
 
     dim: int
     s: float
 
     def __post_init__(self):
-        if int(self.dim) < 1:
-            raise ValueError("dim must be >= 1")
-        object.__setattr__(self, "dim", int(self.dim))
+        _set_dim(self)
+        if not math.isfinite(float(self.s)):
+            raise ValueError(f"shift s must be finite, got {self.s}")
         object.__setattr__(self, "s", float(self.s))
+
+    def _psi(self, nus):
+        return _scalar(np.exp(2j * np.pi * self.s * nus), self.dim)
 
 
 @dataclass(frozen=True)
-class Derivative:
+class Derivative(FilterSpec):
     """Time derivative ``x_t -> dx_t/dt``."""
 
     dim: int
+    bounded = False
 
     def __post_init__(self):
-        if int(self.dim) < 1:
-            raise ValueError("dim must be >= 1")
-        object.__setattr__(self, "dim", int(self.dim))
+        _set_dim(self)
+
+    def _psi(self, nus):
+        return _scalar(2j * np.pi * nus, self.dim)
 
 
 @dataclass(frozen=True)
-class ScalarConvolution:
+class ScalarConvolution(FilterSpec):
     """Convolution with a scalar kernel given by its transfer function.
 
     ``hhat`` must be a bounded scalar function of frequency; boundedness is
@@ -111,15 +141,17 @@ class ScalarConvolution:
     hhat: Callable[[float], complex]
 
     def __post_init__(self):
-        if int(self.dim) < 1:
-            raise ValueError("dim must be >= 1")
+        _set_dim(self)
         if not callable(self.hhat):
             raise TypeError("hhat must be callable")
-        object.__setattr__(self, "dim", int(self.dim))
+
+    def _psi(self, nus):
+        h = np.array([complex(self.hhat(x)) for x in nus.tolist()], dtype=np.complex128)
+        return _scalar(h, self.dim)
 
 
 @dataclass(frozen=True, eq=False)
-class ExpOperator:
+class ExpOperator(FilterSpec):
     """Convolution with the decaying matrix kernel ``exp(-gamma t) a``.
 
     ``gamma`` must be Hermitian positive definite; ``a`` is arbitrary of the
@@ -128,6 +160,7 @@ class ExpOperator:
 
     gamma: np.ndarray
     a: np.ndarray
+    decays = True
 
     def __post_init__(self):
         g = as_complex_matrix(self.gamma, name="gamma")
@@ -159,33 +192,60 @@ class ExpOperator:
             and np.array_equal(self.a, other.a)
         )
 
+    def _psi(self, nus):
+        return resolvent(self.gamma, nus) @ self.a
 
-class Tabulated(UniformGrid):
-    """Characteristic function constant per bin on a uniform grid."""
+
+class Tabulated(UniformGrid, FilterSpec):
+    """Finite characteristic constant per bin on a uniform grid, undefined off it."""
+
+    bounded = False
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not np.isfinite(self.values).all():
+            raise ValueError("tabulated values hold a non-finite entry")
 
     def covers(self, lo: float, hi: float) -> bool:
         return self.nu_min <= lo and hi <= self.nu_max
 
+    def _psi(self, nus):
+        j = self.bin_indices(nus)
+        outside = np.flatnonzero(j < 0)
+        if outside.size:
+            raise FilterDomainError(
+                f"nu={float(nus[outside[0]])} outside tabulated grid "
+                f"[{self.nu_min}, {self.nu_max}]"
+            )
+        return self.values[j]
+
 
 @dataclass(frozen=True)
-class Composition:
+class Composition(FilterSpec):
     """Apply ``first``, then ``second``; characteristic is their product."""
 
-    first: "FilterSpec"
-    second: "FilterSpec"
+    first: FilterSpec
+    second: FilterSpec
 
     def __post_init__(self):
         if self.first.dim != self.second.dim:
             raise DimensionMismatchError(
                 f"composed filter dims differ: {self.first.dim} vs {self.second.dim}"
             )
+        bounded = self.first.bounded and self.second.bounded
+        decays = bounded and (self.first.decays or self.second.decays)
+        object.__setattr__(self, "bounded", bounded)
+        object.__setattr__(self, "decays", decays)
 
     @property
     def dim(self) -> int:
         return self.first.dim
 
+    def covers(self, lo: float, hi: float) -> bool:
+        return self.first.covers(lo, hi) and self.second.covers(lo, hi)
 
-FilterSpec = Union[Shift, Derivative, ScalarConvolution, ExpOperator, Tabulated, Composition]
+    def _psi(self, nus):
+        return self.first._psi(nus) @ self.second._psi(nus)
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,36 +267,9 @@ class UnboundedWhiteNoise:
         return self.intensity.shape[0]
 
 
-def _characteristic(filt: FilterSpec, nus: np.ndarray) -> np.ndarray:
-    """``psi`` at each frequency of the 1-d array ``nus``: shape ``(n, d, d)``."""
-    d = filt.dim
-    eye = np.eye(d, dtype=np.complex128)
-    if isinstance(filt, Shift):
-        return np.exp(2j * np.pi * filt.s * nus)[:, None, None] * eye
-    if isinstance(filt, Derivative):
-        return (2j * np.pi * nus)[:, None, None] * eye
-    if isinstance(filt, ScalarConvolution):
-        h = np.array([complex(filt.hhat(x)) for x in nus.tolist()], dtype=np.complex128)
-        return h[:, None, None] * eye
-    if isinstance(filt, ExpOperator):
-        return resolvent(filt.gamma, nus) @ filt.a
-    if isinstance(filt, Tabulated):
-        j = filt.bin_indices(nus)
-        outside = np.flatnonzero(j < 0)
-        if outside.size:
-            raise FilterDomainError(
-                f"nu={float(nus[outside[0]])} outside tabulated grid "
-                f"[{filt.nu_min}, {filt.nu_max}]"
-            )
-        return filt.values[j]
-    if isinstance(filt, Composition):
-        return _characteristic(filt.first, nus) @ _characteristic(filt.second, nus)
-    raise TypeError(f"unknown filter variant {type(filt).__name__}")
-
-
 def eval_characteristic(filt: FilterSpec, nu: float) -> np.ndarray:
     """Characteristic function ``psi(nu)`` of a filter as a dense matrix."""
-    return _characteristic(filt, np.array([float(nu)]))[0]
+    return filt._psi(np.array([float(nu)]))[0]
 
 
 def apply_filter(
@@ -269,7 +302,7 @@ def apply_filter(
     if den is not None:
         nus = np.concatenate([nus, den.midpoints()])
         weights = np.concatenate([weights, den.values])
-    psi = _characteristic(filt, nus)
+    psi = filt._psi(nus)
     out = hermitize(psi.conj().swapaxes(-1, -2) @ weights @ psi)
     density = None
     if den is not None:
@@ -278,42 +311,15 @@ def apply_filter(
     return OperatorSpectralMeasure(dim=mu.dim, atoms=atoms, density=density)
 
 
-def _factors(filt: FilterSpec) -> list[FilterSpec]:
-    if isinstance(filt, Composition):
-        return _factors(filt.first) + _factors(filt.second)
-    return [filt]
-
-
-def _bounded_on_line(filt: FilterSpec) -> bool:
-    if isinstance(filt, Derivative):
-        return False
-    if isinstance(filt, Composition):
-        return all(_bounded_on_line(f) for f in _factors(filt))
-    if isinstance(filt, Tabulated):
-        return False  # undefined outside its grid
-    return True
-
-
-def _square_integrable(filt: FilterSpec) -> bool:
-    if isinstance(filt, ExpOperator):
-        return True
-    if isinstance(filt, Composition):
-        fs = _factors(filt)
-        return all(_bounded_on_line(f) for f in fs) and any(
-            _square_integrable(f) for f in fs
-        )
-    return False
-
-
 def in_domain(mu, filt: FilterSpec) -> bool:
     """Whether ``integral psi^H dS psi`` converges, i.e. the filter may act.
 
     For finite-mass measures this only requires that psi is defined on the
-    support (an issue only for Tabulated grids). For the unbounded
-    white-noise marker the decision is per variant: square-integrable
-    characteristics qualify (ExpOperator, and compositions of bounded filters
-    containing one); bounded-but-not-decaying (Shift, ScalarConvolution) and
-    unbounded (Derivative) ones do not.
+    support (``filt.covers``; an issue only for Tabulated grids). For the
+    unbounded white-noise marker psi must decay (``filt.decays``):
+    ExpOperator and compositions of bounded filters containing one qualify;
+    bounded-but-not-decaying (Shift, ScalarConvolution) and unbounded
+    (Derivative) ones do not.
     """
     if not isinstance(mu, (OperatorSpectralMeasure, UnboundedWhiteNoise)):
         raise TypeError("mu must be an OperatorSpectralMeasure or UnboundedWhiteNoise")
@@ -322,10 +328,9 @@ def in_domain(mu, filt: FilterSpec) -> bool:
             f"measure dim {mu.dim} does not match filter dim {filt.dim}"
         )
     if isinstance(mu, UnboundedWhiteNoise):
-        return _square_integrable(filt)
+        return filt.decays
     bounds = mu.support_bounds()
-    tables = [f for f in _factors(filt) if isinstance(f, Tabulated)]
-    return bounds is None or all(f.covers(*bounds) for f in tables)
+    return bounds is None or filt.covers(*bounds)
 
 
 def compose(l1: FilterSpec, l2: FilterSpec) -> FilterSpec:

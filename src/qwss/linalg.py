@@ -157,18 +157,18 @@ def _psd_failure(a: np.ndarray, w: np.ndarray, tol: float, herm_tol: float):
 
 
 def is_psd(m, tol: float = TOL_PSD, herm_tol: float | None = None) -> bool:
-    """True iff ``m`` is Hermitian and has no eigenvalue below ``-tol``.
+    """True iff the matrix ``m`` passes ``validate_psd``: finite, Hermitian and
+    no eigenvalue below ``-tol``.
 
     ``tol`` bounds both the Hermitian defect and the eigenvalue floor unless a
     separate ``herm_tol`` is given. Tolerances scale with the matrix magnitude
     above unit scale.
     """
-    a = as_complex_matrix(m)
-    s = float(_scale(a))
-    if hermitian_defect(a) > (tol if herm_tol is None else herm_tol) * s:
+    try:
+        validate_psd(as_complex_matrix(m), tol, tol if herm_tol is None else herm_tol)
+    except NotPositiveSemidefiniteError:
         return False
-    w = np.linalg.eigvalsh(hermitize(a))
-    return bool(w.min(initial=0.0) >= -tol * s)
+    return True
 
 
 def validate_psd(

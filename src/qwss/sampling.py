@@ -90,6 +90,7 @@ class Trajectory:
 
 
 _ATOM_ROW = 1 << 64
+_SYNTH_BLOCK = 4096  # hit rows per (rows, d, d) gather of roots; bounds the peak
 
 
 def _normals(seed: int, first: int, count: int, dim: int) -> np.ndarray:
@@ -149,9 +150,11 @@ def synthesize(
         bins = den.bin_indices(freqs)
         hit = np.flatnonzero(bins >= 0)
         roots = np.sqrt(1.0 / (n * dt)) * psd_sqrt(den.values)
-        xi = _normals(seed, 0, n, d)[hit]
+        xi = _normals(seed, 0, n, d)
         coeff = np.zeros((n, d), dtype=np.complex128)
-        coeff[hit] = (roots[bins[hit]] @ xi[..., None])[..., 0]
+        for lo in range(0, len(hit), _SYNTH_BLOCK):
+            rows = hit[lo : lo + _SYNTH_BLOCK]
+            coeff[rows] = (roots[bins[rows]] @ xi[rows, :, None])[..., 0]
         x += n * np.fft.ifft(coeff, axis=0)
     return Trajectory(dt=dt, samples=x, seed=int(seed))
 

@@ -33,6 +33,7 @@ import json
 import math
 import os
 import struct
+from dataclasses import fields
 
 import numpy as np
 
@@ -281,53 +282,37 @@ def deserialize_measure(data) -> OperatorSpectralMeasure:
 # --- filters ----------------------------------------------------------------
 
 
+_FILTERS = {
+    "shift": Shift,
+    "derivative": Derivative,
+    "exp_operator": ExpOperator,
+    "tabulated": Tabulated,
+    "composition": Composition,
+}
+# a filter document holds its variant's dataclass fields, in field order
+_FILTER_KEYS = {v: tuple(f.name for f in fields(c)) for v, c in _FILTERS.items()}
+
+
+def _field_to_json(value):
+    if isinstance(value, np.ndarray):
+        return _enc(value)
+    if isinstance(value, FilterSpec):
+        return filter_to_document(value)
+    return value  # dim (int) and frequencies (float), normalized on construction
+
+
 def filter_to_document(filt: FilterSpec) -> dict:
-    if isinstance(filt, Shift):
-        return {
-            "kind": "filter",
-            "variant": "shift",
-            "dim": int(filt.dim),
-            "s": float(filt.s),
-        }
-    if isinstance(filt, Derivative):
-        return {"kind": "filter", "variant": "derivative", "dim": int(filt.dim)}
-    if isinstance(filt, ExpOperator):
-        return {
-            "kind": "filter",
-            "variant": "exp_operator",
-            "gamma": _enc(filt.gamma),
-            "a": _enc(filt.a),
-        }
-    if isinstance(filt, Tabulated):
-        return {
-            "kind": "filter",
-            "variant": "tabulated",
-            "nu_min": float(filt.nu_min),
-            "nu_max": float(filt.nu_max),
-            "values": _enc(filt.values),
-        }
-    if isinstance(filt, Composition):
-        return {
-            "kind": "filter",
-            "variant": "composition",
-            "first": filter_to_document(filt.first),
-            "second": filter_to_document(filt.second),
-        }
     if isinstance(filt, ScalarConvolution):
         raise SchemaError(
             "scalar convolution filters hold an arbitrary callable "
             "and cannot be serialized; tabulate the response instead"
         )
+    for variant, cls in _FILTERS.items():
+        if isinstance(filt, cls):
+            keys = _FILTER_KEYS[variant]
+            doc = {"kind": "filter", "variant": variant}
+            return doc | {key: _field_to_json(getattr(filt, key)) for key in keys}
     raise SchemaError(f"not a filter: {type(filt).__name__}")
-
-
-_FILTER_KEYS = {
-    "shift": (("dim", "s"), ()),
-    "derivative": (("dim",), ()),
-    "exp_operator": (("gamma", "a"), ()),
-    "tabulated": (("nu_min", "nu_max", "values"), ()),
-    "composition": (("first", "second"), ()),
-}
 
 
 def filter_from_document(doc: dict, loc: str | None = None) -> FilterSpec:
@@ -340,8 +325,7 @@ def filter_from_document(doc: dict, loc: str | None = None) -> FilterSpec:
         raise SchemaError(
             f"unknown filter variant {variant!r}", location=f"{prefix}variant"
         )
-    required, optional = _FILTER_KEYS[variant]
-    _check_keys(doc, ("kind", "variant") + required, optional, loc)
+    _check_keys(doc, ("kind", "variant") + _FILTER_KEYS[variant], (), loc)
     _check_kind(doc, "filter")
     if variant == "shift":
         return Shift(

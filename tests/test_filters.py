@@ -149,6 +149,24 @@ class TestFilterValidation:
         with pytest.raises(ValueError, match=f"^{name} holds a non-finite entry$"):
             ExpOperator(gamma=gamma, a=a)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_tabulated_rejects_non_finite_values(self, bad):
+        vals = np.ones((2, 2, 2), dtype=complex)
+        vals[1, 0, 1] = complex(0.0, bad)
+        with pytest.raises(ValueError, match="^tabulated values hold a non-finite entry$"):
+            Tabulated(nu_min=-1.0, nu_max=1.0, values=vals)
+        with pytest.raises(ValueError, match="non-finite"):
+            Tabulated(-1, 1, [[[bad]]])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_shift_rejects_non_finite_s(self, bad):
+        with pytest.raises(ValueError, match="^shift s must be finite"):
+            Shift(dim=1, s=bad)
+
+    def test_shift_compose_overflow_is_refused(self):
+        with pytest.raises(ValueError, match="^shift s must be finite"):
+            compose(Shift(dim=1, s=1e308), Shift(dim=1, s=1e308))
+
     def test_tabulated_needs_increasing_band(self):
         with pytest.raises(ValueError):
             Tabulated(nu_min=1.0, nu_max=0.0, values=np.ones((1, 1, 1), dtype=complex))

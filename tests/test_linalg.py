@@ -115,6 +115,58 @@ class TestPsd:
             assert exc.value.index == (1,)
 
 
+def is_psd_eigen(m, tol=linalg.TOL_PSD, herm_tol=None):
+    """``is_psd`` as its own eigenvalue route, the code that the boolean form
+    of ``validate_psd`` replaced (it passed matrices holding inf)."""
+    a = linalg.as_complex_matrix(m)
+    s = float(linalg._scale(a))
+    if hermitian_defect(a) > (tol if herm_tol is None else herm_tol) * s:
+        return False
+    w = np.linalg.eigvalsh(hermitize(a))
+    return bool(w.min(initial=0.0) >= -tol * s)
+
+
+def near_boundary(rng, d, tol):
+    """A Hermitian matrix whose lowest eigenvalue is within 10% of ``-tol*s``,
+    sometimes with a Hermitian defect near ``tol*s``."""
+    q, _ = np.linalg.qr(random_complex_matrix(rng, d))
+    w = rng.uniform(0.0, 3.0, d)
+    w[0] = 0.0
+    s = max(1.0, float(np.abs((q * w) @ q.conj().T).max()))
+    w[0] = -tol * s * rng.uniform(0.9, 1.1)
+    m = (q * w) @ q.conj().T
+    if rng.random() < 0.3:
+        m[0, -1] += tol * s * rng.uniform(0.0, 2.0)
+    return m
+
+
+class TestIsPsdIsValidatePsd:
+    @pytest.mark.parametrize(
+        "m", [[[np.inf]], [[np.nan]], [[1.0, np.nan], [np.nan, 1.0]]]
+    )
+    def test_non_finite_is_not_psd(self, m):
+        with np.errstate(invalid="ignore"):
+            assert is_psd(m) is False
+            assert is_psd(m, tol=1e-3, herm_tol=1e-3) is False
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-6, 1e-13])
+    def test_agrees_with_eigenvalue_route_near_boundary(self, tol):
+        rng = rng_for(int(-np.log10(tol)))
+        verdicts = []
+        for k in range(600):
+            m = near_boundary(rng, 1 + k % 6, tol)
+            verdicts.append(is_psd(m, tol=tol))
+            assert verdicts[-1] is is_psd_eigen(m, tol=tol), k
+        assert 100 < sum(verdicts) < 500  # both sides of the boundary are seen
+
+    def test_agrees_with_separate_hermitian_tolerance(self):
+        rng = rng_for(11)
+        for k in range(300):
+            m = near_boundary(rng, 1 + k % 6, 1e-9)
+            for herm_tol in (1e-12, 1e-6):
+                assert is_psd(m, 1e-9, herm_tol) is is_psd_eigen(m, 1e-9, herm_tol), k
+
+
 class TestMatrixExp:
     def test_inverse_pair(self):
         a = random_hermitian(rng_for(6), 3)

@@ -709,8 +709,8 @@ def ref_filter_from_document(doc, loc=None):
         raise SchemaError(
             f"unknown filter variant {variant!r}", location=f"{prefix}variant"
         )
-    required, optional = ser._FILTER_KEYS[variant]
-    ser._check_keys(doc, ("kind", "variant") + required, optional, loc)
+    required = ser._FILTER_KEYS[variant]
+    ser._check_keys(doc, ("kind", "variant") + required, (), loc)
     ser._check_kind(doc, "filter")
     if variant == "shift":
         return Shift(
