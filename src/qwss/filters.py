@@ -134,7 +134,8 @@ class ScalarConvolution(FilterSpec):
 
     ``hhat`` must be a bounded scalar function of frequency; boundedness is
     the caller's responsibility and is what the domain classification
-    assumes.
+    assumes. A NaN or inf value raises ``FilterDomainError`` where it is
+    evaluated, naming the frequency.
     """
 
     dim: int
@@ -147,6 +148,10 @@ class ScalarConvolution(FilterSpec):
 
     def _psi(self, nus):
         h = np.array([complex(self.hhat(x)) for x in nus.tolist()], dtype=np.complex128)
+        bad = np.flatnonzero(~np.isfinite(h))
+        if bad.size:
+            nu, value = float(nus[bad[0]]), complex(h[bad[0]])
+            raise FilterDomainError(f"ScalarConvolution hhat({nu}) = {value} is not finite")
         return _scalar(h, self.dim)
 
 
@@ -234,12 +239,9 @@ class Composition(FilterSpec):
             )
         bounded = self.first.bounded and self.second.bounded
         decays = bounded and (self.first.decays or self.second.decays)
+        object.__setattr__(self, "dim", self.first.dim)
         object.__setattr__(self, "bounded", bounded)
         object.__setattr__(self, "decays", decays)
-
-    @property
-    def dim(self) -> int:
-        return self.first.dim
 
     def covers(self, lo: float, hi: float) -> bool:
         return self.first.covers(lo, hi) and self.second.covers(lo, hi)
@@ -281,7 +283,7 @@ def apply_filter(
     Atoms and bins form one stack, evaluated and transformed together. The
     output is validated once, by ``DensityGrid`` and
     ``OperatorSpectralMeasure`` at ``TOL_PSD``, the tolerance the input
-    passed; a failure (such as a non-finite characteristic) names
+    passed; a failure (such as a congruence that overflows) names
     ``density bin j`` or ``atom i weight``.
     """
     if isinstance(mu, UnboundedWhiteNoise):
@@ -307,8 +309,7 @@ def apply_filter(
     density = None
     if den is not None:
         density = DensityGrid(den.nu_min, den.nu_max, out[k:])
-    atoms = tuple(zip(mu.nus.tolist(), out[:k]))
-    return OperatorSpectralMeasure(dim=mu.dim, atoms=atoms, density=density)
+    return OperatorSpectralMeasure(dim=mu.dim, atoms=zip(mu.nus, out[:k]), density=density)
 
 
 def in_domain(mu, filt: FilterSpec) -> bool:

@@ -56,7 +56,6 @@ __all__ = [
     "validate_psd",
     "nearest_psd",
     "psd_sqrt",
-    "matrix_exp",
     "resolvent",
     "solve_lyapunov",
 ]
@@ -259,14 +258,6 @@ def psd_sqrt(m, tol: float = TOL_PSD) -> np.ndarray:
         )
     w = np.sqrt(np.clip(w, 0.0, None))
     return hermitize((u * w[..., None, :]) @ _adjoint(u))
-
-
-def matrix_exp(m) -> np.ndarray:
-    """Matrix exponential (scaling-and-squaring via scipy)."""
-    # imported here so that importing qwss does not pay for scipy
-    import scipy.linalg
-
-    return np.asarray(scipy.linalg.expm(as_complex_matrix(m)), dtype=np.complex128)
 
 
 def resolvent(gamma, nu) -> np.ndarray:

@@ -115,7 +115,7 @@ class Mode:
         )
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class QuantumModel:
     """Finite-harmonic stationary process with validated mode structure.
 
@@ -125,9 +125,10 @@ class QuantumModel:
     product. Use ``orthogonalize_environment_ops`` to massage raw operators
     into an admissible family first.
 
-    The modes are stored as write-locked stacks in mode order, ``nus`` ``(K,)``,
-    ``system_ops`` ``(K, dh, dh)`` and ``environment_ops`` ``(K, dk, dk)``,
-    which every model operation reads; ``modes`` holds the ``Mode`` inputs.
+    The modes are stored once, as write-locked stacks in mode order: ``nus``
+    ``(K,)``, ``system_ops`` ``(K, dh, dh)`` and ``environment_ops``
+    ``(K, dk, dk)``, which every model operation reads. The ``modes``
+    property rebuilds the ``Mode`` objects from them on access.
 
     The factors are checked as one ``(modes, dk, dk)`` stack: one batched
     trace for the means, one for the second moments (the mode weights), and
@@ -138,13 +139,16 @@ class QuantumModel:
     dim_system: int
     dim_environment: int
     env_state: np.ndarray
-    modes: tuple[Mode, ...]
+    nus: np.ndarray
+    system_ops: np.ndarray
+    environment_ops: np.ndarray
+    mode_weights: tuple[float, ...]  # s_k = tr[rho D_k^H D_k] per mode
 
-    def __post_init__(self):
-        dh, dk = int(self.dim_system), int(self.dim_environment)
+    def __init__(self, dim_system: int, dim_environment: int, env_state, modes):
+        dh, dk = int(dim_system), int(dim_environment)
         if dh < 1 or dk < 1:
             raise ValueError("dimensions must be >= 1")
-        rho = validate_psd(self.env_state, name="environment state")
+        rho = validate_psd(env_state, name="environment state")
         if rho.shape != (dk, dk):
             raise DimensionMismatchError(
                 f"environment state shape {rho.shape} != ({dk}, {dk})"
@@ -152,7 +156,7 @@ class QuantumModel:
         tr = float(np.trace(rho).real)
         if abs(tr - 1.0) > 1e-9:
             raise ValueError(f"environment state must have unit trace, got {tr}")
-        modes = tuple(self.modes)
+        modes = tuple(modes)
         nus = [m.nu for m in modes]
         if len(set(nus)) != len(nus):
             raise ValueError("mode frequencies must be pairwise distinct")
@@ -217,16 +221,15 @@ class QuantumModel:
         object.__setattr__(self, "dim_system", dh)
         object.__setattr__(self, "dim_environment", dk)
         object.__setattr__(self, "env_state", _locked(rho))
-        object.__setattr__(self, "modes", modes)
-        object.__setattr__(self, "_weights", tuple(weights.tolist()))
         object.__setattr__(self, "nus", _locked(np.array(nus, dtype=float)))
         object.__setattr__(self, "system_ops", _locked(sys_ops.reshape(-1, dh, dh)))
         object.__setattr__(self, "environment_ops", _locked(d))
+        object.__setattr__(self, "mode_weights", tuple(weights.tolist()))
 
     @property
-    def mode_weights(self) -> tuple[float, ...]:
-        """``s_k = tr[rho D_k^H D_k]`` per mode."""
-        return self._weights
+    def modes(self) -> tuple[Mode, ...]:
+        """The ``Mode`` of each harmonic, rebuilt from the stacks on access."""
+        return tuple(map(Mode, self.nus.tolist(), self.system_ops, self.environment_ops))
 
     def __eq__(self, other) -> bool:
         return (
@@ -299,8 +302,7 @@ def model_spectral_measure(model: QuantumModel) -> OperatorSpectralMeasure:
     """Purely atomic measure with one atom ``s_k M_k^H M_k`` per mode."""
     m, s = model.system_ops, np.array(model.mode_weights)[:, None, None]
     weights = hermitize(s * (m.conj().swapaxes(-1, -2) @ m))
-    atoms = tuple(zip(model.nus.tolist(), weights))
-    return OperatorSpectralMeasure(dim=model.dim_system, atoms=atoms)
+    return OperatorSpectralMeasure(dim=model.dim_system, atoms=zip(model.nus, weights))
 
 
 @dataclass(frozen=True, eq=False)

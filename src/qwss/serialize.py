@@ -267,7 +267,7 @@ def measure_from_document(doc: dict) -> OperatorSpectralMeasure:
         )
     return _located(
         lambda i: f"atoms[{i}].weight",
-        lambda: OperatorSpectralMeasure(dim=dim, atoms=tuple(atoms), density=density),
+        lambda: OperatorSpectralMeasure(dim=dim, atoms=atoms, density=density),
     )
 
 
@@ -410,9 +410,7 @@ def model_from_document(doc: dict) -> QuantumModel:
                 ),
             )
         )
-    return QuantumModel(
-        dim_system=dh, dim_environment=dk, env_state=rho, modes=tuple(modes)
-    )
+    return QuantumModel(dim_system=dh, dim_environment=dk, env_state=rho, modes=modes)
 
 
 def serialize_model(model: QuantumModel) -> bytes:

@@ -36,6 +36,14 @@ def random_density_matrix(rng, d: int) -> np.ndarray:
     return rho / np.trace(rho).real
 
 
+def outcome(f, *args, **kwargs):
+    """``("ok", f(*args, **kwargs))``, or the type and message of what it raised."""
+    try:
+        return "ok", f(*args, **kwargs)
+    except Exception as e:  # the outcome is compared, whatever it is
+        return type(e), str(e)
+
+
 def frob(m) -> float:
     return float(np.linalg.norm(np.asarray(m)))
 

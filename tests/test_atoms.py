@@ -21,11 +21,15 @@ atoms on), and ``integrate_pair`` sums atoms and bins as one stack, so those
 agree with their loops to 1e-13 relative.
 """
 
+import gc
 import pathlib
 import sys
+import weakref
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qwss import (
     DensityGrid,
@@ -46,9 +50,11 @@ from qwss import (
     xhat_apply,
 )
 from qwss.cli import main
-from qwss.linalg import hermitize
+from qwss.errors import DimensionMismatchError, QwssError
+from qwss.linalg import hermitize, validate_psd
 
 from helpers import (
+    outcome,
     random_complex_matrix,
     random_density_matrix,
     random_hpd,
@@ -244,6 +250,134 @@ class TestStacks:
         for arr in (model.nus, model.system_ops, model.environment_ops):
             with pytest.raises(ValueError):
                 arr[0] = 0.0
+
+
+def pairs_reference(dim, atoms):
+    """The measure constructor before ``atoms`` became a derived view: a
+    per-pair walk that converts and checks each entry, then stacks the
+    weights, checks them PSD, sorts and looks for ties. Returns the ``nus``
+    and ``weights`` stacks or raises the first failure."""
+    d = int(dim)
+    nus, weights = [], []
+    for i, (nu, w) in enumerate(atoms):
+        nu = float(nu)
+        if not np.isfinite(nu):
+            raise ValueError(f"atom {i} has non-finite frequency {nu}")
+        w = np.asarray(w, dtype=np.complex128)
+        if w.shape != (d, d):
+            raise DimensionMismatchError(
+                f"atom {i} weight has shape {w.shape}, expected ({d}, {d})"
+            )
+        nus.append(nu)
+        weights.append(w)
+    stack = np.array(weights, dtype=np.complex128).reshape(-1, d, d)
+    if len(stack):
+        validate_psd(stack, name=lambda i: f"atom {i} weight")
+    order = np.argsort(nus, kind="stable")
+    nus, stack = np.array(nus)[order], stack[order]
+    tied = nus[1:][nus[1:] == nus[:-1]]
+    if tied.size:
+        raise ValueError(f"atom frequencies must be distinct, got {tied[0]} twice")
+    return nus, stack
+
+
+MUTANTS = [
+    None, "non-finite", "non-finite-and-misshapen", "misshapen", "ragged", "nested",
+    "nu-type", "non-psd", "duplicate", "triple", "scalar",
+]
+
+
+class TestPairsReference:
+    """The constructor against ``pairs_reference`` on valid and mutated pair
+    lists: the same exception type (and message, for qwss's own errors), or
+    bit-identical stacks."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        dim=st.integers(min_value=1, max_value=4),
+        count=st.integers(min_value=0, max_value=40),
+        mutant=st.sampled_from(MUTANTS),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_matches_pairs_reference(self, dim, count, mutant, seed):
+        rng = rng_for(seed)
+        nus = rng.permutation(count).astype(float) * 0.7 - 3.0
+        weights = [random_psd(rng, dim, rank=int(rng.integers(1, dim + 1))) for _ in nus]
+        # weights as arrays or nested lists, frequencies as floats or numpy scalars
+        atoms = [
+            [
+                nu if rng.uniform() < 0.5 else float(nu),
+                w if rng.uniform() < 0.5 else w.tolist(),
+            ]
+            for nu, w in zip(nus, weights)
+        ]
+        if mutant is not None:
+            assume(count >= 2)
+            i, j = (int(k) for k in rng.choice(count, size=2, replace=False))
+            if mutant.startswith("non-finite"):
+                atoms[i][0] = [np.nan, np.inf, -np.inf][int(rng.integers(3))]
+                if mutant == "non-finite-and-misshapen":  # j before or after i
+                    atoms[j][1] = np.eye(dim + 1)
+            elif mutant == "misshapen":
+                atoms[j][1] = np.ones((dim, dim + 1))
+            elif mutant == "ragged":
+                atoms[j][1] = [[1.0] * dim] * (dim - 1) + [[1.0] * (dim + 1)]
+            elif mutant == "nested":
+                atoms[j][1] = [atoms[j][1]]
+            elif mutant == "nu-type":
+                atoms[j][0] = [None, 0.5 + 0.5j, [0.5], "0.5"][int(rng.integers(4))]
+            elif mutant == "non-psd":
+                atoms[j][1] = -np.eye(dim)
+            elif mutant == "duplicate":
+                atoms[j][0] = atoms[i][0]
+            elif mutant == "triple":
+                atoms[j] = (*atoms[j], 0.0)
+            elif mutant == "scalar":
+                atoms[j] = 0.5
+        want = outcome(pairs_reference, dim, atoms)
+        got = outcome(OperatorSpectralMeasure, dim=dim, atoms=atoms)
+        if want[0] == "ok":
+            assert got[0] == "ok", got
+            mu, (nus_ref, weights_ref) = got[1], want[1]
+            assert mu.nus.tobytes() == nus_ref.tobytes()
+            assert mu.weights.tobytes() == weights_ref.tobytes()
+            assert OperatorSpectralMeasure(dim=dim, atoms=zip(*zip(*atoms))) == mu
+        else:
+            assert got[0] is want[0]
+            if issubclass(want[0], QwssError) or want[1].startswith("atom "):
+                assert got[1] == want[1]
+
+    def test_lazy_zip_equals_tuple(self):
+        mu = random_measure(2, 3, 9)
+        lazy = OperatorSpectralMeasure(dim=3, atoms=zip(mu.nus[::-1], mu.weights[::-1]))
+        assert lazy == OperatorSpectralMeasure(dim=3, atoms=tuple(mu.atoms[::-1]))
+        assert lazy.nus.tobytes() == mu.nus.tobytes()
+        assert lazy.weights.tobytes() == mu.weights.tobytes()
+
+
+class TestModelStacks:
+    def test_model_keeps_none_of_its_input_modes(self):
+        model = example_atomic_model()
+        modes = model.modes
+        refs = [weakref.ref(m) for m in modes]
+        rebuilt = QuantumModel(
+            dim_system=2, dim_environment=3, env_state=model.env_state, modes=modes
+        )
+        del modes
+        gc.collect()
+        assert rebuilt == model
+        assert all(ref() is None for ref in refs)
+
+    def test_modes_round_trip_and_are_write_locked(self):
+        model = example_atomic_model()
+        again = QuantumModel(
+            dim_system=2, dim_environment=3, env_state=model.env_state, modes=model.modes
+        )
+        assert again == model and again.mode_weights == model.mode_weights
+        for m in model.modes:
+            for op in (m.system_op, m.environment_op):
+                with pytest.raises(ValueError):
+                    op[0, 0] = 9.0
 
 
 @pytest.mark.parametrize("dim, count", CASES)

@@ -281,9 +281,18 @@ class TestApplyFilter:
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_output_is_not_psd(self, value):
-        filt = ScalarConvolution(dim=1, hhat=lambda nu: value)
         atoms = ((0.3, np.eye(1)),)
-        with np.errstate(invalid="ignore"):
+        # a transfer function's NaN or inf is the filter's fault, named where
+        # it is evaluated
+        conv = ScalarConvolution(dim=1, hhat=lambda nu: value)
+        with pytest.raises(FilterDomainError, match=r"^ScalarConvolution hhat\(-0\.5\) = "):
+            apply_filter(white_noise(np.eye(1), band=1.0, bins=2), conv)
+        with pytest.raises(FilterDomainError, match=r"^ScalarConvolution hhat\(0\.3\) = "):
+            apply_filter(OperatorSpectralMeasure(dim=1, atoms=atoms), conv)
+        # a finite characteristic whose congruence overflows is blamed on the
+        # part of the output that holds the inf
+        filt = Tabulated(-1.0, 1.0, [[[1e200]]])
+        with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(
                 NotPositiveSemidefiniteError, match=r"^density bin 0 holds a non-finite"
             ):
@@ -311,7 +320,7 @@ class TestApplyFilter:
             apply_filter(marker, scalar_exp_filter())
 
     def test_dim_mismatch(self):
-        mu = OperatorSpectralMeasure.empty(2)
+        mu = OperatorSpectralMeasure(dim=2)
         with pytest.raises(DimensionMismatchError):
             apply_filter(mu, Derivative(dim=3))
 
@@ -404,6 +413,13 @@ class TestCompose:
     def test_dim_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             compose(Shift(dim=1, s=0.0), Derivative(dim=2))
+
+    def test_deep_chain_builds_with_its_dim(self):
+        # each node stores its dim once, so building a chain never recurses
+        filt = Derivative(dim=2)
+        for _ in range(5000):
+            filt = Composition(first=filt, second=Derivative(dim=2))
+        assert filt.dim == 2 and not filt.bounded and not filt.decays
 
 
 class TestWhiteNoise:

@@ -98,7 +98,7 @@ class TestMeasureConstruction:
             atom_measure((0.0, np.array([[1.0, 2.0], [2.0, 1.0]])))
 
     def test_empty(self):
-        mu = OperatorSpectralMeasure.empty(3)
+        mu = OperatorSpectralMeasure(dim=3)
         assert mu.dim == 3 and mu.atoms == () and mu.density is None
         assert mu.support_bounds() is None
         assert np.array_equal(total_mass(mu), np.zeros((3, 3)))
@@ -526,7 +526,7 @@ class TestAddScaled:
             atoms=((0.3, B2),),
             density=DensityGrid(-1.0, 1.0, np.broadcast_to(B2, (4, 2, 2)).copy()),
         )
-        assert add_scaled(1.0, mu, 0.0, OperatorSpectralMeasure.empty(2)) == mu
+        assert add_scaled(1.0, mu, 0.0, OperatorSpectralMeasure(dim=2)) == mu
 
     def test_unit_split_of_equal_measures(self):
         mu = flat_measure(B2, band=1.0, bins=4)

@@ -40,6 +40,7 @@ from helpers import (
     random_complex_matrix,
     random_density_matrix,
     random_hermitian,
+    outcome,
     random_psd,
     rel_frob,
     rng_for,
@@ -339,13 +340,6 @@ def per_pair_reference(dh, dk, rho, modes, ratios):
     return tuple(weights)
 
 
-def _outcome(f, *args, **kwargs):
-    try:
-        return "ok", f(*args, **kwargs)
-    except Exception as e:  # the outcome is compared, whatever it is
-        return type(e), str(e)
-
-
 class TestBatchedValidation:
     """The stacked checks against ``per_pair_reference``: same verdict, same
     first error, and bit-identical mode weights."""
@@ -393,13 +387,13 @@ class TestBatchedValidation:
             for i, d in enumerate(ops)
         )
         ratios = []
-        want = _outcome(
+        want = outcome(
             per_pair_reference, dh, dk, validate_psd(rho), modes, ratios
         )
         # the matmul sums in another order, so a value within rounding of its
         # threshold may be decided either way: draws that close are skipped
         assume(not any(0.9 <= r <= 1.1 for r in ratios))
-        got = _outcome(
+        got = outcome(
             QuantumModel, dim_system=dh, dim_environment=dk, env_state=rho, modes=modes
         )
         if want[0] == "ok":
