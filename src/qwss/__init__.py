@@ -9,166 +9,25 @@ synthesis with spectral re-estimation, and file formats plus a CLI tying
 them together. All frequencies are cycles per unit time.
 """
 
-from .errors import (
-    AliasingError,
-    DimensionMismatchError,
-    FilterDomainError,
-    NotPositiveDefiniteError,
-    NotPositiveSemidefiniteError,
-    OffGridLagError,
-    QwssError,
-    SchemaError,
-)
-from .filters import (
-    Composition,
-    Derivative,
-    ExpOperator,
-    FilterSpec,
-    ScalarConvolution,
-    Shift,
-    Tabulated,
-    UnboundedWhiteNoise,
-    apply_filter,
-    compose,
-    eval_characteristic,
-    in_domain,
-    ou_covariance,
-    white_noise,
-)
-from .linalg import (
-    hermitian_defect,
-    hermitize,
-    is_psd,
-    nearest_psd,
-    psd_sqrt,
-    resolvent,
-    solve_lyapunov,
-    validate_psd,
-)
-from .measure import (
-    CovarianceTable,
-    DensityGrid,
-    KernelVerdict,
-    OperatorSpectralMeasure,
-    add_scaled,
-    check_psd_kernel,
-    covariance_from_spectrum,
-    cumulative,
-    integrate_pair,
-    spectrum_from_covariance,
-    total_mass,
-)
-from .quantum import (
-    KolmogorovFactorization,
-    Mode,
-    QuantumModel,
-    conditional_expectation,
-    kolmogorov_decompose,
-    model_covariance,
-    model_spectral_measure,
-    orthogonalize_environment_ops,
-    partial_trace_environment,
-    process_operator,
-    xhat_apply,
-)
-from .sampling import Trajectory, lag_covariance, synthesize, welch_estimate
-from .serialize import (
-    covariance_from_csv,
-    covariance_to_csv,
-    deserialize_factorization,
-    deserialize_filter,
-    deserialize_kernel,
-    deserialize_measure,
-    deserialize_model,
-    deserialize_verdict,
-    serialize_factorization,
-    serialize_filter,
-    serialize_kernel,
-    serialize_measure,
-    serialize_model,
-    serialize_verdict,
-    trajectory_from_binary,
-    trajectory_from_csv,
-    trajectory_to_binary,
-    trajectory_to_csv,
-)
+from . import errors, filters, linalg, measure, quantum, sampling, serialize
+from .errors import *
+from .filters import *
+from .linalg import *
+from .measure import *
+from .quantum import *
+from .sampling import *
+from .serialize import *
 
 __version__ = "0.1.0"
 
+# Each module's __all__ is the one list of its public names.
 __all__ = [
-    "AliasingError",
-    "Composition",
-    "CovarianceTable",
-    "DensityGrid",
-    "Derivative",
-    "DimensionMismatchError",
-    "ExpOperator",
-    "FilterDomainError",
-    "FilterSpec",
-    "KernelVerdict",
-    "KolmogorovFactorization",
-    "Mode",
-    "NotPositiveDefiniteError",
-    "NotPositiveSemidefiniteError",
-    "OffGridLagError",
-    "OperatorSpectralMeasure",
-    "QuantumModel",
-    "QwssError",
-    "ScalarConvolution",
-    "SchemaError",
-    "Shift",
-    "Tabulated",
-    "Trajectory",
-    "UnboundedWhiteNoise",
-    "add_scaled",
-    "apply_filter",
-    "check_psd_kernel",
-    "compose",
-    "conditional_expectation",
-    "covariance_from_csv",
-    "covariance_from_spectrum",
-    "covariance_to_csv",
-    "cumulative",
-    "deserialize_factorization",
-    "deserialize_filter",
-    "deserialize_kernel",
-    "deserialize_measure",
-    "deserialize_model",
-    "deserialize_verdict",
-    "eval_characteristic",
-    "hermitian_defect",
-    "hermitize",
-    "in_domain",
-    "integrate_pair",
-    "is_psd",
-    "kolmogorov_decompose",
-    "lag_covariance",
-    "model_covariance",
-    "model_spectral_measure",
-    "nearest_psd",
-    "orthogonalize_environment_ops",
-    "ou_covariance",
-    "partial_trace_environment",
-    "process_operator",
-    "psd_sqrt",
-    "resolvent",
-    "serialize_factorization",
-    "serialize_filter",
-    "serialize_kernel",
-    "serialize_measure",
-    "serialize_model",
-    "serialize_verdict",
-    "solve_lyapunov",
-    "spectrum_from_covariance",
-    "synthesize",
-    "total_mass",
-    "trajectory_from_binary",
-    "trajectory_from_csv",
-    "trajectory_to_binary",
-    "trajectory_to_csv",
-    "validate_psd",
-    "welch_estimate",
-    "white_noise",
-    "xhat_apply",
+    *errors.__all__,
+    *filters.__all__,
+    *linalg.__all__,
+    *measure.__all__,
+    *quantum.__all__,
+    *sampling.__all__,
+    *serialize.__all__,
     "__version__",
 ]

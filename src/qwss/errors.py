@@ -4,6 +4,17 @@ Every error raised on purpose derives from QwssError so callers (and the CLI)
 can separate our validation failures from genuine bugs.
 """
 
+__all__ = [
+    "QwssError",
+    "DimensionMismatchError",
+    "NotPositiveSemidefiniteError",
+    "NotPositiveDefiniteError",
+    "AliasingError",
+    "OffGridLagError",
+    "FilterDomainError",
+    "SchemaError",
+]
+
 
 class QwssError(Exception):
     """Base class for all package errors."""

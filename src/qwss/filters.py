@@ -23,11 +23,11 @@ Variants:
 * ``Tabulated(nu_min, nu_max, values)``: ``psi`` constant per grid bin.
 * ``Composition(first, second)``: lazy product, ``first`` applied first.
 
-Note on ``ExpOperator``: with this sign convention, driving band-limited
-white noise through the filter reproduces ``ou_covariance`` exactly when
-``gamma`` and the noise intensity commute; for non-commuting pairs the
-spectral route yields the time-reversed covariance ``C(tau)^H``. The zero-lag
-value agrees in all cases.
+Covariances are Bochner transforms ``C(tau) = integral exp(2*pi*i*tau*nu)
+dS(nu)``. White noise of intensity ``s`` through ``ExpOperator(gamma, a)``
+has ``C(tau) = a^H exp(-gamma tau) M a`` for ``tau >= 0``, with ``gamma M +
+M gamma = s``, which ``ou_covariance`` returns whether or not ``gamma`` and
+``s`` commute.
 """
 
 from __future__ import annotations
@@ -393,12 +393,13 @@ def ou_covariance(gamma, s, a, tau) -> np.ndarray:
 
     For ``tau >= 0``::
 
-        C(tau) = a^H M exp(-gamma tau) a,   gamma M + M gamma = s
+        C(tau) = a^H exp(-gamma tau) M a,   gamma M + M gamma = s
 
-    and ``C(-tau) = C(tau)^H``. Reduces to ``s/(2 gamma) * exp(-gamma |tau|)``
-    in the scalar case. ``tau`` is a number, giving one ``(d, d)`` matrix, or
-    an array of lags, giving a ``(*tau.shape, d, d)`` stack from one Lyapunov
-    solve and one ``eigh``.
+    and ``C(-tau) = C(tau)^H``, the Bochner transform of the filtered
+    spectrum. Reduces to ``s/(2 gamma) * exp(-gamma |tau|)`` in the scalar
+    case. ``tau`` is a number, giving one ``(d, d)`` matrix, or an array of
+    lags, giving a ``(*tau.shape, d, d)`` stack from one Lyapunov solve and
+    one ``eigh``.
     """
     g = as_complex_matrix(gamma, name="gamma")
     amat = as_complex_matrix(a, name="a")
@@ -412,6 +413,6 @@ def ou_covariance(gamma, s, a, tau) -> np.ndarray:
     # exp(-gamma |tau|) through the eigendecomposition of Hermitian gamma
     w, u = np.linalg.eigh(hermitize(g))
     decay = (u * np.exp(-w * np.abs(tau)[..., None])[..., None, :]) @ u.conj().T
-    core = m @ decay
+    core = decay @ m
     c = amat.conj().T @ core @ amat
     return np.where((tau >= 0)[..., None, None], c, c.conj().swapaxes(-1, -2))

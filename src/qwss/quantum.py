@@ -217,13 +217,17 @@ class QuantumModel:
                 f"tr[rho Di^H Dj] = {g:.3e}"
             )
         weights = np.where(0.0 > second.real, 0.0, second.real)
-        sys_ops = np.array([m.system_op for m in modes], dtype=np.complex128)
+        nus = np.array(nus, dtype=float)
+        sys_ops = np.array([m.system_op for m in modes], np.complex128).reshape(-1, dh, dh)
+        for a in (nus, sys_ops, d):  # built here, so locked in place
+            a.setflags(write=False)
         object.__setattr__(self, "dim_system", dh)
         object.__setattr__(self, "dim_environment", dk)
+        # copied: validate_psd may hand back the caller's array
         object.__setattr__(self, "env_state", _locked(rho))
-        object.__setattr__(self, "nus", _locked(np.array(nus, dtype=float)))
-        object.__setattr__(self, "system_ops", _locked(sys_ops.reshape(-1, dh, dh)))
-        object.__setattr__(self, "environment_ops", _locked(d))
+        object.__setattr__(self, "nus", nus)
+        object.__setattr__(self, "system_ops", sys_ops)
+        object.__setattr__(self, "environment_ops", d)
         object.__setattr__(self, "mode_weights", tuple(weights.tolist()))
 
     @property

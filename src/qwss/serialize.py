@@ -658,7 +658,7 @@ def trajectory_from_binary(data: bytes) -> Trajectory:
     if len(data) != expected:
         raise SchemaError(f"expected {expected} bytes total, got {len(data)}")
     samples = np.frombuffer(data, dtype="<c16", offset=_HEADER.size)
-    return Trajectory(dt=dt, samples=samples.reshape(n, dim).astype(np.complex128))
+    return Trajectory(dt=dt, samples=samples.reshape(n, dim))
 
 
 # --- file output -------------------------------------------------------------

@@ -6,6 +6,8 @@ conditioning of the dense joint operators, so the closed form never certifies
 itself. Kolmogorov factorizations are verified by reconstruction.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -406,6 +408,28 @@ class TestBatchedValidation:
     def test_empty_model_has_no_weights(self):
         model = QuantumModel(dim_system=2, dim_environment=3, env_state=np.eye(3) / 3, modes=())
         assert model.mode_weights == ()
+
+    def test_stacks_are_locked_in_place_not_copied_again(self):
+        # 200 modes with 32 x 32 system factors: the system stack (3.3 MB)
+        # dominates, and a second copy of it would lift the peak to 2.8x
+        dh, dk = 32, 16
+        eye = np.eye(dk)
+        ops = [np.outer(eye[i], eye[j]) for i in range(dk) for j in range(dk) if i != j]
+        modes = [
+            Mode(nu=float(k), system_op=(k + 1.0) * np.eye(dh), environment_op=d)
+            for k, d in enumerate(ops[:200])
+        ]
+        tracemalloc.start()
+        try:
+            model = QuantumModel(dh, dk, eye / dk, modes)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * model.system_ops.nbytes
+        for stack in (model.nus, model.system_ops, model.environment_ops):
+            assert not stack.flags.writeable
+        assert np.array_equal(model.system_ops, [m.system_op for m in modes])
+        assert np.array_equal(model.environment_ops, [m.environment_op for m in modes])
 
 
 class TestOrthogonalize:

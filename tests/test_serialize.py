@@ -13,6 +13,7 @@ import json
 import math
 import os
 import stat
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -430,6 +431,19 @@ class TestTrajectoryBinary:
             trajectory_from_binary(data[:-8])
         with pytest.raises(SchemaError):
             trajectory_from_binary(data + b"\x00")
+
+    def test_decodes_with_one_copy(self):
+        rng = rng_for(65)
+        traj = Trajectory(dt=0.1, samples=rng.standard_normal((2**16, 4)) + 0j)
+        data = trajectory_to_binary(traj)
+        tracemalloc.start()
+        try:
+            got = trajectory_from_binary(data)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * got.samples.nbytes
+        assert got == traj
 
 
 class TestAtomicWrite:
