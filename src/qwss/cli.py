@@ -50,16 +50,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    AliasingError,
-    DimensionMismatchError,
-    FilterDomainError,
-    NotPositiveDefiniteError,
-    NotPositiveSemidefiniteError,
-    OffGridLagError,
-    QwssError,
-    SchemaError,
-)
+from .errors import QwssError, SchemaError
 from .filters import ExpOperator, apply_filter, ou_covariance, white_noise
 from .measure import (
     CovarianceTable,
@@ -96,27 +87,13 @@ from .serialize import (
 __all__ = ["main"]
 
 
-_ERROR_CODES = {
-    SchemaError: "schema",
-    NotPositiveSemidefiniteError: "not_psd",
-    NotPositiveDefiniteError: "not_positive_definite",
-    AliasingError: "aliasing",
-    OffGridLagError: "off_grid_lag",
-    DimensionMismatchError: "dimension_mismatch",
-    FilterDomainError: "filter_domain",
-    MemoryError: "resource",
-}
-
-
 def _error_json(exc: BaseException) -> str:
-    code = "invalid_value"
-    for cls, name in _ERROR_CODES.items():
-        if isinstance(exc, cls):
-            code = name
-            break
+    if isinstance(exc, QwssError):
+        code = exc.code
+    elif isinstance(exc, MemoryError):
+        code = "resource"
     else:
-        if isinstance(exc, OSError):
-            code = "io"
+        code = "io" if isinstance(exc, OSError) else "invalid_value"
     doc = {
         "error": {
             "code": code,
@@ -130,12 +107,8 @@ def _error_json(exc: BaseException) -> str:
 # --- parameters ----------------------------------------------------------------
 
 
-class _OutOfRange(ValueError):
+class _OutOfRange(QwssError):
     """A well-typed flag or config value outside its range (``invalid_value``)."""
-
-    def __init__(self, message: str, location: str):
-        super().__init__(message)
-        self.location = location
 
 
 def _string(v, loc):
@@ -299,7 +272,7 @@ def _resolve(args: argparse.Namespace) -> None:
     config = {}
     if args.config is not None:
         try:
-            config = _loads(Path(args.config).read_text(encoding="utf-8"))
+            config = _loads(Path(args.config).read_bytes())
         except OSError as e:
             raise SchemaError(f"cannot read config: {e}") from None
     for key, raw in config.items():
@@ -330,9 +303,8 @@ def _read_bytes(path: str) -> bytes:
 
 
 def _read_trajectory(path: str) -> Trajectory:
-    if path.endswith(".csv"):
-        return trajectory_from_csv(Path(path).read_text(encoding="utf-8"))
-    return trajectory_from_binary(_read_bytes(path))
+    read = trajectory_from_csv if path.endswith(".csv") else trajectory_from_binary
+    return read(_read_bytes(path))
 
 
 class _Result(NamedTuple):
@@ -530,7 +502,7 @@ def main(argv=None) -> int:
         write_files(result.files)
         sys.stdout.write(result.stdout)
         return result.status
-    except (QwssError, ValueError, OSError, MemoryError) as e:
+    except (ValueError, OSError, MemoryError) as e:
         print(_error_json(e), file=sys.stderr)
         return 1
 

@@ -131,11 +131,13 @@ def _slice_name(name: str | Callable, index: tuple[int, ...]) -> str:
     return name(i) if callable(name) else f"{name} {i}"
 
 
-def _psd_failure(a: np.ndarray, w: np.ndarray, tol: float, herm_tol: float):
-    """First slice of ``a`` (eigenvalues ``w`` of its Hermitian part) that
-    holds a NaN or inf, is not Hermitian within ``herm_tol`` or has an
-    eigenvalue below ``-tol``, as ``(index, not finite, not Hermitian, defect,
-    min eigenvalue)``; None if all pass.
+def _raise_psd_failure(
+    a: np.ndarray, w: np.ndarray, tol: float, herm_tol: float, name: str | Callable
+) -> None:
+    """Raise for the first slice of ``a`` (eigenvalues ``w`` of its Hermitian
+    part) that holds a NaN or inf, is not Hermitian within ``herm_tol`` or has
+    an eigenvalue below ``-tol``, named as ``validate_psd`` names it; return
+    if none does.
     """
     s = _scale(a)
     defect = np.asarray(hermitian_defect(a))
@@ -145,13 +147,20 @@ def _psd_failure(a: np.ndarray, w: np.ndarray, tol: float, herm_tol: float):
     not_herm = defect > herm_tol * s
     index = _first(not_finite | not_herm | (lo < -tol * s))
     if index is None:
-        return None
-    return (
-        index,
-        bool(not_finite[index]),
-        bool(not_herm[index]),
-        float(defect[index]),
-        float(lo[index]),
+        return
+    label = _slice_name(name, index)
+    if not_finite[index]:
+        raise NotPositiveSemidefiniteError(
+            f"{label} holds a non-finite entry", index=index or None
+        )
+    if not_herm[index]:
+        raise NotPositiveSemidefiniteError(
+            f"{label} is not Hermitian: max |M - M^H| = {float(defect[index]):.3e}",
+            index=index or None,
+        )
+    lo = float(lo[index])
+    raise NotPositiveSemidefiniteError(
+        f"{label} is not PSD: min eigenvalue = {lo:.6e}", witness=lo, index=index or None
     )
 
 
@@ -189,24 +198,7 @@ def validate_psd(
     # c = tol*s/2 with tol >= 8*B(d) makes -c - B*(s + c) >= -tol*s
     if tol >= 8.0 * _rounding(a.shape[-1]) and hermitian and _factors(h, tol * s / 2):
         return a
-    failure = _psd_failure(a, np.linalg.eigvalsh(h), tol, herm_tol)
-    if failure is not None:
-        index, not_finite, not_herm, defect, lo = failure
-        label = _slice_name(name, index)
-        if not_finite:
-            raise NotPositiveSemidefiniteError(
-                f"{label} holds a non-finite entry", index=index or None
-            )
-        if not_herm:
-            raise NotPositiveSemidefiniteError(
-                f"{label} is not Hermitian: max |M - M^H| = {defect:.3e}",
-                index=index or None,
-            )
-        raise NotPositiveSemidefiniteError(
-            f"{label} is not PSD: min eigenvalue = {lo:.6e}",
-            witness=lo,
-            index=index or None,
-        )
+    _raise_psd_failure(a, np.linalg.eigvalsh(h), tol, herm_tol, name)
     return a
 
 
@@ -238,24 +230,7 @@ def psd_sqrt(m, tol: float = TOL_PSD) -> np.ndarray:
     """
     a = _as_stack(m)
     w, u = np.linalg.eigh(hermitize(a))
-    failure = _psd_failure(a, w, tol, tol)
-    if failure is not None:
-        index, not_finite, not_herm, defect, lo = failure
-        at = _slice_name(" at index", index) if index else ""
-        if not_finite:
-            raise NotPositiveSemidefiniteError(
-                f"psd_sqrt input holds a non-finite entry{at}", index=index or None
-            )
-        if not_herm:
-            raise NotPositiveSemidefiniteError(
-                f"psd_sqrt requires a Hermitian matrix, defect {defect:.3e}{at}",
-                index=index or None,
-            )
-        raise NotPositiveSemidefiniteError(
-            f"psd_sqrt input is not PSD: min eigenvalue = {lo:.6e}{at}",
-            witness=lo,
-            index=index or None,
-        )
+    _raise_psd_failure(a, w, tol, tol, "psd_sqrt input")
     w = np.sqrt(np.clip(w, 0.0, None))
     return hermitize((u * w[..., None, :]) @ _adjoint(u))
 

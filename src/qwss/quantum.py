@@ -61,6 +61,14 @@ def partial_trace_environment(z, dim_system: int, dim_environment: int) -> np.nd
     return np.einsum("acbc->ab", a.reshape(dh, dk, dh, dk))
 
 
+def _unit_trace(rho: np.ndarray) -> np.ndarray:
+    """``rho``, checked to have unit trace as a density matrix must."""
+    tr = float(np.trace(rho).real)
+    if abs(tr - 1.0) > 1e-9:
+        raise ValueError(f"environment state must have unit trace, got {tr}")
+    return rho
+
+
 def conditional_expectation(z, env_state, dim_system: int | None = None) -> np.ndarray:
     """Partial expectation onto the system algebra.
 
@@ -69,10 +77,7 @@ def conditional_expectation(z, env_state, dim_system: int | None = None) -> np.n
     property ``E[(A tensor I) Z (B tensor I)] = A E[Z] B``, positivity, and
     the defining trace identity.
     """
-    rho = validate_psd(env_state, name="environment state")
-    tr = float(np.trace(rho).real)
-    if abs(tr - 1.0) > 1e-9:
-        raise ValueError(f"environment state must have unit trace, got {tr}")
+    rho = _unit_trace(validate_psd(env_state, name="environment state"))
     a = as_complex_matrix(z, name="operator")
     dk = rho.shape[0]
     n = a.shape[0]
@@ -153,9 +158,7 @@ class QuantumModel:
             raise DimensionMismatchError(
                 f"environment state shape {rho.shape} != ({dk}, {dk})"
             )
-        tr = float(np.trace(rho).real)
-        if abs(tr - 1.0) > 1e-9:
-            raise ValueError(f"environment state must have unit trace, got {tr}")
+        _unit_trace(rho)
         modes = tuple(modes)
         nus = [m.nu for m in modes]
         if len(set(nus)) != len(nus):
@@ -257,7 +260,7 @@ def orthogonalize_environment_ops(
     weights). Raises if an operator is linearly dependent on its predecessors
     after centering.
     """
-    rho = validate_psd(env_state, name="environment state")
+    rho = _unit_trace(validate_psd(env_state, name="environment state"))
     dk = rho.shape[0]
     out: list[np.ndarray] = []
     for i, op in enumerate(ops):

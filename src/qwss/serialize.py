@@ -96,11 +96,18 @@ def _dumps(doc: dict) -> bytes:
     return (json.dumps(doc, indent=2, allow_nan=False) + "\n").encode("utf-8")
 
 
-def _loads(data) -> dict:
-    if isinstance(data, (bytes, bytearray)):
-        data = bytes(data).decode("utf-8")
+def _text(data) -> str:
+    if not isinstance(data, (bytes, bytearray)):
+        return data
     try:
-        doc = json.loads(data)
+        return data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise SchemaError(f"invalid UTF-8: {e}") from None
+
+
+def _loads(data) -> dict:
+    try:
+        doc = json.loads(_text(data))
     except json.JSONDecodeError as e:
         raise SchemaError(f"invalid JSON: {e}") from None
     except RecursionError:
@@ -534,6 +541,11 @@ def _vector_header(d: int) -> list[str]:
     return [name for i in range(d) for name in (f"re_{i}", f"im_{i}")]
 
 
+def _check_rows(n: int) -> None:
+    if n < 2:
+        raise SchemaError("need at least two data rows to recover the time step")
+
+
 def _write_rows(header: list[str], axis: np.ndarray, flat: np.ndarray) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -549,9 +561,7 @@ def _read_rows(text, index_name: str, expected_header) -> tuple[float, np.ndarra
     ``expected_header`` maps an entry count to the full expected header, or
     None if no entry count fits.
     """
-    if isinstance(text, (bytes, bytearray)):
-        text = bytes(text).decode("utf-8")
-    rows = list(csv.reader(io.StringIO(text)))
+    rows = list(csv.reader(io.StringIO(_text(text))))
     rows = [r for r in rows if r]
     if not rows:
         raise SchemaError("empty CSV")
@@ -567,8 +577,7 @@ def _read_rows(text, index_name: str, expected_header) -> tuple[float, np.ndarra
     if expected is None or header != [index_name] + expected:
         raise SchemaError("header does not match the format", location="header")
     body = rows[1:]
-    if len(body) < 2:
-        raise SchemaError("need at least two data rows to recover the time step")
+    _check_rows(len(body))
     entries = ncols // 2
     data = np.empty((len(body), entries), dtype=np.complex128)
     axis = np.empty(len(body))
@@ -595,6 +604,7 @@ def _read_rows(text, index_name: str, expected_header) -> tuple[float, np.ndarra
 
 
 def covariance_to_csv(table: CovarianceTable) -> str:
+    _check_rows(len(table.values))
     flat = table.values.reshape(len(table.values), table.dim**2)
     return _write_rows(["tau"] + _matrix_header(table.dim), table.lags(), flat)
 
@@ -621,6 +631,7 @@ def density_to_csv(mu: OperatorSpectralMeasure) -> str:
 
 
 def trajectory_to_csv(traj: Trajectory) -> str:
+    _check_rows(traj.n)
     times = np.arange(traj.n) * traj.dt
     return _write_rows(["t"] + _vector_header(traj.dim), times, traj.samples)
 

@@ -564,6 +564,57 @@ class TestErrorReporting:
             assert run("synth", path, tmp_path / "t.qwss", "--dt", 0.1, "--n", 8,
                        "--seed", seed) == 0
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("bochner", "{bad}", "{out}", "--dt", 0.1),
+            ("inverse", "{bad}", "{out}"),
+            ("estimate", "{bad}.csv", "{out}", "--segment", 8),
+            ("bochner", "{good}", "{out}", "--config", "{bad}"),
+        ],
+        ids=["json", "covariance_csv", "trajectory_csv", "config"],
+    )
+    def test_non_utf8_input_is_a_schema_error(
+        self, tmp_path, capsys, atom_measure_file, argv
+    ):
+        bad = tmp_path / "bad"
+        for path in (bad, tmp_path / "bad.csv"):
+            path.write_bytes(b"tau,re_00,im_00\n0,\xff,0\n")
+        out = tmp_path / "out"
+        good, _ = atom_measure_file
+        assert run(*[str(a).format(bad=bad, good=good, out=out) for a in argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err.splitlines()) == 1
+        err = json.loads(captured.err)["error"]
+        assert err["code"] == "schema"
+        assert err["message"].startswith("invalid UTF-8: ")
+        assert not out.exists()
+
+    def test_one_row_csv_output_is_refused(self, tmp_path, capsys, atom_measure_file):
+        """A written CSV table has the two rows its reader needs for the
+        time step; a binary trajectory may hold one sample."""
+        measure, mu = atom_measure_file
+        model = tmp_path / "model.json"
+        model.write_bytes(serialize_model(example_model()))
+        traj = tmp_path / "traj.qwss"
+        traj.write_bytes(trajectory_to_binary(synthesize(mu, dt=0.1, n=16, seed=1)))
+        out, table = tmp_path / "out", tmp_path / "table.csv"
+        runs = [
+            ("bochner", measure, table, "--dt", 0.1, "--lags", 0),
+            ("model", model, out, "--covariance", table, "--dt", 0.1, "--lags", 0),
+            ("estimate", traj, out, "--segment", 8, "--covariance", table, "--lags", 0),
+            ("demo", "ou", out, "--bins", 64, "--n", 64, "--segment", 16, "--lags", 0),
+            ("synth", measure, table, "--dt", 0.1, "--n", 1, "--seed", 1),
+        ]
+        for argv in runs:
+            assert run(*argv) == 1, argv
+            err, stdout = read_error(capsys)
+            assert err["code"] == "schema" and stdout == ""
+            assert "at least two data rows" in err["message"]
+            assert not out.exists() and not table.exists()
+        assert run("synth", measure, out, "--dt", 0.1, "--n", 1, "--seed", 1) == 0
+        assert trajectory_from_binary(out.read_bytes()).n == 1
+
 
 DEMO_ARGS = (
     "--band", 5, "--bins", 256, "--dt", 0.05,

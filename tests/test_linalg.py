@@ -321,7 +321,8 @@ class TestStacks:
         for i, m in enumerate(x):
             _, single = _outcome(psd_sqrt, m)
             if single is not None:
-                assert err == (single[0] + f" at index {i}", single[1])
+                stacked = single[0].replace("psd_sqrt input", f"psd_sqrt input {i}", 1)
+                assert err == (stacked, single[1])
                 break
         else:
             assert err is None
@@ -364,27 +365,36 @@ class TestStacks:
 
 # Eigenvalue-only copies of ``validate_psd`` and ``nearest_psd`` as they were
 # before the Cholesky certificate: the reference that every stack must match.
+# Self-contained, so that it shares no helper with the code under test.
 def validate_psd_reference(m, tol=linalg.TOL_PSD, herm_tol=linalg.TOL_HERM, name="matrix"):
-    a = linalg._as_stack(m, name=name if isinstance(name, str) else "matrix")
-    failure = linalg._psd_failure(a, np.linalg.eigvalsh(hermitize(a)), tol, herm_tol)
-    if failure is not None:
-        index, not_finite, not_herm, defect, lo = failure
-        label = linalg._slice_name(name, index)
-        if not_finite:
-            raise NotPositiveSemidefiniteError(
-                f"{label} holds a non-finite entry", index=index or None
-            )
-        if not_herm:
-            raise NotPositiveSemidefiniteError(
-                f"{label} is not Hermitian: max |M - M^H| = {defect:.3e}",
-                index=index or None,
-            )
+    a = np.ascontiguousarray(m, dtype=np.complex128)
+    adjoint = a.conj().swapaxes(-1, -2)
+    s = np.fmax(1.0, np.abs(a).max(axis=(-2, -1), initial=0.0))
+    defect = np.abs(a - adjoint).max(axis=(-2, -1), initial=0.0)
+    lo = np.linalg.eigvalsh((a + adjoint) / 2.0).min(axis=-1, initial=0.0)
+    not_finite = ~np.isfinite(a).all(axis=(-2, -1))
+    not_herm = defect > herm_tol * s
+    bad = not_finite | not_herm | (lo < -tol * s)
+    if not bad.any():
+        return a
+    index = tuple(int(i) for i in np.unravel_index(int(np.argmax(bad)), bad.shape))
+    label = name
+    if index:
+        i = index[0] if len(index) == 1 else index
+        label = name(i) if callable(name) else f"{name} {i}"
+    if not_finite[index]:
         raise NotPositiveSemidefiniteError(
-            f"{label} is not PSD: min eigenvalue = {lo:.6e}",
-            witness=lo,
+            f"{label} holds a non-finite entry", index=index or None
+        )
+    if not_herm[index]:
+        raise NotPositiveSemidefiniteError(
+            f"{label} is not Hermitian: max |M - M^H| = {float(defect[index]):.3e}",
             index=index or None,
         )
-    return a
+    lo = float(lo[index])
+    raise NotPositiveSemidefiniteError(
+        f"{label} is not PSD: min eigenvalue = {lo:.6e}", witness=lo, index=index or None
+    )
 
 
 def nearest_psd_reference(m):

@@ -14,15 +14,20 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qwss import (
+    Derivative,
     DimensionMismatchError,
+    ExpOperator,
     KolmogorovFactorization,
     Mode,
     NotPositiveSemidefiniteError,
     QuantumModel,
     add_scaled,
+    apply_filter,
     check_psd_kernel,
+    compose,
     covariance_from_spectrum,
     conditional_expectation,
+    eval_characteristic,
     integrate_pair,
     kolmogorov_decompose,
     model_covariance,
@@ -466,6 +471,17 @@ class TestOrthogonalize:
         with pytest.raises(DimensionMismatchError):
             orthogonalize_environment_ops(I2 / 2, [np.eye(3)])
 
+    def test_rejects_state_without_unit_trace(self):
+        # centering against 0.6*I would leave tr[rho D] = -0.06 for D = diag(1, 0)
+        rho = 0.6 * I2
+        for f in (
+            lambda: orthogonalize_environment_ops(rho, [np.diag([1.0, 0.0])]),
+            lambda: conditional_expectation(np.eye(4), rho),
+            lambda: QuantumModel(dim_system=2, dim_environment=2, env_state=rho, modes=()),
+        ):
+            with pytest.raises(ValueError, match="unit trace, got 1.2"):
+                f()
+
 
 class TestModelCovariance:
     def test_single_mode_closed_form(self):
@@ -546,6 +562,39 @@ class TestModelSpectralMeasure:
         for m in range(-6, 7):
             got = table.at_index(m)
             assert rel_frob(got, model_covariance(model, m * 0.35)) < 1e-12
+
+
+class TestFilteredProcess:
+    """The linear filter ``psi`` acts on the harmonic process by ``M_k ->
+    M_k psi(nu_k)``. The filtered model's spectral measure is the filtered
+    measure, and its conditioned covariance is that measure's Bochner
+    transform."""
+
+    @pytest.mark.parametrize("second", [None, Derivative(2)], ids=["exp", "exp_derivative"])
+    def test_filter_on_process_equals_filter_on_spectrum(self, second):
+        filt = ExpOperator(gamma=[[1.5, 0.4], [0.4, 1.0]], a=[[1.0, 0.2j], [-0.3, 0.8]])
+        if second is not None:
+            filt = compose(filt, second)
+        model = three_mode_model()
+        filtered = QuantumModel(
+            dim_system=2,
+            dim_environment=3,
+            env_state=model.env_state,
+            modes=[
+                Mode(nu=m.nu, system_op=m.system_op @ eval_characteristic(filt, m.nu),
+                     environment_op=m.environment_op)
+                for m in model.modes
+            ],
+        )
+        measure = model_spectral_measure(filtered)
+        want = apply_filter(model_spectral_measure(model), filt)
+        assert np.array_equal(measure.nus, want.nus)
+        for g, w in zip(measure.weights, want.weights):
+            assert rel_frob(g, w) <= 1e-13
+        table = covariance_from_spectrum(want, dt=0.35, lags=3)
+        for m in range(-3, 4):
+            got = brute_covariance(filtered, 0.7, m * 0.35)
+            assert rel_frob(got, table.at_index(m)) < 1e-12
 
 
 class TestXhat:

@@ -397,6 +397,52 @@ class TestTrajectoryCsv:
         assert trajectory_to_csv(traj).splitlines()[0] == "t,re_0,im_0,re_1,im_1"
 
 
+# CSV text with {i} for the index column and {h} for the entry columns, the
+# message and the location of each rejection of the CSV reader
+CSV_REJECTIONS = [
+    pytest.param("", "empty CSV", None, id="empty"),
+    pytest.param(
+        "x,{h}\n0,1,0\n1,1,0\n", "first column must be '{i}', got ['x']", "header",
+        id="index_name",
+    ),
+    pytest.param(
+        "{i}\n0\n1\n", "need re/im column pairs after the index", "header", id="pairs"
+    ),
+    pytest.param(
+        "{i},{h}\n0,1,0\n1,1\n", "row 1 has 2 fields, expected 3", None, id="fields"
+    ),
+    pytest.param(
+        "{i},{h}\n0,1,0\n1,nan,0\n", "row 1 holds a non-finite value", None,
+        id="non_finite",
+    ),
+    pytest.param(
+        "{i},{h}\n0.5,1,0\n1,1,0\n", "index must start at 0, got 0.5", None, id="start"
+    ),
+    pytest.param(
+        "{i},{h}\n0,1,0\n-1,1,0\n", "index must increase, got step -1.0", None,
+        id="increase",
+    ),
+]
+
+
+class TestCsvReaderRejections:
+    @pytest.mark.parametrize(
+        "read, index, entries",
+        [
+            (covariance_from_csv, "tau", "re_00,im_00"),
+            (trajectory_from_csv, "t", "re_0,im_0"),
+        ],
+        ids=["covariance", "trajectory"],
+    )
+    @pytest.mark.parametrize("text, message, location", CSV_REJECTIONS)
+    def test_message_and_location(self, read, index, entries, text, message, location):
+        with pytest.raises(SchemaError) as exc:
+            read(text.format(i=index, h=entries))
+        assert type(exc.value) is SchemaError
+        assert str(exc.value) == message.format(i=index)
+        assert exc.value.location == location
+
+
 class TestTrajectoryBinary:
     def test_round_trip_is_exact(self):
         rng = rng_for(64)
@@ -983,6 +1029,10 @@ class TestStackEncoderMatchesReference:
     @given(tables())
     def test_covariance_csv(self, table):
         d, rows = table.dim, table.values.shape[0]
+        if rows < 2:  # the reader could not recover the time step
+            with pytest.raises(SchemaError, match="at least two data rows"):
+                covariance_to_csv(table)
+            return
         want = ref_write_rows(
             ["tau"] + ser._matrix_header(d),
             np.arange(rows) * table.dt,
@@ -993,6 +1043,10 @@ class TestStackEncoderMatchesReference:
     @settings(max_examples=40, deadline=None)
     @given(trajectories())
     def test_trajectory_csv(self, traj):
+        if traj.n < 2:  # the reader could not recover the time step
+            with pytest.raises(SchemaError, match="at least two data rows"):
+                trajectory_to_csv(traj)
+            return
         want = ref_write_rows(
             ["t"] + ser._vector_header(traj.dim),
             np.arange(traj.n) * traj.dt,
