@@ -22,8 +22,8 @@ its keys are the subcommand's flags plus ``command`` (which must match),
 
 Flags and config keys share one set of checks, run before any file is read
 or written. A malformed value (``--n 1e3``, ``--window foo``, a config
-``NaN`` or ``1e400``) is a ``schema`` error and a value out of range
-(``--tol -1``, ``--n 63``, ``"dt": 0``, a flag's ``nan``) an
+``NaN`` or ``1e400``) is a ``schema`` error and a value out of its range in
+``errors`` (``--tol -1``, ``--n 63``, ``"dt": 0``, a flag's ``nan``) an
 ``invalid_value`` error, both located at the parameter name. Unknown flags
 or config keys and missing parameters, positionals or subcommands are
 ``schema`` errors. Constraints that tie a parameter to another one or to
@@ -50,9 +50,12 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .errors import COUNT, EVEN, FINITE, OVERLAP, POSITIVE, POWER_OF_TWO, SEED, SIZE
 from .errors import QwssError, SchemaError
 from .filters import ExpOperator, apply_filter, ou_covariance, white_noise
+from .linalg import TOL_PSD
 from .measure import (
+    _LAG_WINDOWS,
     CovarianceTable,
     check_psd_kernel,
     covariance_from_spectrum,
@@ -60,7 +63,7 @@ from .measure import (
     total_mass,
 )
 from .quantum import kolmogorov_decompose, model_spectral_measure
-from .sampling import Trajectory, lag_covariance, synthesize, welch_estimate
+from .sampling import _TAPERS, Trajectory, lag_covariance, synthesize, welch_estimate
 from .serialize import (
     _as_int,
     _as_object,
@@ -107,10 +110,6 @@ def _error_json(exc: BaseException) -> str:
 # --- parameters ----------------------------------------------------------------
 
 
-class _OutOfRange(QwssError):
-    """A well-typed flag or config value outside its range (``invalid_value``)."""
-
-
 def _string(v, loc):
     if not isinstance(v, str):
         raise SchemaError("expected a string", location=loc)
@@ -119,7 +118,7 @@ def _string(v, loc):
 
 class _Kind(NamedTuple):
     """Decoders of a flag's text and of a config value (``SchemaError`` when
-    malformed), the range check of the value (``_OutOfRange``), and the
+    malformed), the range check of the value (``QwssError``), and the
     flag's placeholder in the help."""
 
     text: Callable
@@ -128,8 +127,8 @@ class _Kind(NamedTuple):
     metavar: str | None = None
 
 
-def _number(convert, test, what):
-    """Kind of an ``int`` or ``float`` parameter in the range ``test``."""
+def _number(convert, allowed):
+    """Kind of an ``int`` or ``float`` parameter in the range ``allowed``."""
     is_int = convert is int
     noun, from_json = ("an integer", _as_int) if is_int else ("a real number", _as_real)
 
@@ -139,21 +138,10 @@ def _number(convert, test, what):
         except ValueError:
             raise SchemaError(f"expected {noun}, got {t!r}", location=loc) from None
 
-    def check(v, loc):
-        if not test(v):
-            raise _OutOfRange(f"{loc} must be {what}, got {v}", location=loc)
-
-    return _Kind(text, from_json, check)
+    return _Kind(text, from_json, allowed.check)
 
 
-_FINITE = _number(float, np.isfinite, "a finite number")
-_POSITIVE = _number(float, lambda x: 0 < x < np.inf, "a positive finite number")
-_OVERLAP = _number(float, lambda x: 0 <= x <= 0.9, "in [0, 0.9]")
-_COUNT = _number(int, lambda m: m >= 0, ">= 0")
-_SIZE = _number(int, lambda m: m >= 1, ">= 1")
-_POWER_OF_TWO = _number(int, lambda m: m >= 1 and m & (m - 1) == 0, "a power of two")
-_EVEN = _number(int, lambda m: m >= 2 and m % 2 == 0, "even and >= 2")
-_SEED = _number(int, lambda s: 0 <= s < 2**128, "in [0, 2**128)")
+_FINITE = _number(float, FINITE)
 _PATH = _Kind(_string, _string)
 
 
@@ -168,10 +156,10 @@ def _times(v, loc):
 
 def _each_finite(times, loc):
     for i, t in enumerate(times):
-        _FINITE.check(t, f"{loc}[{i}]")
+        FINITE.check(t, f"{loc}[{i}]")
 
 
-def _one_of(*allowed):
+def _one_of(allowed):
     def decode(v, loc):
         if _string(v, loc) not in allowed:
             raise SchemaError(f"must be one of {allowed}, got {v!r}", location=loc)
@@ -193,19 +181,19 @@ class _Param(NamedTuple):
 
 
 _IN, _OUT = _Param("input", positional=True), _Param("output", positional=True)
-_TOL = _Param("tol", _POSITIVE, 1e-9)
+_TOL = _Param("tol", _number(float, POSITIVE), TOL_PSD)
 
 # subcommand -> (help line, parameters)
 _COMMANDS = {
     "bochner": ("measure JSON to covariance table CSV", (
         _IN, _OUT,
-        _Param("dt", _POSITIVE, required=True),
-        _Param("lags", _COUNT, 128),
+        _Param("dt", _number(float, POSITIVE), required=True),
+        _Param("lags", _number(int, COUNT), 128),
     )),
     "inverse": ("covariance table CSV to measure JSON", (
         _IN, _OUT,
-        _Param("bins", _SIZE),
-        _Param("window", _one_of("bartlett", "boxcar"), "bartlett"),
+        _Param("bins", _number(int, SIZE)),
+        _Param("window", _one_of(_LAG_WINDOWS), "bartlett"),
     )),
     "filter": ("push a measure through a filter", (
         _IN,
@@ -224,34 +212,34 @@ _COMMANDS = {
     "model": ("quantum model JSON to spectral measure", (
         _IN, _OUT,
         _Param("covariance", help="also write a covariance table CSV here"),
-        _Param("dt", _POSITIVE, required="covariance"),
-        _Param("lags", _COUNT, 128),
+        _Param("dt", _number(float, POSITIVE), required="covariance"),
+        _Param("lags", _number(int, COUNT), 128),
     )),
     "synth": ("draw a trajectory from a measure", (
         _IN, _OUT,
-        _Param("dt", _POSITIVE, required=True),
-        _Param("n", _POWER_OF_TWO, required=True),
-        _Param("seed", _SEED, required=True),
+        _Param("dt", _number(float, POSITIVE), required=True),
+        _Param("n", _number(int, POWER_OF_TWO), required=True),
+        _Param("seed", _number(int, SEED), required=True),
     )),
     "estimate": ("estimate spectrum (and covariance)", (
         _IN, _OUT,
-        _Param("segment", _EVEN, required=True),
-        _Param("overlap", _OVERLAP, 0.5),
-        _Param("taper", _one_of("hann", "bartlett", "boxcar"), "hann"),
+        _Param("segment", _number(int, EVEN), required=True),
+        _Param("overlap", _number(float, OVERLAP), 0.5),
+        _Param("taper", _one_of(_TAPERS), "hann"),
         _Param("covariance", help="also write a lag covariance CSV here"),
-        _Param("lags", _COUNT, required="covariance"),
+        _Param("lags", _number(int, COUNT), required="covariance"),
     )),
     "demo ou": ("resolvent-filtered white noise pipeline", (
         _Param("output", positional=True, help="output directory"),
-        _Param("gamma", _POSITIVE, 1.0),
-        _Param("intensity", _POSITIVE, 1.0),
-        _Param("band", _POSITIVE, 50.0),
-        _Param("bins", _SIZE, 4096),
-        _Param("dt", _POSITIVE, 0.01),
-        _Param("n", _POWER_OF_TWO, 32768),
-        _Param("seed", _SEED, 7),
-        _Param("lags", _COUNT, 500),
-        _Param("segment", _EVEN, 1024),
+        _Param("gamma", _number(float, POSITIVE), 1.0),
+        _Param("intensity", _number(float, POSITIVE), 1.0),
+        _Param("band", _number(float, POSITIVE), 50.0),
+        _Param("bins", _number(int, SIZE), 4096),
+        _Param("dt", _number(float, POSITIVE), 0.01),
+        _Param("n", _number(int, POWER_OF_TWO), 32768),
+        _Param("seed", _number(int, SEED), 7),
+        _Param("lags", _number(int, COUNT), 500),
+        _Param("segment", _number(int, EVEN), 1024),
     )),
 }
 

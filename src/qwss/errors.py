@@ -6,7 +6,15 @@ the ``code`` the CLI reports for it: ``invalid_value`` (QwssError itself, a
 value out of range), ``dimension_mismatch``, ``not_psd``,
 ``not_positive_definite``, ``aliasing``, ``off_grid_lag``, ``filter_domain``
 and ``schema``. ``location`` names the offending field or JSON path when known.
+
+The range of each scalar argument (``POSITIVE`` for a time step, ``SEED``,
+...) is declared once, at the end, and both the CLI flags and the library
+arguments are checked against it: out of range is a ``QwssError`` located at
+the argument's name, worded alike. A wrong type (a float count) stays a
+``TypeError``.
 """
+
+from typing import Callable, NamedTuple
 
 __all__ = [
     "QwssError",
@@ -86,3 +94,27 @@ class SchemaError(QwssError):
     """A serialized document violates its schema."""
 
     code = "schema"
+
+
+class _Range(NamedTuple):
+    """A predicate on an argument and its wording; ``check(value, name)``
+    returns ``value`` or raises a ``QwssError`` located at ``name``."""
+
+    test: Callable
+    what: str
+
+    def check(self, value, name: str):
+        if not self.test(value):
+            raise QwssError(f"{name} must be {self.what}, got {value}", location=name)
+        return value
+
+
+_INF = float("inf")
+FINITE = _Range(lambda x: -_INF < x < _INF, "a finite number")
+POSITIVE = _Range(lambda x: 0 < x < _INF, "a positive finite number")
+OVERLAP = _Range(lambda x: 0 <= x <= 0.9, "in [0, 0.9]")
+COUNT = _Range(lambda m: m >= 0, ">= 0")
+SIZE = _Range(lambda m: m >= 1, ">= 1")
+POWER_OF_TWO = _Range(lambda m: m >= 1 and m & (m - 1) == 0, "a power of two")
+EVEN = _Range(lambda m: m >= 2 and m % 2 == 0, "even and >= 2")
+SEED = _Range(lambda s: 0 <= s < 2**128, "in [0, 2**128)")

@@ -33,15 +33,18 @@ M gamma = s``, which ``ou_covariance`` returns whether or not ``gamma`` and
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
+from .errors import POSITIVE, SIZE
 from .errors import (
     DimensionMismatchError,
     FilterDomainError,
     NotPositiveDefiniteError,
+    QwssError,
 )
 from .linalg import (
     TOL_HERM,
@@ -88,9 +91,7 @@ class FilterSpec:
 
 
 def _set_dim(filt: FilterSpec) -> None:
-    if int(filt.dim) < 1:
-        raise ValueError("dim must be >= 1")
-    object.__setattr__(filt, "dim", int(filt.dim))
+    object.__setattr__(filt, "dim", SIZE.check(operator.index(filt.dim), "dim"))
 
 
 def _scalar(h: np.ndarray, d: int) -> np.ndarray:
@@ -107,7 +108,7 @@ class Shift(FilterSpec):
     def __post_init__(self):
         _set_dim(self)
         if not math.isfinite(float(self.s)):
-            raise ValueError(f"shift s must be finite, got {self.s}")
+            raise QwssError(f"shift s must be finite, got {self.s}")
         object.__setattr__(self, "s", float(self.s))
 
     def _psi(self, nus):
@@ -172,7 +173,7 @@ class ExpOperator(FilterSpec):
         a = as_complex_matrix(self.a, name="a")
         for name, m in (("gamma", g), ("a", a)):
             if not np.isfinite(m).all():
-                raise ValueError(f"{name} holds a non-finite entry")
+                raise QwssError(f"{name} holds a non-finite entry")
         if g.shape != a.shape:
             raise DimensionMismatchError(
                 f"gamma {g.shape} and a {a.shape} must have equal shapes"
@@ -209,7 +210,7 @@ class Tabulated(UniformGrid, FilterSpec):
     def __post_init__(self):
         super().__post_init__()
         if not np.isfinite(self.values).all():
-            raise ValueError("tabulated values hold a non-finite entry")
+            raise QwssError("tabulated values hold a non-finite entry")
 
     def covers(self, lo: float, hi: float) -> bool:
         return self.nu_min <= lo and hi <= self.nu_max
@@ -370,15 +371,10 @@ def white_noise(s, band: float, bins: int = 1):
     """
     s = validate_psd(s, name="white noise intensity")
     band = float(band)
-    if math.isinf(band):
-        if band < 0:
-            raise ValueError("band must be positive")
+    if band == math.inf:
         return UnboundedWhiteNoise(intensity=s)
-    if not band > 0:
-        raise ValueError(f"band must be positive, got {band}")
-    bins = int(bins)
-    if bins < 1:
-        raise ValueError(f"bins must be >= 1, got {bins}")
+    POSITIVE.check(band, "band")
+    bins = SIZE.check(operator.index(bins), "bins")
     vals = np.broadcast_to(s, (bins, *s.shape)).copy()
     return OperatorSpectralMeasure(
         dim=s.shape[0],

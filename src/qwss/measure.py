@@ -15,15 +15,18 @@ time, never angular.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
+from .errors import COUNT, POSITIVE, SIZE
 from .errors import (
     DimensionMismatchError,
     NotPositiveSemidefiniteError,
     OffGridLagError,
+    QwssError,
 )
 from .linalg import (
     TOL_PSD,
@@ -80,11 +83,10 @@ class UniformGrid:
                 f"{type(self).__name__} values must have shape (bins, d, d), "
                 f"got {v.shape}"
             )
-        if v.shape[0] < 1:
-            raise ValueError(f"{type(self).__name__} needs at least one bin")
+        SIZE.check(v.shape[0], "bins")
         lo, hi = float(self.nu_min), float(self.nu_max)
         if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
-            raise ValueError(f"need finite nu_min < nu_max, got [{lo}, {hi}]")
+            raise QwssError(f"need finite nu_min < nu_max, got [{lo}, {hi}]")
         object.__setattr__(self, "nu_min", lo)
         object.__setattr__(self, "nu_max", hi)
         object.__setattr__(self, "values", _locked(v))
@@ -160,14 +162,12 @@ class OperatorSpectralMeasure:
     density: DensityGrid | None
 
     def __init__(self, dim: int, atoms=(), density: DensityGrid | None = None):
-        d = int(dim)
-        if d < 1:
-            raise ValueError(f"dim must be >= 1, got {dim}")
+        d = SIZE.check(operator.index(dim), "dim")
         nus, weights = [], []
         for i, (nu, w) in enumerate(atoms):
             nu = float(nu)
             if not math.isfinite(nu):
-                raise ValueError(f"atom {i} has non-finite frequency {nu}")
+                raise QwssError(f"atom {i} has non-finite frequency {nu}")
             if np.shape(w) != (d, d):
                 raise DimensionMismatchError(
                     f"atom {i} weight has shape {np.shape(w)}, expected ({d}, {d})"
@@ -182,7 +182,7 @@ class OperatorSpectralMeasure:
         nus, weights = nus[order], weights[order]
         tied = nus[1:][nus[1:] == nus[:-1]]
         if tied.size:
-            raise ValueError(f"atom frequencies must be distinct, got {tied[0]} twice")
+            raise QwssError(f"atom frequencies must be distinct, got {tied[0]} twice")
         if density is not None and not isinstance(density, DensityGrid):
             raise TypeError(
                 f"density must be a DensityGrid or None, got {type(density).__name__}"
@@ -245,13 +245,11 @@ class CovarianceTable:
                 f"covariance values must have shape (m+1, d, d), got {v.shape}"
             )
         if v.shape[0] < 1:
-            raise ValueError("covariance table needs at least the zero lag")
-        dt = float(self.dt)
-        if not (np.isfinite(dt) and dt > 0):
-            raise ValueError(f"dt must be positive, got {self.dt}")
+            raise QwssError("covariance table needs at least the zero lag")
+        dt = POSITIVE.check(float(self.dt), "dt")
         validate_psd(v[0], name="C(0)")
         if not np.isfinite(v.view(np.float64)).all():
-            raise ValueError("covariance values must be finite")
+            raise QwssError("covariance values must be finite")
         stack = np.concatenate([v[1:][::-1].conj().transpose(0, 2, 1), v], axis=0)
         stack.setflags(write=False)
         object.__setattr__(self, "dt", dt)
@@ -321,7 +319,7 @@ def cumulative(mu: OperatorSpectralMeasure, nu: float) -> np.ndarray:
     """
     nu = float(nu)
     if np.isnan(nu):
-        raise ValueError("cumulative needs a frequency, got nan")
+        raise QwssError("cumulative needs a frequency, got nan")
     out = mu.weights[: np.searchsorted(mu.nus, nu, side="right")].sum(axis=0)
     den = mu.density
     if den is not None and nu > den.nu_min:
@@ -405,12 +403,8 @@ def covariance_from_spectrum(
     (Rabiner, Schafer & Rader 1969), evaluated for every lag at once by
     Bluestein's FFT convolution (1970) in ``O((bins + lags) log)`` time.
     """
-    dt = float(dt)
-    if not (np.isfinite(dt) and dt > 0):
-        raise ValueError(f"dt must be positive, got {dt}")
-    lags = int(lags)
-    if lags < 0:
-        raise ValueError(f"lags must be >= 0, got {lags}")
+    dt = POSITIVE.check(float(dt), "dt")
+    lags = COUNT.check(operator.index(lags), "lags")
     taus = np.arange(lags + 1) * dt
     vals = np.zeros((lags + 1, mu.dim, mu.dim), dtype=np.complex128)
     for nu_k, w in zip(mu.nus.tolist(), mu.weights):
@@ -465,14 +459,12 @@ def spectrum_from_covariance(
     """
     m = table.max_lag_index
     if m + 1 < 2:
-        raise ValueError("spectrum_from_covariance needs at least 2 lags")
-    bins = int(bins)
+        raise QwssError("spectrum_from_covariance needs at least 2 lags")
+    bins = operator.index(bins)
     if bins < m + 1:
-        raise ValueError(
-            f"bins ({bins}) must be >= number of lags ({m + 1})"
-        )
+        raise QwssError(f"bins ({bins}) must be >= number of lags ({m + 1})")
     if window not in _LAG_WINDOWS:
-        raise ValueError(f"unknown window {window!r}; choose from {_LAG_WINDOWS}")
+        raise QwssError(f"unknown window {window!r}; choose from {_LAG_WINDOWS}")
     dt = table.dt
     j = np.arange(-m, m + 1)
     w = 1.0 - np.abs(j) / (m + 1) if window == "bartlett" else np.ones(2 * m + 1)
@@ -496,7 +488,7 @@ def _kernel_blocks(cov, times: Sequence[float]) -> np.ndarray:
     bit pattern, ``cov(0.0)`` first and the rest in order of first appearance."""
     times = np.array([float(t) for t in times])
     if len(times) < 1:
-        raise ValueError("check_psd_kernel needs at least one sample time")
+        raise QwssError("check_psd_kernel needs at least one sample time")
     lags = times[None, :] - times[:, None]
     if isinstance(cov, CovarianceTable):
         ratio = lags / cov.dt
@@ -563,10 +555,9 @@ def check_psd_kernel(cov, times: Sequence[float], tol: float = TOL_PSD) -> Kerne
     times ``0.1*k``, whose equal lags often differ in their last bit (merging
     by grid index would change the ``tau`` it sees). Returns a verdict with the
     minimum eigenvalue of the block Gram matrix as witness. ``tol`` must be
-    finite and > 0.
+    a positive finite number.
     """
-    if not (np.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be finite and > 0, got {tol}")
+    POSITIVE.check(tol, "tol")
     blocks = _kernel_blocks(cov, times)
     gram, scale = _block_gram(blocks)
     if hermitian_defect(gram) > 1e-9 * scale:
@@ -593,7 +584,7 @@ def add_scaled(
     """
     a, b = abs(complex(alpha)) ** 2, abs(complex(beta)) ** 2
     if not (np.isfinite(a) and np.isfinite(b)):
-        raise ValueError(f"scale factors must be finite, got {alpha}, {beta}")
+        raise QwssError(f"scale factors must be finite, got {alpha}, {beta}")
     if mu1.dim != mu2.dim:
         raise DimensionMismatchError(
             f"measure dims differ: {mu1.dim} vs {mu2.dim}"
@@ -617,13 +608,13 @@ def add_scaled(
             abs(d1.nu_min - d2.nu_min) > 1e-12 * span
             or abs(d1.nu_max - d2.nu_max) > 1e-12 * span
         ):
-            raise ValueError(
+            raise QwssError(
                 f"density bands differ: [{d1.nu_min}, {d1.nu_max}] vs "
                 f"[{d2.nu_min}, {d2.nu_max}]"
             )
         n1, n2 = d1.bins, d2.bins
         if max(n1, n2) % min(n1, n2) != 0:
-            raise ValueError(
+            raise QwssError(
                 f"density grids are not integer refinements: {n1} vs {n2} bins"
             )
         fine = max(n1, n2)

@@ -24,13 +24,15 @@ independent of t; the matching spectral measure is purely atomic.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NotPositiveSemidefiniteError
-from .linalg import as_complex_matrix, hermitian_defect, hermitize, validate_psd
+from .errors import POSITIVE, SIZE
+from .errors import DimensionMismatchError, NotPositiveSemidefiniteError, QwssError
+from .linalg import TOL_PSD, as_complex_matrix, hermitian_defect, hermitize, validate_psd
 from .measure import OperatorSpectralMeasure, _block_gram, _gram_blocks, _locked
 
 __all__ = [
@@ -52,7 +54,7 @@ MODEL_TOL = 1e-12
 
 def partial_trace_environment(z, dim_system: int, dim_environment: int) -> np.ndarray:
     """Partial trace over the environment factor of H tensor K."""
-    dh, dk = int(dim_system), int(dim_environment)
+    dh, dk = operator.index(dim_system), operator.index(dim_environment)
     a = as_complex_matrix(z, name="operator")
     if a.shape != (dh * dk, dh * dk):
         raise DimensionMismatchError(
@@ -65,7 +67,7 @@ def _unit_trace(rho: np.ndarray) -> np.ndarray:
     """``rho``, checked to have unit trace as a density matrix must."""
     tr = float(np.trace(rho).real)
     if abs(tr - 1.0) > 1e-9:
-        raise ValueError(f"environment state must have unit trace, got {tr}")
+        raise QwssError(f"environment state must have unit trace, got {tr}")
     return rho
 
 
@@ -81,7 +83,7 @@ def conditional_expectation(z, env_state, dim_system: int | None = None) -> np.n
     a = as_complex_matrix(z, name="operator")
     dk = rho.shape[0]
     n = a.shape[0]
-    dh = n // dk if dim_system is None else int(dim_system)
+    dh = n // dk if dim_system is None else operator.index(dim_system)
     if dh * dk != n:
         raise DimensionMismatchError(
             f"operator of size {n} does not factor as system*environment with "
@@ -103,10 +105,10 @@ class Mode:
         d = _locked(as_complex_matrix(self.environment_op, name="environment_op"))
         for name, a in (("system_op", m), ("environment_op", d)):
             if not np.isfinite(a).all():
-                raise ValueError(f"{name} holds a non-finite entry")
+                raise QwssError(f"{name} holds a non-finite entry")
         nu = float(self.nu)
         if not np.isfinite(nu):
-            raise ValueError(f"mode frequency must be finite, got {nu}")
+            raise QwssError(f"mode frequency must be finite, got {nu}")
         object.__setattr__(self, "nu", nu)
         object.__setattr__(self, "system_op", m)
         object.__setattr__(self, "environment_op", d)
@@ -150,9 +152,8 @@ class QuantumModel:
     mode_weights: tuple[float, ...]  # s_k = tr[rho D_k^H D_k] per mode
 
     def __init__(self, dim_system: int, dim_environment: int, env_state, modes):
-        dh, dk = int(dim_system), int(dim_environment)
-        if dh < 1 or dk < 1:
-            raise ValueError("dimensions must be >= 1")
+        dh = SIZE.check(operator.index(dim_system), "dim_system")
+        dk = SIZE.check(operator.index(dim_environment), "dim_environment")
         rho = validate_psd(env_state, name="environment state")
         if rho.shape != (dk, dk):
             raise DimensionMismatchError(
@@ -162,7 +163,7 @@ class QuantumModel:
         modes = tuple(modes)
         nus = [m.nu for m in modes]
         if len(set(nus)) != len(nus):
-            raise ValueError("mode frequencies must be pairwise distinct")
+            raise QwssError("mode frequencies must be pairwise distinct")
         # A mode of the wrong shape is reported after the centering of the
         # modes before it, the order of a per-mode scan.
         shaped = next(
@@ -180,7 +181,7 @@ class QuantumModel:
         uncentered = np.flatnonzero(np.abs(mean) > MODEL_TOL * np.maximum(1.0, size))
         if uncentered.size:
             i = int(uncentered[0])
-            raise ValueError(
+            raise QwssError(
                 f"mode {i} environment factor is not centered: "
                 f"tr[rho D] = {complex(mean[i]):.3e}"
             )
@@ -208,14 +209,14 @@ class QuantumModel:
         if first.size:
             i, j = divmod(int(first[0]), len(d))
             if i == j:
-                raise ValueError(
+                raise QwssError(
                     f"mode {i} has invalid second moment tr[rho D^H D] = "
                     f"{complex(second[i]):.3e}"
                 )
             # reported as the triple product, whose rounding noise (such as a
             # tiny imaginary part) the Gram entry does not share
             g = complex(np.trace(rho @ d[i].conj().T @ d[j]))
-            raise ValueError(
+            raise QwssError(
                 f"modes {i} and {j} are not orthogonal under rho: "
                 f"tr[rho Di^H Dj] = {g:.3e}"
             )
@@ -276,7 +277,7 @@ def orthogonalize_environment_ops(
             d = d - (overlap / norm2) * prev
         norm2 = complex(np.trace(rho @ d.conj().T @ d)).real
         if norm2 <= tol * max(1.0, float(np.abs(d).max()) ** 2):
-            raise ValueError(
+            raise QwssError(
                 f"operator {i} is linearly dependent (within the state metric) "
                 "on its predecessors after centering"
             )
@@ -351,17 +352,16 @@ class KolmogorovFactorization:
         return _gram_blocks(v.conj().T @ v, n, d)
 
 
-def kolmogorov_decompose(blocks, tol: float = 1e-9) -> KolmogorovFactorization:
+def kolmogorov_decompose(blocks, tol: float = TOL_PSD) -> KolmogorovFactorization:
     """Factor an ``n x n`` family of ``d x d`` blocks as ``K[i,j] = V_i^H V_j``.
 
     The stacked ``nd x nd`` block matrix must be Hermitian PSD at tolerance
     ``tol`` (witness eigenvalue reported otherwise). Eigenvalues above
     ``tol * lambda_max`` are kept, so the rank is minimal at that threshold
     and the factorization is unique up to a unitary on the rank space.
-    ``tol`` must be finite and > 0; a NaN or inf block raises.
+    ``tol`` must be a positive finite number; a NaN or inf block raises.
     """
-    if not (np.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be finite and > 0, got {tol}")
+    POSITIVE.check(tol, "tol")
     k = np.ascontiguousarray(blocks, dtype=np.complex128)
     if k.ndim != 4 or k.shape[0] != k.shape[1] or k.shape[2] != k.shape[3]:
         raise DimensionMismatchError(

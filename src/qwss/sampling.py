@@ -29,11 +29,13 @@ line at counter ``k * 2**128``) are not reproduced.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AliasingError, DimensionMismatchError
+from .errors import EVEN, OVERLAP, POSITIVE, POWER_OF_TWO, SEED
+from .errors import AliasingError, DimensionMismatchError, QwssError
 from .linalg import hermitize, nearest_psd, psd_sqrt
 from .measure import CovarianceTable, DensityGrid, OperatorSpectralMeasure, _fft_length
 
@@ -61,10 +63,8 @@ class Trajectory:
                 f"samples must have shape (n, dim), got {s.shape}"
             )
         if not np.isfinite(s.view(np.float64)).all():
-            raise ValueError("trajectory samples must be finite")
-        dt = float(self.dt)
-        if not (np.isfinite(dt) and dt > 0):
-            raise ValueError(f"dt must be positive, got {self.dt}")
+            raise QwssError("trajectory samples must be finite")
+        dt = POSITIVE.check(float(self.dt), "dt")
         s.setflags(write=False)
         object.__setattr__(self, "dt", dt)
         object.__setattr__(self, "samples", s)
@@ -113,14 +113,9 @@ def synthesize(
     representable band ``|nu| < 1/(2*dt)``, and a density may extend to the
     closed band edge (the exact full-band flat measure is representable).
     """
-    if not 0 <= seed < 1 << 128:
-        raise ValueError(f"seed must satisfy 0 <= seed < 2**128, got {seed}")
-    dt = float(dt)
-    if not (np.isfinite(dt) and dt > 0):
-        raise ValueError(f"dt must be positive, got {dt}")
-    n = int(n)
-    if n < 1 or (n & (n - 1)) != 0:
-        raise ValueError(f"n must be a power of two, got {n}")
+    seed = SEED.check(operator.index(seed), "seed")
+    dt = POSITIVE.check(float(dt), "dt")
+    n = POWER_OF_TWO.check(operator.index(n), "n")
     nyquist = 1.0 / (2.0 * dt)
     outside = mu.nus[~(np.abs(mu.nus) < nyquist)]
     if outside.size:
@@ -156,7 +151,7 @@ def synthesize(
             rows = hit[lo : lo + _SYNTH_BLOCK]
             coeff[rows] = (roots[bins[rows]] @ xi[rows, :, None])[..., 0]
         x += n * np.fft.ifft(coeff, axis=0)
-    return Trajectory(dt=dt, samples=x, seed=int(seed))
+    return Trajectory(dt=dt, samples=x, seed=seed)
 
 
 def lag_covariance(traj: Trajectory, lags: int) -> CovarianceTable:
@@ -169,10 +164,10 @@ def lag_covariance(traj: Trajectory, lags: int) -> CovarianceTable:
     row of the cross-spectrum keeps memory at the ``(d, N)`` spectrum and two
     row blocks of its size. The zero lag is hermitized.
     """
-    lags = int(lags)
+    lags = operator.index(lags)
     n = traj.n
     if lags < 0 or 2 * lags >= n:
-        raise ValueError(f"lags must satisfy 0 <= lags < n/2, got {lags} with n={n}")
+        raise QwssError(f"lags must satisfy 0 <= lags < n/2, got {lags} with n={n}")
     d = traj.dim
     spec = np.fft.fft(traj.samples.T, n=_fft_length(n + lags))
     vals = np.empty((lags + 1, d, d), dtype=np.complex128)
@@ -197,7 +192,7 @@ def _taper(name: str, length: int) -> np.ndarray:
         return 1.0 - np.abs(2.0 * t / length - 1.0)
     if name == "boxcar":
         return np.ones(length)
-    raise ValueError(f"unknown taper {name!r}; choose from {_TAPERS}")
+    raise QwssError(f"unknown taper {name!r}; choose from {_TAPERS}")
 
 
 def welch_estimate(
@@ -219,20 +214,16 @@ def welch_estimate(
     is projected to the nearest PSD matrix (the average of outer products is
     already PSD, so this only clears rounding dust).
     """
-    segment = int(segment)
+    segment = EVEN.check(operator.index(segment), "segment")
     n = traj.n
-    if segment < 2 or segment > n:
-        raise ValueError(f"segment must be in [2, n], got {segment} with n={n}")
-    if segment % 2 != 0:
-        raise ValueError(f"segment must be even, got {segment}")
-    overlap = float(overlap)
-    if not (0.0 <= overlap <= 0.9):
-        raise ValueError(f"overlap must be in [0, 0.9], got {overlap}")
+    if segment > n:
+        raise QwssError(f"segment must be in [2, n], got {segment} with n={n}")
+    overlap = OVERLAP.check(float(overlap), "overlap")
     w = _taper(taper, segment)
     hop = max(1, int(round(segment * (1.0 - overlap))))
     count = 1 + (n - segment) // hop
     if count < 2:
-        raise ValueError(
+        raise QwssError(
             f"need at least 2 segments, got {count} (n={n}, segment={segment})"
         )
     windows = np.lib.stride_tricks.sliding_window_view(traj.samples, segment, axis=0)

@@ -37,7 +37,7 @@ from dataclasses import fields
 
 import numpy as np
 
-from .errors import NotPositiveSemidefiniteError, SchemaError
+from .errors import POSITIVE, NotPositiveSemidefiniteError, SchemaError
 from .filters import (
     Composition,
     Derivative,
@@ -665,6 +665,8 @@ def trajectory_from_binary(data: bytes) -> Trajectory:
         raise SchemaError(f"unsupported version {version}")
     if dim < 1 or n < 1:
         raise SchemaError(f"invalid shape n={n}, dim={dim}")
+    if not POSITIVE.test(dt):
+        raise SchemaError(f"invalid time step dt={dt}")
     expected = _HEADER.size + 16 * dim * n
     if len(data) != expected:
         raise SchemaError(f"expected {expected} bytes total, got {len(data)}")

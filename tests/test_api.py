@@ -1,12 +1,38 @@
-"""The package namespace: ``qwss`` re-exports each module's ``__all__``."""
+"""Package-wide contracts: ``qwss`` re-exports each module's ``__all__``,
+every deliberate error is a ``QwssError`` (or a ``TypeError``), and the
+library checks each scalar argument against the CLI's range and wording."""
 
 import ast
 import importlib
+import math
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import qwss
+from qwss import (
+    CovarianceTable,
+    Derivative,
+    DensityGrid,
+    OperatorSpectralMeasure,
+    QuantumModel,
+    QwssError,
+    Trajectory,
+    check_psd_kernel,
+    conditional_expectation,
+    covariance_from_spectrum,
+    kolmogorov_decompose,
+    lag_covariance,
+    partial_trace_environment,
+    spectrum_from_covariance,
+    synthesize,
+    welch_estimate,
+    white_noise,
+)
+from qwss import errors
 
 MODULES = ("errors", "filters", "linalg", "measure", "quantum", "sampling", "serialize")
 
@@ -51,3 +77,98 @@ def test_import_loads_the_seven_modules_and_their_imports_only():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["qwss"] + [f"qwss.{m}" for m in MODULES]
+
+
+def test_every_raise_is_a_package_error_or_a_type_error():
+    # OSError and IsADirectoryError are write_files' reports of the file system
+    allowed = {
+        name
+        for name, obj in vars(errors).items()
+        if isinstance(obj, type) and issubclass(obj, errors.QwssError)
+    } | {"TypeError", "OSError", "IsADirectoryError"}
+    raised = []
+    for path in sorted(Path(qwss.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.append((path.name, node.lineno, ast.unparse(exc)))
+    assert len(raised) > 100
+    assert [r for r in raised if r[2] not in allowed] == []
+
+
+MU = white_noise([[1.0]], band=1.0, bins=4)
+TRAJ = Trajectory(dt=0.1, samples=np.zeros((32, 1)))
+TABLE = CovarianceTable(dt=0.1, values=np.ones((3, 1, 1)))
+STATE = [[1.0]]
+
+
+@pytest.mark.parametrize(
+    "call, name, message",
+    [
+        (lambda: CovarianceTable(dt=0.0, values=[[[1.0]]]),
+         "dt", "dt must be a positive finite number, got 0.0"),
+        (lambda: Trajectory(dt=math.nan, samples=np.zeros((2, 1))),
+         "dt", "dt must be a positive finite number, got nan"),
+        (lambda: covariance_from_spectrum(MU, dt=-0.1, lags=2),
+         "dt", "dt must be a positive finite number, got -0.1"),
+        (lambda: covariance_from_spectrum(MU, dt=0.1, lags=-1),
+         "lags", "lags must be >= 0, got -1"),
+        (lambda: synthesize(MU, dt=math.inf, n=8, seed=1),
+         "dt", "dt must be a positive finite number, got inf"),
+        (lambda: synthesize(MU, dt=0.1, n=6, seed=1),
+         "n", "n must be a power of two, got 6"),
+        (lambda: synthesize(MU, dt=0.1, n=8, seed=-1),
+         "seed", "seed must be in [0, 2**128), got -1"),
+        (lambda: welch_estimate(TRAJ, segment=3),
+         "segment", "segment must be even and >= 2, got 3"),
+        (lambda: welch_estimate(TRAJ, segment=8, overlap=0.95),
+         "overlap", "overlap must be in [0, 0.9], got 0.95"),
+        (lambda: check_psd_kernel(TABLE, [0.0], tol=0.0),
+         "tol", "tol must be a positive finite number, got 0.0"),
+        (lambda: kolmogorov_decompose(np.ones((1, 1, 1, 1)), tol=math.nan),
+         "tol", "tol must be a positive finite number, got nan"),
+        (lambda: white_noise([[1.0]], band=1.0, bins=0),
+         "bins", "bins must be >= 1, got 0"),
+        (lambda: white_noise([[1.0]], band=-math.inf),
+         "band", "band must be a positive finite number, got -inf"),
+        (lambda: DensityGrid(-1.0, 1.0, np.zeros((0, 1, 1))),
+         "bins", "bins must be >= 1, got 0"),
+        (lambda: OperatorSpectralMeasure(dim=0),
+         "dim", "dim must be >= 1, got 0"),
+        (lambda: Derivative(dim=0),
+         "dim", "dim must be >= 1, got 0"),
+        (lambda: QuantumModel(0, 1, STATE, ()),
+         "dim_system", "dim_system must be >= 1, got 0"),
+        (lambda: QuantumModel(1, 0, STATE, ()),
+         "dim_environment", "dim_environment must be >= 1, got 0"),
+    ],
+)
+def test_library_ranges_match_the_cli(call, name, message):
+    with pytest.raises(QwssError) as info:
+        call()
+    assert type(info.value) is QwssError
+    assert (str(info.value), info.value.location) == (message, name)
+
+
+# a float count raises instead of being truncated (seed=1.5 drew seed 1)
+FLOAT_COUNTS = {
+    "synthesize seed=1.5": lambda: synthesize(MU, dt=0.1, n=8, seed=1.5),
+    "synthesize seed=1e30": lambda: synthesize(MU, dt=0.1, n=8, seed=1e30),
+    "synthesize n=8.9": lambda: synthesize(MU, dt=0.1, n=8.9, seed=1),
+    "covariance_from_spectrum lags": lambda: covariance_from_spectrum(MU, 0.1, lags=2.5),
+    "lag_covariance lags": lambda: lag_covariance(TRAJ, lags=2.0),
+    "welch_estimate segment": lambda: welch_estimate(TRAJ, segment=8.0),
+    "spectrum_from_covariance bins": lambda: spectrum_from_covariance(TABLE, bins=8.0),
+    "white_noise bins": lambda: white_noise([[1.0]], band=1.0, bins=2.0),
+    "OperatorSpectralMeasure dim": lambda: OperatorSpectralMeasure(dim=1.0),
+    "Derivative dim": lambda: Derivative(dim=1.0),
+    "QuantumModel dim_system": lambda: QuantumModel(1.0, 1, STATE, ()),
+    "partial_trace_environment": lambda: partial_trace_environment(np.eye(2), 1.0, 2),
+    "conditional_expectation": lambda: conditional_expectation(np.eye(2), STATE, 2.0),
+}
+
+
+@pytest.mark.parametrize("case", FLOAT_COUNTS)
+def test_count_arguments_are_not_truncated(case):
+    with pytest.raises(TypeError):
+        FLOAT_COUNTS[case]()

@@ -262,7 +262,7 @@ def pairs_reference(dim, atoms):
     for i, (nu, w) in enumerate(atoms):
         nu = float(nu)
         if not np.isfinite(nu):
-            raise ValueError(f"atom {i} has non-finite frequency {nu}")
+            raise QwssError(f"atom {i} has non-finite frequency {nu}")
         w = np.asarray(w, dtype=np.complex128)
         if w.shape != (d, d):
             raise DimensionMismatchError(
@@ -277,7 +277,7 @@ def pairs_reference(dim, atoms):
     nus, stack = np.array(nus)[order], stack[order]
     tied = nus[1:][nus[1:] == nus[:-1]]
     if tied.size:
-        raise ValueError(f"atom frequencies must be distinct, got {tied[0]} twice")
+        raise QwssError(f"atom frequencies must be distinct, got {tied[0]} twice")
     return nus, stack
 
 

@@ -17,6 +17,7 @@ from qwss.errors import (
     DimensionMismatchError,
     NotPositiveSemidefiniteError,
     OffGridLagError,
+    QwssError,
 )
 from qwss.linalg import TOL_PSD, as_complex_matrix, hermitian_defect, hermitize, nearest_psd
 from qwss.measure import (
@@ -66,7 +67,7 @@ def table_blocks_reference(table, times):
 def kernel_lookup_reference(cov, times):
     times = [float(t) for t in times]
     if len(times) < 1:
-        raise ValueError("check_psd_kernel needs at least one sample time")
+        raise QwssError("check_psd_kernel needs at least one sample time")
     n = len(times)
     if isinstance(cov, CovarianceTable):
         return table_blocks_reference(cov, np.array(times)), n, cov.dim

@@ -488,7 +488,7 @@ class TestCheckPsdKernel:
     @pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1.0])
     def test_tol_must_be_finite_and_positive(self, tol):
         table = CovarianceTable(dt=1.0, values=np.array([[[1.0]], [[0.5]]]))
-        with pytest.raises(ValueError, match="tol must be finite and > 0"):
+        with pytest.raises(ValueError, match="tol must be a positive finite number"):
             check_psd_kernel(table, times=[0.0, 1.0], tol=tol)
 
     def test_callable_kernel(self):

@@ -21,6 +21,7 @@ from qwss import (
     Mode,
     NotPositiveSemidefiniteError,
     QuantumModel,
+    QwssError,
     add_scaled,
     apply_filter,
     check_psd_kernel,
@@ -303,7 +304,7 @@ def per_pair_reference(dh, dk, rho, modes, ratios):
     modes = tuple(modes)
     nus = [m.nu for m in modes]
     if len(set(nus)) != len(nus):
-        raise ValueError("mode frequencies must be pairwise distinct")
+        raise QwssError("mode frequencies must be pairwise distinct")
     for i, m in enumerate(modes):
         if m.system_op.shape != (dh, dh):
             raise DimensionMismatchError(
@@ -317,7 +318,7 @@ def per_pair_reference(dh, dk, rho, modes, ratios):
         tol = MODEL_TOL * max(1.0, float(np.abs(m.environment_op).max()))
         ratios.append(abs(mean) / tol)
         if abs(mean) > tol:
-            raise ValueError(
+            raise QwssError(
                 f"mode {i} environment factor is not centered: tr[rho D] = {mean:.3e}"
             )
     weights = []
@@ -333,14 +334,14 @@ def per_pair_reference(dh, dk, rho, modes, ratios):
             if i == j:
                 ratios.extend((abs(g.imag) / tol, -g.real / tol))
                 if abs(g.imag) > tol or g.real < -tol:
-                    raise ValueError(
+                    raise QwssError(
                         f"mode {i} has invalid second moment tr[rho D^H D] = {g:.3e}"
                     )
                 weights.append(max(g.real, 0.0))
             else:
                 ratios.append(abs(g) / tol)
                 if abs(g) > tol:
-                    raise ValueError(
+                    raise QwssError(
                         f"modes {i} and {j} are not orthogonal under rho: "
                         f"tr[rho Di^H Dj] = {g:.3e}"
                     )
@@ -704,7 +705,7 @@ class TestKolmogorov:
 
     @pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1.0])
     def test_tol_must_be_finite_and_positive(self, tol):
-        with pytest.raises(ValueError, match="tol must be finite and > 0"):
+        with pytest.raises(ValueError, match="tol must be a positive finite number"):
             kolmogorov_decompose(np.ones((2, 2, 1, 1)), tol=tol)
 
     def test_zero_kernel_has_rank_zero(self):

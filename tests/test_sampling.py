@@ -195,7 +195,7 @@ class TestSynthesize:
     @pytest.mark.parametrize("seed", [-1, 2**128])
     def test_rejects_seed_outside_key_range(self, seed):
         mu = white_noise([[1.0]], band=1.0, bins=4)
-        with pytest.raises(ValueError, match=r"^seed must satisfy 0 <= seed < 2\*\*"):
+        with pytest.raises(ValueError, match=r"^seed must be in \[0, 2\*\*128\), got "):
             synthesize(mu, dt=0.1, n=8, seed=seed)
 
     def test_rejects_non_power_of_two(self):

@@ -13,6 +13,7 @@ import json
 import math
 import os
 import stat
+import struct
 import tracemalloc
 
 import numpy as np
@@ -59,6 +60,7 @@ from qwss import (
     trajectory_to_csv,
 )
 from qwss import serialize as ser
+from qwss.cli import main
 from qwss.serialize import density_to_csv, write_files
 
 from helpers import count_psd_checks, random_complex_matrix, random_psd, rng_for
@@ -477,6 +479,19 @@ class TestTrajectoryBinary:
             trajectory_from_binary(data[:-8])
         with pytest.raises(SchemaError):
             trajectory_from_binary(data + b"\x00")
+
+    @pytest.mark.parametrize("dt", [math.nan, 0.0, -0.1, math.inf])
+    def test_bad_header_dt_is_a_schema_error(self, dt, tmp_path, capsys):
+        data = struct.pack("<4sIIQd", b"QWSS", 1, 1, 64, dt) + bytes(16 * 64)
+        with pytest.raises(SchemaError, match=r"^invalid time step dt="):
+            trajectory_from_binary(data)
+        path, out = tmp_path / "t.qwss", tmp_path / "o.json"
+        path.write_bytes(data)
+        assert main(["estimate", str(path), str(out), "--segment", "16"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err.splitlines()) == 1
+        assert json.loads(captured.err)["error"]["code"] == "schema"
+        assert not out.exists()
 
     def test_decodes_with_one_copy(self):
         rng = rng_for(65)
