@@ -146,17 +146,15 @@ _PATH = _Kind(_string, _string)
 
 
 def _times(v, loc):
+    """A comma list (fields numbered as written, blank ones skipped; all are
+    parsed before any is range-checked) or a config array of finite times."""
     if isinstance(v, str):
-        parts = [p for p in v.split(",") if p.strip()]
-        return [_FINITE.text(p, f"{loc}[{i}]") for i, p in enumerate(parts)]
+        named = [(f"{loc}[{i}]", p) for i, p in enumerate(v.split(",")) if p.strip()]
+        parsed = [(at, _FINITE.text(p, at)) for at, p in named]
+        return [FINITE.check(t, at) for at, t in parsed]
     if isinstance(v, list):
         return [_as_real(x, f"{loc}[{i}]") for i, x in enumerate(v)]
     raise SchemaError("expected a comma list or array of times", location=loc)
-
-
-def _each_finite(times, loc):
-    for i, t in enumerate(times):
-        FINITE.check(t, f"{loc}[{i}]")
 
 
 def _one_of(allowed):
@@ -203,7 +201,7 @@ _COMMANDS = {
     )),
     "checkpsd": ("kernel positivity verdict for a table", (
         _IN,
-        _Param("times", _Kind(_times, _times, _each_finite), required=True,
+        _Param("times", _Kind(_times, _times), required=True,
                help="comma-separated sample times"),
         _TOL,
         _Param("out", help="also write the verdict JSON here"),

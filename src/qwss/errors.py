@@ -10,10 +10,11 @@ and ``schema``. ``location`` names the offending field or JSON path when known.
 The range of each scalar argument (``POSITIVE`` for a time step, ``SEED``,
 ...) is declared once, at the end, and both the CLI flags and the library
 arguments are checked against it: out of range is a ``QwssError`` located at
-the argument's name, worded alike. A wrong type (a float count) stays a
-``TypeError``.
+the argument's name, worded alike. A wrong type (a float or ``bool``
+count) stays a ``TypeError``.
 """
 
+import operator
 from typing import Callable, NamedTuple
 
 __all__ = [
@@ -96,9 +97,18 @@ class SchemaError(QwssError):
     code = "schema"
 
 
+def integer(value, name: str) -> int:
+    """``value`` as a count: ``operator.index``'s ``TypeError`` for a float,
+    and one for a ``bool``, which ``operator.index`` would read as 0 or 1."""
+    if isinstance(value, bool):
+        raise TypeError(f"{name} must be an integer, got {value}")
+    return operator.index(value)
+
+
 class _Range(NamedTuple):
     """A predicate on an argument and its wording; ``check(value, name)``
-    returns ``value`` or raises a ``QwssError`` located at ``name``."""
+    returns ``value`` or raises a ``QwssError`` located at ``name``, and
+    ``index(value, name)`` checks ``value`` read as a count by ``integer``."""
 
     test: Callable
     what: str
@@ -107,6 +117,9 @@ class _Range(NamedTuple):
         if not self.test(value):
             raise QwssError(f"{name} must be {self.what}, got {value}", location=name)
         return value
+
+    def index(self, value, name: str) -> int:
+        return self.check(integer(value, name), name)
 
 
 _INF = float("inf")

@@ -33,7 +33,6 @@ M gamma = s``, which ``ou_covariance`` returns whether or not ``gamma`` and
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -55,7 +54,7 @@ from .linalg import (
     solve_lyapunov,
     validate_psd,
 )
-from .measure import DensityGrid, OperatorSpectralMeasure, UniformGrid, _locked
+from .measure import DensityGrid, OperatorSpectralMeasure, UniformGrid, _Record
 
 __all__ = [
     "Shift",
@@ -75,7 +74,7 @@ __all__ = [
 ]
 
 
-class FilterSpec:
+class FilterSpec(_Record):
     """Base of the filter variants. Each declares ``_psi(nus)``, its
     characteristic at the frequencies ``nus`` as an ``(n, d, d)`` stack, and
     whether ``psi`` is ``bounded`` and ``decays`` (is square-integrable) on the
@@ -90,10 +89,6 @@ class FilterSpec:
         return True
 
 
-def _set_dim(filt: FilterSpec) -> None:
-    object.__setattr__(filt, "dim", SIZE.check(operator.index(filt.dim), "dim"))
-
-
 def _scalar(h: np.ndarray, d: int) -> np.ndarray:
     return h[:, None, None] * np.eye(d, dtype=np.complex128)
 
@@ -106,10 +101,10 @@ class Shift(FilterSpec):
     s: float
 
     def __post_init__(self):
-        _set_dim(self)
+        self._store(dim=SIZE.index(self.dim, "dim"))
         if not math.isfinite(float(self.s)):
             raise QwssError(f"shift s must be finite, got {self.s}")
-        object.__setattr__(self, "s", float(self.s))
+        self._store(s=float(self.s))
 
     def _psi(self, nus):
         return _scalar(np.exp(2j * np.pi * self.s * nus), self.dim)
@@ -123,7 +118,7 @@ class Derivative(FilterSpec):
     bounded = False
 
     def __post_init__(self):
-        _set_dim(self)
+        self._store(dim=SIZE.index(self.dim, "dim"))
 
     def _psi(self, nus):
         return _scalar(2j * np.pi * nus, self.dim)
@@ -143,7 +138,7 @@ class ScalarConvolution(FilterSpec):
     hhat: Callable[[float], complex]
 
     def __post_init__(self):
-        _set_dim(self)
+        self._store(dim=SIZE.index(self.dim, "dim"))
         if not callable(self.hhat):
             raise TypeError("hhat must be callable")
 
@@ -184,19 +179,11 @@ class ExpOperator(FilterSpec):
             np.linalg.cholesky(hermitize(g))
         except np.linalg.LinAlgError as exc:
             raise NotPositiveDefiniteError("gamma must be positive definite") from exc
-        object.__setattr__(self, "gamma", _locked(g))
-        object.__setattr__(self, "a", _locked(a))
+        self._store(gamma=g.copy(), a=a.copy())
 
     @property
     def dim(self) -> int:
         return self.gamma.shape[0]
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ExpOperator)
-            and np.array_equal(self.gamma, other.gamma)
-            and np.array_equal(self.a, other.a)
-        )
 
     def _psi(self, nus):
         return resolvent(self.gamma, nus) @ self.a
@@ -240,9 +227,7 @@ class Composition(FilterSpec):
             )
         bounded = self.first.bounded and self.second.bounded
         decays = bounded and (self.first.decays or self.second.decays)
-        object.__setattr__(self, "dim", self.first.dim)
-        object.__setattr__(self, "bounded", bounded)
-        object.__setattr__(self, "decays", decays)
+        self._store(dim=self.first.dim, bounded=bounded, decays=decays)
 
     def covers(self, lo: float, hi: float) -> bool:
         return self.first.covers(lo, hi) and self.second.covers(lo, hi)
@@ -252,7 +237,7 @@ class Composition(FilterSpec):
 
 
 @dataclass(frozen=True, eq=False)
-class UnboundedWhiteNoise:
+class UnboundedWhiteNoise(_Record):
     """Symbolic flat spectrum of intensity ``s`` on the whole line.
 
     Only ``in_domain`` consumes this marker; numeric transforms require a
@@ -262,8 +247,8 @@ class UnboundedWhiteNoise:
     intensity: np.ndarray
 
     def __post_init__(self):
-        s = _locked(validate_psd(self.intensity, name="white noise intensity"))
-        object.__setattr__(self, "intensity", s)
+        s = validate_psd(self.intensity, name="white noise intensity")
+        self._store(intensity=s.copy())  # validate_psd may return the caller's array
 
     @property
     def dim(self) -> int:
@@ -374,7 +359,7 @@ def white_noise(s, band: float, bins: int = 1):
     if band == math.inf:
         return UnboundedWhiteNoise(intensity=s)
     POSITIVE.check(band, "band")
-    bins = SIZE.check(operator.index(bins), "bins")
+    bins = SIZE.index(bins, "bins")
     vals = np.broadcast_to(s, (bins, *s.shape)).copy()
     return OperatorSpectralMeasure(
         dim=s.shape[0],

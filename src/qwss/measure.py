@@ -15,13 +15,12 @@ time, never angular.
 from __future__ import annotations
 
 import math
-import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import COUNT, POSITIVE, SIZE
+from .errors import COUNT, POSITIVE, SIZE, integer
 from .errors import (
     DimensionMismatchError,
     NotPositiveSemidefiniteError,
@@ -55,21 +54,42 @@ __all__ = [
 _ATOM_MERGE_RTOL = 1e-12
 
 
-def _locked(a: np.ndarray) -> np.ndarray:
-    # copy so the stored buffer is never aliased with caller-owned memory
-    a = np.ascontiguousarray(a).copy()
-    a.setflags(write=False)
-    return a
+class _Record:
+    """Base of the value types that hold arrays, each a frozen dataclass.
+
+    A constructor builds its own copy of every array it keeps and hands it
+    to ``_store``, which sets each field once and write-locks the arrays in
+    place, so a record never locks or aliases its caller's array. Records
+    are equal when they are of one type and every field with
+    ``compare=True`` is equal, arrays by value; defining ``__eq__`` makes
+    them unhashable.
+    """
+
+    def _store(self, **values) -> None:
+        for name, value in values.items():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        for f in fields(self):
+            if f.compare:
+                a, b = getattr(self, f.name), getattr(other, f.name)
+                if not (np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b):
+                    return False
+        return True
 
 
 @dataclass(frozen=True, eq=False)
-class UniformGrid:
+class UniformGrid(_Record):
     """A ``(bins, d, d)`` matrix stack on ``bins`` equal cells of ``[nu_min, nu_max]``.
 
     Bin ``j`` covers ``[nu_min + j*width, nu_min + (j+1)*width)`` and carries
     the constant matrix ``values[j]``; the final right edge is closed for
-    point lookups. The base of density grids and tabulated filters; grids are
-    equal only when they are of the same type.
+    point lookups. The base of density grids and tabulated filters, which
+    are never equal to each other (``_Record``).
     """
 
     nu_min: float
@@ -77,7 +97,7 @@ class UniformGrid:
     values: np.ndarray  # (bins, d, d) complex128
 
     def __post_init__(self):
-        v = np.ascontiguousarray(self.values, dtype=np.complex128)
+        v = np.array(self.values, dtype=np.complex128, order="C")
         if v.ndim != 3 or v.shape[1] != v.shape[2]:
             raise DimensionMismatchError(
                 f"{type(self).__name__} values must have shape (bins, d, d), "
@@ -87,9 +107,7 @@ class UniformGrid:
         lo, hi = float(self.nu_min), float(self.nu_max)
         if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
             raise QwssError(f"need finite nu_min < nu_max, got [{lo}, {hi}]")
-        object.__setattr__(self, "nu_min", lo)
-        object.__setattr__(self, "nu_max", hi)
-        object.__setattr__(self, "values", _locked(v))
+        self._store(nu_min=lo, nu_max=hi, values=v)
 
     @property
     def bins(self) -> int:
@@ -121,15 +139,6 @@ class UniformGrid:
         j = int(self.bin_indices(nu))
         return None if j < 0 else j
 
-    def __eq__(self, other) -> bool:
-        return (
-            type(other) is type(self)
-            and self.nu_min == other.nu_min
-            and self.nu_max == other.nu_max
-            and self.values.shape == other.values.shape
-            and bool(np.array_equal(self.values, other.values))
-        )
-
     def __repr__(self) -> str:
         return (
             f"{type(self).__name__}(nu_min={self.nu_min}, nu_max={self.nu_max}, "
@@ -146,7 +155,7 @@ class DensityGrid(UniformGrid):
 
 
 @dataclass(frozen=True, eq=False, init=False)
-class OperatorSpectralMeasure:
+class OperatorSpectralMeasure(_Record):
     """Finite-mass operator-valued spectral measure: atoms plus a density.
 
     ``atoms`` takes ``(nu, weight)`` pairs in any order, with distinct finite
@@ -162,7 +171,7 @@ class OperatorSpectralMeasure:
     density: DensityGrid | None
 
     def __init__(self, dim: int, atoms=(), density: DensityGrid | None = None):
-        d = SIZE.check(operator.index(dim), "dim")
+        d = SIZE.index(dim, "dim")
         nus, weights = [], []
         for i, (nu, w) in enumerate(atoms):
             nu = float(nu)
@@ -191,12 +200,7 @@ class OperatorSpectralMeasure:
             raise DimensionMismatchError(
                 f"density dim {density.dim} does not match measure dim {d}"
             )
-        nus.setflags(write=False)
-        weights.setflags(write=False)
-        object.__setattr__(self, "dim", d)
-        object.__setattr__(self, "nus", nus)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "density", density)
+        self._store(dim=d, nus=nus, weights=weights, density=density)
 
     @property
     def atoms(self) -> tuple[tuple[float, np.ndarray], ...]:
@@ -210,16 +214,6 @@ class OperatorSpectralMeasure:
             hi = max(hi, self.density.nu_max)
         return None if lo > hi else (float(lo), float(hi))
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, OperatorSpectralMeasure):
-            return NotImplemented
-        return (
-            self.dim == other.dim
-            and np.array_equal(self.nus, other.nus)
-            and np.array_equal(self.weights, other.weights)
-            and self.density == other.density
-        )
-
     def __repr__(self) -> str:
         return (
             f"OperatorSpectralMeasure(dim={self.dim}, atoms={len(self.nus)}, "
@@ -228,7 +222,7 @@ class OperatorSpectralMeasure:
 
 
 @dataclass(frozen=True, eq=False)
-class CovarianceTable:
+class CovarianceTable(_Record):
     """Uniform-lag covariance table, stored two-sided.
 
     ``values[m]`` is ``C(m*dt)``, ``m = 0..max_lag_index``: a view of the locked
@@ -251,10 +245,7 @@ class CovarianceTable:
         if not np.isfinite(v.view(np.float64)).all():
             raise QwssError("covariance values must be finite")
         stack = np.concatenate([v[1:][::-1].conj().transpose(0, 2, 1), v], axis=0)
-        stack.setflags(write=False)
-        object.__setattr__(self, "dt", dt)
-        object.__setattr__(self, "values", stack[len(v) - 1 :])
-        object.__setattr__(self, "_two_sided", stack)
+        self._store(dt=dt, values=stack[len(v) - 1 :], _two_sided=stack)
 
     @property
     def dim(self) -> int:
@@ -277,14 +268,6 @@ class CovarianceTable:
     def two_sided(self) -> np.ndarray:
         """The stored read-only stack C(k*dt), k = -max_lag_index..max_lag_index."""
         return self._two_sided
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, CovarianceTable)
-            and self.dt == other.dt
-            and self.values.shape == other.values.shape
-            and bool(np.array_equal(self.values, other.values))
-        )
 
     def __repr__(self) -> str:
         return (
@@ -404,7 +387,7 @@ def covariance_from_spectrum(
     Bluestein's FFT convolution (1970) in ``O((bins + lags) log)`` time.
     """
     dt = POSITIVE.check(float(dt), "dt")
-    lags = COUNT.check(operator.index(lags), "lags")
+    lags = COUNT.index(lags, "lags")
     taus = np.arange(lags + 1) * dt
     vals = np.zeros((lags + 1, mu.dim, mu.dim), dtype=np.complex128)
     for nu_k, w in zip(mu.nus.tolist(), mu.weights):
@@ -460,7 +443,7 @@ def spectrum_from_covariance(
     m = table.max_lag_index
     if m + 1 < 2:
         raise QwssError("spectrum_from_covariance needs at least 2 lags")
-    bins = operator.index(bins)
+    bins = integer(bins, "bins")
     if bins < m + 1:
         raise QwssError(f"bins ({bins}) must be >= number of lags ({m + 1})")
     if window not in _LAG_WINDOWS:

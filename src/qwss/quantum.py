@@ -24,16 +24,15 @@ independent of t; the matching spectral measure is purely atomic.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import POSITIVE, SIZE
+from .errors import POSITIVE, SIZE, integer
 from .errors import DimensionMismatchError, NotPositiveSemidefiniteError, QwssError
 from .linalg import TOL_PSD, as_complex_matrix, hermitian_defect, hermitize, validate_psd
-from .measure import OperatorSpectralMeasure, _block_gram, _gram_blocks, _locked
+from .measure import OperatorSpectralMeasure, _block_gram, _gram_blocks, _Record
 
 __all__ = [
     "Mode",
@@ -54,7 +53,7 @@ MODEL_TOL = 1e-12
 
 def partial_trace_environment(z, dim_system: int, dim_environment: int) -> np.ndarray:
     """Partial trace over the environment factor of H tensor K."""
-    dh, dk = operator.index(dim_system), operator.index(dim_environment)
+    dh, dk = integer(dim_system, "dim_system"), integer(dim_environment, "dim_environment")
     a = as_complex_matrix(z, name="operator")
     if a.shape != (dh * dk, dh * dk):
         raise DimensionMismatchError(
@@ -83,7 +82,7 @@ def conditional_expectation(z, env_state, dim_system: int | None = None) -> np.n
     a = as_complex_matrix(z, name="operator")
     dk = rho.shape[0]
     n = a.shape[0]
-    dh = n // dk if dim_system is None else operator.index(dim_system)
+    dh = n // dk if dim_system is None else integer(dim_system, "dim_system")
     if dh * dk != n:
         raise DimensionMismatchError(
             f"operator of size {n} does not factor as system*environment with "
@@ -93,7 +92,7 @@ def conditional_expectation(z, env_state, dim_system: int | None = None) -> np.n
 
 
 @dataclass(frozen=True, eq=False)
-class Mode:
+class Mode(_Record):
     """One harmonic: frequency, system factor, environment factor."""
 
     nu: float
@@ -101,29 +100,19 @@ class Mode:
     environment_op: np.ndarray
 
     def __post_init__(self):
-        m = _locked(as_complex_matrix(self.system_op, name="system_op"))
-        d = _locked(as_complex_matrix(self.environment_op, name="environment_op"))
+        m = as_complex_matrix(self.system_op, name="system_op").copy()
+        d = as_complex_matrix(self.environment_op, name="environment_op").copy()
         for name, a in (("system_op", m), ("environment_op", d)):
             if not np.isfinite(a).all():
                 raise QwssError(f"{name} holds a non-finite entry")
         nu = float(self.nu)
         if not np.isfinite(nu):
             raise QwssError(f"mode frequency must be finite, got {nu}")
-        object.__setattr__(self, "nu", nu)
-        object.__setattr__(self, "system_op", m)
-        object.__setattr__(self, "environment_op", d)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Mode)
-            and self.nu == other.nu
-            and np.array_equal(self.system_op, other.system_op)
-            and np.array_equal(self.environment_op, other.environment_op)
-        )
+        self._store(nu=nu, system_op=m, environment_op=d)
 
 
 @dataclass(frozen=True, eq=False, init=False)
-class QuantumModel:
+class QuantumModel(_Record):
     """Finite-harmonic stationary process with validated mode structure.
 
     The constructor enforces: ``env_state`` is a density matrix; mode
@@ -132,10 +121,10 @@ class QuantumModel:
     product. Use ``orthogonalize_environment_ops`` to massage raw operators
     into an admissible family first.
 
-    The modes are stored once, as write-locked stacks in mode order: ``nus``
-    ``(K,)``, ``system_ops`` ``(K, dh, dh)`` and ``environment_ops``
-    ``(K, dk, dk)``, which every model operation reads. The ``modes``
-    property rebuilds the ``Mode`` objects from them on access.
+    The modes are stored once, as stacks in mode order, write-locked like
+    every ``_Record`` array: ``nus`` ``(K,)``, ``system_ops`` ``(K, dh, dh)``
+    and ``environment_ops`` ``(K, dk, dk)``, which every model operation
+    reads. The ``modes`` property rebuilds the ``Mode`` objects on access.
 
     The factors are checked as one ``(modes, dk, dk)`` stack: one batched
     trace for the means, one for the second moments (the mode weights), and
@@ -152,8 +141,8 @@ class QuantumModel:
     mode_weights: tuple[float, ...]  # s_k = tr[rho D_k^H D_k] per mode
 
     def __init__(self, dim_system: int, dim_environment: int, env_state, modes):
-        dh = SIZE.check(operator.index(dim_system), "dim_system")
-        dk = SIZE.check(operator.index(dim_environment), "dim_environment")
+        dh = SIZE.index(dim_system, "dim_system")
+        dk = SIZE.index(dim_environment, "dim_environment")
         rho = validate_psd(env_state, name="environment state")
         if rho.shape != (dk, dk):
             raise DimensionMismatchError(
@@ -223,32 +212,16 @@ class QuantumModel:
         weights = np.where(0.0 > second.real, 0.0, second.real)
         nus = np.array(nus, dtype=float)
         sys_ops = np.array([m.system_op for m in modes], np.complex128).reshape(-1, dh, dh)
-        for a in (nus, sys_ops, d):  # built here, so locked in place
-            a.setflags(write=False)
-        object.__setattr__(self, "dim_system", dh)
-        object.__setattr__(self, "dim_environment", dk)
-        # copied: validate_psd may hand back the caller's array
-        object.__setattr__(self, "env_state", _locked(rho))
-        object.__setattr__(self, "nus", nus)
-        object.__setattr__(self, "system_ops", sys_ops)
-        object.__setattr__(self, "environment_ops", d)
-        object.__setattr__(self, "mode_weights", tuple(weights.tolist()))
+        # a _Record stores only arrays it built: validate_psd may return the caller's
+        self._store(
+            dim_system=dh, dim_environment=dk, env_state=rho.copy(), nus=nus,
+            system_ops=sys_ops, environment_ops=d, mode_weights=tuple(weights.tolist()),
+        )
 
     @property
     def modes(self) -> tuple[Mode, ...]:
         """The ``Mode`` of each harmonic, rebuilt from the stacks on access."""
         return tuple(map(Mode, self.nus.tolist(), self.system_ops, self.environment_ops))
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, QuantumModel)
-            and self.dim_system == other.dim_system
-            and self.dim_environment == other.dim_environment
-            and np.array_equal(self.env_state, other.env_state)
-            and np.array_equal(self.nus, other.nus)
-            and np.array_equal(self.system_ops, other.system_ops)
-            and np.array_equal(self.environment_ops, other.environment_ops)
-        )
 
 
 def orthogonalize_environment_ops(
@@ -314,7 +287,7 @@ def model_spectral_measure(model: QuantumModel) -> OperatorSpectralMeasure:
 
 
 @dataclass(frozen=True, eq=False)
-class KolmogorovFactorization:
+class KolmogorovFactorization(_Record):
     """Minimal factorization ``K[i,j] = V_i^H V_j`` of a PSD block kernel.
 
     ``factors[i]`` is the ``rank x d`` block ``V_i``; ``rank`` is the
@@ -325,13 +298,12 @@ class KolmogorovFactorization:
     factors: np.ndarray  # (n, rank, d)
 
     def __post_init__(self):
-        f = _locked(np.asarray(self.factors, dtype=np.complex128))
+        f = np.array(self.factors, dtype=np.complex128, order="C")
         if f.ndim != 3 or f.shape[1] != int(self.rank):
             raise DimensionMismatchError(
                 f"factors must have shape (n, rank, d), got {f.shape}"
             )
-        object.__setattr__(self, "rank", int(self.rank))
-        object.__setattr__(self, "factors", f)
+        self._store(rank=int(self.rank), factors=f)
 
     @property
     def points(self) -> int:

@@ -29,15 +29,15 @@ line at counter ``k * 2**128``) are not reproduced.
 
 from __future__ import annotations
 
-import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EVEN, OVERLAP, POSITIVE, POWER_OF_TWO, SEED
+from .errors import EVEN, OVERLAP, POSITIVE, POWER_OF_TWO, SEED, integer
 from .errors import AliasingError, DimensionMismatchError, QwssError
 from .linalg import hermitize, nearest_psd, psd_sqrt
-from .measure import CovarianceTable, DensityGrid, OperatorSpectralMeasure, _fft_length
+from .measure import CovarianceTable, DensityGrid, OperatorSpectralMeasure
+from .measure import _fft_length, _Record
 
 __all__ = ["Trajectory", "synthesize", "lag_covariance", "welch_estimate"]
 
@@ -45,19 +45,19 @@ _BAND_EDGE_RTOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
-class Trajectory:
+class Trajectory(_Record):
     """Uniformly sampled complex vector time series.
 
     ``samples[t]`` is the dim-vector at time ``t*dt``. ``seed`` is provenance
-    metadata only; it does not survive file round trips.
+    metadata only: equality skips it, and it does not survive file round trips.
     """
 
     dt: float
     samples: np.ndarray  # (n, dim) complex128
-    seed: int | None = None
+    seed: int | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        s = np.ascontiguousarray(self.samples, dtype=np.complex128).copy()
+        s = np.array(self.samples, dtype=np.complex128, order="C")
         if s.ndim != 2:
             raise DimensionMismatchError(
                 f"samples must have shape (n, dim), got {s.shape}"
@@ -65,9 +65,7 @@ class Trajectory:
         if not np.isfinite(s.view(np.float64)).all():
             raise QwssError("trajectory samples must be finite")
         dt = POSITIVE.check(float(self.dt), "dt")
-        s.setflags(write=False)
-        object.__setattr__(self, "dt", dt)
-        object.__setattr__(self, "samples", s)
+        self._store(dt=dt, samples=s)
 
     @property
     def n(self) -> int:
@@ -76,14 +74,6 @@ class Trajectory:
     @property
     def dim(self) -> int:
         return self.samples.shape[1]
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Trajectory)
-            and self.dt == other.dt
-            and self.samples.shape == other.samples.shape
-            and bool(np.array_equal(self.samples, other.samples))
-        )
 
     def __repr__(self) -> str:
         return f"Trajectory(dt={self.dt}, n={self.n}, dim={self.dim}, seed={self.seed})"
@@ -113,9 +103,9 @@ def synthesize(
     representable band ``|nu| < 1/(2*dt)``, and a density may extend to the
     closed band edge (the exact full-band flat measure is representable).
     """
-    seed = SEED.check(operator.index(seed), "seed")
+    seed = SEED.index(seed, "seed")
     dt = POSITIVE.check(float(dt), "dt")
-    n = POWER_OF_TWO.check(operator.index(n), "n")
+    n = POWER_OF_TWO.index(n, "n")
     nyquist = 1.0 / (2.0 * dt)
     outside = mu.nus[~(np.abs(mu.nus) < nyquist)]
     if outside.size:
@@ -164,7 +154,7 @@ def lag_covariance(traj: Trajectory, lags: int) -> CovarianceTable:
     row of the cross-spectrum keeps memory at the ``(d, N)`` spectrum and two
     row blocks of its size. The zero lag is hermitized.
     """
-    lags = operator.index(lags)
+    lags = integer(lags, "lags")
     n = traj.n
     if lags < 0 or 2 * lags >= n:
         raise QwssError(f"lags must satisfy 0 <= lags < n/2, got {lags} with n={n}")
@@ -214,7 +204,7 @@ def welch_estimate(
     is projected to the nearest PSD matrix (the average of outer products is
     already PSD, so this only clears rounding dust).
     """
-    segment = EVEN.check(operator.index(segment), "segment")
+    segment = EVEN.index(segment, "segment")
     n = traj.n
     if segment > n:
         raise QwssError(f"segment must be in [2, n], got {segment} with n={n}")

@@ -37,7 +37,7 @@ from dataclasses import fields
 
 import numpy as np
 
-from .errors import POSITIVE, NotPositiveSemidefiniteError, SchemaError
+from .errors import COUNT, POSITIVE, SIZE, NotPositiveSemidefiniteError, SchemaError
 from .filters import (
     Composition,
     Derivative,
@@ -145,11 +145,12 @@ def _as_real(v, loc: str) -> float:
     return x
 
 
-def _as_int(v, loc: str, minimum: int | None = None) -> int:
+def _as_int(v, loc: str, allowed=None) -> int:
+    """An integer field, in the range ``allowed`` (``SIZE`` or ``COUNT``) if given."""
     if isinstance(v, bool) or not isinstance(v, int):
         raise SchemaError("expected an integer", location=loc)
-    if minimum is not None and v < minimum:
-        raise SchemaError(f"must be >= {minimum}, got {v}", location=loc)
+    if allowed is not None and not allowed.test(v):
+        raise SchemaError(f"must be {allowed.what}, got {v}", location=loc)
     return v
 
 
@@ -252,7 +253,7 @@ def _located(path, build):
 def measure_from_document(doc: dict) -> OperatorSpectralMeasure:
     _check_keys(doc, ("kind", "dim", "atoms"), ("density",), None)
     _check_kind(doc, "spectral_measure")
-    dim = _as_int(doc["dim"], "dim", minimum=1)
+    dim = _as_int(doc["dim"], "dim", allowed=SIZE)
     atoms = []
     for i, entry in enumerate(_as_list(doc["atoms"], "atoms")):
         loc = f"atoms[{i}]"
@@ -266,7 +267,7 @@ def measure_from_document(doc: dict) -> OperatorSpectralMeasure:
         _check_keys(den, ("nu_min", "nu_max", "bins", "values"), (), "density")
         nu_min = _as_real(den["nu_min"], "density.nu_min")
         nu_max = _as_real(den["nu_max"], "density.nu_max")
-        bins = _as_int(den["bins"], "density.bins", minimum=1)
+        bins = _as_int(den["bins"], "density.bins", allowed=SIZE)
         vals = _as_stack(den["values"], "density.values", (bins, dim, dim))
         density = _located(
             lambda b: f"density.values[{b}]",
@@ -336,11 +337,11 @@ def filter_from_document(doc: dict, loc: str | None = None) -> FilterSpec:
     _check_kind(doc, "filter")
     if variant == "shift":
         return Shift(
-            dim=_as_int(doc["dim"], f"{prefix}dim", minimum=1),
+            dim=_as_int(doc["dim"], f"{prefix}dim", allowed=SIZE),
             s=_as_real(doc["s"], f"{prefix}s"),
         )
     if variant == "derivative":
-        return Derivative(dim=_as_int(doc["dim"], f"{prefix}dim", minimum=1))
+        return Derivative(dim=_as_int(doc["dim"], f"{prefix}dim", allowed=SIZE))
     if variant == "exp_operator":
         g = _as_stack(doc["gamma"], f"{prefix}gamma", (None, None))
         a = _as_stack(doc["a"], f"{prefix}a", (len(g), len(g)))
@@ -400,8 +401,8 @@ def model_from_document(doc: dict) -> QuantumModel:
         None,
     )
     _check_kind(doc, "quantum_model")
-    dh = _as_int(doc["dim_system"], "dim_system", minimum=1)
-    dk = _as_int(doc["dim_environment"], "dim_environment", minimum=1)
+    dh = _as_int(doc["dim_system"], "dim_system", allowed=SIZE)
+    dk = _as_int(doc["dim_environment"], "dim_environment", allowed=SIZE)
     rho = _as_stack(doc["env_state"], "env_state", (dk, dk))
     modes = []
     for i, entry in enumerate(_as_list(doc["modes"], "modes")):
@@ -445,7 +446,7 @@ def kernel_to_document(blocks: np.ndarray) -> dict:
 def kernel_from_document(doc: dict) -> np.ndarray:
     _check_keys(doc, ("kind", "dim", "blocks"), (), None)
     _check_kind(doc, "kernel")
-    d = _as_int(doc["dim"], "dim", minimum=1)
+    d = _as_int(doc["dim"], "dim", allowed=SIZE)
     n = len(_as_list(doc["blocks"], "blocks"))
     if n < 1:
         raise SchemaError("need at least one block row", location="blocks")
@@ -472,8 +473,8 @@ def factorization_to_document(fact: KolmogorovFactorization) -> dict:
 def factorization_from_document(doc: dict) -> KolmogorovFactorization:
     _check_keys(doc, ("kind", "rank", "dim", "factors"), (), None)
     _check_kind(doc, "kolmogorov_factorization")
-    rank = _as_int(doc["rank"], "rank", minimum=0)
-    d = _as_int(doc["dim"], "dim", minimum=1)
+    rank = _as_int(doc["rank"], "rank", allowed=COUNT)
+    d = _as_int(doc["dim"], "dim", allowed=SIZE)
     raw = _as_list(doc["factors"], "factors")
     if not raw:
         raise SchemaError("need at least one factor", location="factors")
@@ -512,8 +513,8 @@ def verdict_from_document(doc: dict) -> KernelVerdict:
     return KernelVerdict(
         passed=_as_bool(doc["passed"], "passed"),
         witness=witness,
-        points=_as_int(doc["points"], "points", minimum=1),
-        dim=_as_int(doc["dim"], "dim", minimum=1),
+        points=_as_int(doc["points"], "points", allowed=SIZE),
+        dim=_as_int(doc["dim"], "dim", allowed=SIZE),
     )
 
 

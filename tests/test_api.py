@@ -1,8 +1,10 @@
 """Package-wide contracts: ``qwss`` re-exports each module's ``__all__``,
-every deliberate error is a ``QwssError`` (or a ``TypeError``), and the
-library checks each scalar argument against the CLI's range and wording."""
+every deliberate error is a ``QwssError`` (or a ``TypeError``), the
+library checks each scalar argument against the CLI's range and wording,
+and every array-holding value type follows the one ``_Record`` rule."""
 
 import ast
+import dataclasses
 import importlib
 import math
 import subprocess
@@ -17,10 +19,16 @@ from qwss import (
     CovarianceTable,
     Derivative,
     DensityGrid,
+    ExpOperator,
+    KolmogorovFactorization,
+    Mode,
     OperatorSpectralMeasure,
     QuantumModel,
     QwssError,
+    Tabulated,
     Trajectory,
+    UnboundedWhiteNoise,
+    UniformGrid,
     check_psd_kernel,
     conditional_expectation,
     covariance_from_spectrum,
@@ -33,6 +41,7 @@ from qwss import (
     white_noise,
 )
 from qwss import errors
+from qwss.measure import _Record
 
 MODULES = ("errors", "filters", "linalg", "measure", "quantum", "sampling", "serialize")
 
@@ -172,3 +181,115 @@ FLOAT_COUNTS = {
 def test_count_arguments_are_not_truncated(case):
     with pytest.raises(TypeError):
         FLOAT_COUNTS[case]()
+
+
+# a bool count raises instead of being read as 0 or 1 (n=True drew one sample)
+BOOL_COUNTS = {
+    "synthesize n": lambda: synthesize(MU, dt=0.1, n=True, seed=1),
+    "synthesize seed": lambda: synthesize(MU, dt=0.1, n=8, seed=False),
+    "covariance_from_spectrum lags": lambda: covariance_from_spectrum(MU, 0.1, lags=True),
+    "lag_covariance lags": lambda: lag_covariance(TRAJ, lags=True),
+    "welch_estimate segment": lambda: welch_estimate(TRAJ, segment=True),
+    "spectrum_from_covariance bins": lambda: spectrum_from_covariance(TABLE, bins=True),
+    "white_noise bins": lambda: white_noise([[1.0]], band=1.0, bins=True),
+    "OperatorSpectralMeasure dim": lambda: OperatorSpectralMeasure(dim=True),
+    "Derivative dim": lambda: Derivative(dim=True),
+    "QuantumModel dim_environment": lambda: QuantumModel(1, True, STATE, ()),
+    "partial_trace_environment": lambda: partial_trace_environment(np.eye(1), True, 1),
+    "conditional_expectation": lambda: conditional_expectation(np.eye(1), STATE, True),
+}
+
+
+@pytest.mark.parametrize("case", BOOL_COUNTS)
+def test_count_arguments_reject_booleans(case):
+    with pytest.raises(TypeError, match="must be an integer, got (True|False)"):
+        BOOL_COUNTS[case]()
+
+
+def _fresh(*shape):
+    # complex128 and C-contiguous: the input a record could keep without a copy
+    return np.ones(shape, dtype=np.complex128)
+
+
+# each array-holding record: a maker of fresh input arrays, and its constructor
+RECORDS = {
+    UniformGrid: (lambda: [_fresh(2, 1, 1)], lambda v: UniformGrid(-1.0, 1.0, v)),
+    DensityGrid: (lambda: [_fresh(2, 1, 1)], lambda v: DensityGrid(-1.0, 1.0, v)),
+    Tabulated: (lambda: [_fresh(2, 1, 1)], lambda v: Tabulated(-1.0, 1.0, v)),
+    OperatorSpectralMeasure: (
+        lambda: [_fresh(1, 1), _fresh(2, 1, 1)],
+        lambda w, v: OperatorSpectralMeasure(1, [(0.5, w)], DensityGrid(-1.0, 1.0, v)),
+    ),
+    CovarianceTable: (lambda: [_fresh(3, 1, 1)], lambda v: CovarianceTable(0.1, v)),
+    Mode: (lambda: [_fresh(1, 1), _fresh(2, 2)], lambda m, d: Mode(0.5, m, d)),
+    QuantumModel: (
+        lambda: [np.eye(2, dtype=np.complex128) / 2, np.diag([1.0 + 0j, -1.0])],
+        lambda rho, d: QuantumModel(1, 2, rho, [Mode(0.5, [[1.0]], d)]),
+    ),
+    KolmogorovFactorization: (
+        lambda: [_fresh(2, 1, 1)], lambda f: KolmogorovFactorization(1, f)
+    ),
+    Trajectory: (lambda: [_fresh(4, 1)], lambda x: Trajectory(0.1, x, seed=3)),
+    ExpOperator: (lambda: [_fresh(1, 1), _fresh(1, 1)], ExpOperator),
+    UnboundedWhiteNoise: (lambda: [_fresh(1, 1)], UnboundedWhiteNoise),
+}
+
+
+def test_every_array_record_is_listed():
+    def subclasses(cls):
+        for sub in cls.__subclasses__():
+            yield sub
+            yield from subclasses(sub)
+
+    own_eq = {
+        c for c in subclasses(_Record)
+        if dataclasses.is_dataclass(c) and c.__eq__ is _Record.__eq__
+    }
+    assert own_eq == set(RECORDS)
+
+
+@pytest.mark.parametrize("kind", RECORDS, ids=lambda kind: kind.__name__)
+def test_records_own_and_lock_their_arrays_and_compare_by_value(kind):
+    make, build = RECORDS[kind]
+    inputs = make()
+    record = build(*inputs)
+    assert type(record) is kind
+    assert record == build(*make()) and not record != build(*make())
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(record)
+    stored = [v for v in vars(record).values() if isinstance(v, np.ndarray)]
+    assert stored and not any(a.flags.writeable for a in stored)
+    for x in inputs:
+        assert x.flags.writeable
+        assert not any(np.shares_memory(x, a) for a in stored)
+
+
+def test_records_of_different_types_differ():
+    g = np.ones((2, 1, 1))
+    assert DensityGrid(-1.0, 1.0, g) != Tabulated(-1.0, 1.0, g)
+    assert UniformGrid(-1.0, 1.0, g) != DensityGrid(-1.0, 1.0, g)
+    # the seed is provenance, which equality skips
+    assert Trajectory(0.1, np.ones((4, 1)), seed=1) == Trajectory(0.1, np.ones((4, 1)))
+
+
+def test_only_record_store_sets_fields_and_locks_arrays():
+    found = set()
+
+    def visit(node, file, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+                if child.name in ("__eq__", "_locked"):
+                    found.add((file, inner, "def"))
+            if isinstance(child, ast.Attribute) and child.attr in ("setflags", "__setattr__"):
+                found.add((file, scope, ast.unparse(child)))
+            visit(child, file, inner)
+
+    for path in sorted(Path(qwss.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.name, "")
+    assert found == {
+        ("measure.py", "_Record._store", "value.setflags"),
+        ("measure.py", "_Record._store", "object.__setattr__"),
+        ("measure.py", "_Record.__eq__", "def"),
+    }

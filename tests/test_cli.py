@@ -820,6 +820,10 @@ class TestUsageContract:
             ("checkpsd", "--times", "0,x", "schema", "times[1]"),
             ("checkpsd", "--times", "0,nan", "invalid_value", "times[1]"),
             ("checkpsd", "--times", "0,1e400", "invalid_value", "times[1]"),
+            # numbered as written, the blank field included
+            ("checkpsd", "--times", "0,,nan", "invalid_value", "times[2]"),
+            ("checkpsd", "--times", "0,,x", "schema", "times[2]"),
+            ("checkpsd", "--times", ",x,nan", "schema", "times[1]"),
             ("kolmogorov", "--tol", "1e-9x", "schema", "tol"),
             ("kolmogorov", "--tol", "inf", "invalid_value", "tol"),
             ("model", "--lags", "1.5", "schema", "lags"),

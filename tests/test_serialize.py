@@ -60,6 +60,7 @@ from qwss import (
     trajectory_to_csv,
 )
 from qwss import serialize as ser
+from qwss.errors import COUNT, SIZE
 from qwss.cli import main
 from qwss.serialize import density_to_csv, write_files
 
@@ -323,6 +324,17 @@ class TestFactorizationDocuments:
         doc["rank"] = 2
         with pytest.raises(SchemaError):
             deserialize_factorization(json.dumps(doc).encode())
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [("rank", -1, "must be >= 0, got -1"), ("dim", 0, "must be >= 1, got 0")],
+    )
+    def test_integer_fields_are_checked_against_their_range(self, key, value, message):
+        doc = json.loads(serialize_factorization(kolmogorov_decompose(np.ones((2, 2, 1, 1)))))
+        doc[key] = value
+        with pytest.raises(SchemaError) as exc:
+            deserialize_factorization(json.dumps(doc).encode())
+        assert (str(exc.value), exc.value.location, exc.value.code) == (message, key, "schema")
 
 
 class TestVerdictDocuments:
@@ -740,7 +752,7 @@ def ref_as_matrix(v, loc, rows=None, cols=None):
 def ref_measure_from_document(doc):
     ser._check_keys(doc, ("kind", "dim", "atoms"), ("density",), None)
     ser._check_kind(doc, "spectral_measure")
-    dim = ser._as_int(doc["dim"], "dim", minimum=1)
+    dim = ser._as_int(doc["dim"], "dim", allowed=SIZE)
     atoms = []
     for i, entry in enumerate(ser._as_list(doc["atoms"], "atoms")):
         loc = f"atoms[{i}]"
@@ -755,7 +767,7 @@ def ref_measure_from_document(doc):
         ser._check_keys(den, ("nu_min", "nu_max", "bins", "values"), (), "density")
         nu_min = ser._as_real(den["nu_min"], "density.nu_min")
         nu_max = ser._as_real(den["nu_max"], "density.nu_max")
-        bins = ser._as_int(den["bins"], "density.bins", minimum=1)
+        bins = ser._as_int(den["bins"], "density.bins", allowed=SIZE)
         raw = ser._as_list(den["values"], "density.values")
         if len(raw) != bins:
             raise SchemaError(
@@ -789,11 +801,11 @@ def ref_filter_from_document(doc, loc=None):
     ser._check_kind(doc, "filter")
     if variant == "shift":
         return Shift(
-            dim=ser._as_int(doc["dim"], f"{prefix}dim", minimum=1),
+            dim=ser._as_int(doc["dim"], f"{prefix}dim", allowed=SIZE),
             s=ser._as_real(doc["s"], f"{prefix}s"),
         )
     if variant == "derivative":
-        return Derivative(dim=ser._as_int(doc["dim"], f"{prefix}dim", minimum=1))
+        return Derivative(dim=ser._as_int(doc["dim"], f"{prefix}dim", allowed=SIZE))
     if variant == "exp_operator":
         g = ref_as_matrix(doc["gamma"], f"{prefix}gamma")
         a = ref_as_matrix(doc["a"], f"{prefix}a", rows=g.shape[0], cols=g.shape[0])
@@ -831,8 +843,8 @@ def ref_model_from_document(doc):
         None,
     )
     ser._check_kind(doc, "quantum_model")
-    dh = ser._as_int(doc["dim_system"], "dim_system", minimum=1)
-    dk = ser._as_int(doc["dim_environment"], "dim_environment", minimum=1)
+    dh = ser._as_int(doc["dim_system"], "dim_system", allowed=SIZE)
+    dk = ser._as_int(doc["dim_environment"], "dim_environment", allowed=SIZE)
     rho = ref_as_matrix(doc["env_state"], "env_state", rows=dk, cols=dk)
     modes = []
     for i, entry in enumerate(ser._as_list(doc["modes"], "modes")):
@@ -858,7 +870,7 @@ def ref_model_from_document(doc):
 def ref_kernel_from_document(doc):
     ser._check_keys(doc, ("kind", "dim", "blocks"), (), None)
     ser._check_kind(doc, "kernel")
-    d = ser._as_int(doc["dim"], "dim", minimum=1)
+    d = ser._as_int(doc["dim"], "dim", allowed=SIZE)
     rows = ser._as_list(doc["blocks"], "blocks")
     n = len(rows)
     if n < 1:
@@ -878,8 +890,8 @@ def ref_kernel_from_document(doc):
 def ref_factorization_from_document(doc):
     ser._check_keys(doc, ("kind", "rank", "dim", "factors"), (), None)
     ser._check_kind(doc, "kolmogorov_factorization")
-    rank = ser._as_int(doc["rank"], "rank", minimum=0)
-    d = ser._as_int(doc["dim"], "dim", minimum=1)
+    rank = ser._as_int(doc["rank"], "rank", allowed=COUNT)
+    d = ser._as_int(doc["dim"], "dim", allowed=SIZE)
     raw = ser._as_list(doc["factors"], "factors")
     if not raw:
         raise SchemaError("need at least one factor", location="factors")
