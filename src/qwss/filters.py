@@ -229,11 +229,26 @@ class Composition(FilterSpec):
         decays = bounded and (self.first.decays or self.second.decays)
         self._store(dim=self.first.dim, bounded=bounded, decays=decays)
 
+    def _fold(self, leaf, join):
+        # leaf(f) at each factor, join(first, second) at each node (marked by
+        # None), in post-order on an explicit stack: any depth, no recursion
+        stack, done = [self], []
+        while stack:
+            f = stack.pop()
+            if f is None:
+                second = done.pop()
+                done.append(join(done.pop(), second))
+            elif isinstance(f, Composition):
+                stack += (None, f.second, f.first)
+            else:
+                done.append(leaf(f))
+        return done[0]
+
     def covers(self, lo: float, hi: float) -> bool:
-        return self.first.covers(lo, hi) and self.second.covers(lo, hi)
+        return self._fold(lambda f: f.covers(lo, hi), lambda a, b: a and b)
 
     def _psi(self, nus):
-        return self.first._psi(nus) @ self.second._psi(nus)
+        return self._fold(lambda f: f._psi(nus), np.matmul)
 
 
 @dataclass(frozen=True, eq=False)

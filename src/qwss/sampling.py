@@ -80,7 +80,7 @@ class Trajectory(_Record):
 
 
 _ATOM_ROW = 1 << 64
-_SYNTH_BLOCK = 4096  # hit rows per (rows, d, d) gather of roots; bounds the peak
+_BLOCK = 4096  # rows of d-vectors per block of sample-sized work; bounds the peak
 
 
 def _normals(seed: int, first: int, count: int, dim: int) -> np.ndarray:
@@ -102,6 +102,7 @@ def synthesize(
     ``n`` must be a power of two; every atom must lie strictly inside the
     representable band ``|nu| < 1/(2*dt)``, and a density may extend to the
     closed band edge (the exact full-band flat measure is representable).
+    Working memory is about three ``(n, dim)`` arrays plus blocks of 4096 rows.
     """
     seed = SEED.index(seed, "seed")
     dt = POSITIVE.check(float(dt), "dt")
@@ -131,15 +132,15 @@ def synthesize(
         for nu_k, amp in zip(mu.nus.tolist(), amps):
             x += np.exp(2j * np.pi * nu_k * times)[:, None] * amp
     if den is not None:
-        freqs = np.fft.fftfreq(n, d=dt)
-        bins = den.bin_indices(freqs)
+        bins = den.bin_indices(np.fft.fftfreq(n, d=dt))
         hit = np.flatnonzero(bins >= 0)
         roots = np.sqrt(1.0 / (n * dt)) * psd_sqrt(den.values)
-        xi = _normals(seed, 0, n, d)
         coeff = np.zeros((n, d), dtype=np.complex128)
-        for lo in range(0, len(hit), _SYNTH_BLOCK):
-            rows = hit[lo : lo + _SYNTH_BLOCK]
-            coeff[rows] = (roots[bins[rows]] @ xi[rows, :, None])[..., 0]
+        for lo in range(0, n, _BLOCK):
+            rows = hit[np.searchsorted(hit, lo) : np.searchsorted(hit, lo + _BLOCK)]
+            if rows.size:
+                xi = _normals(seed, lo, min(_BLOCK, n - lo), d)
+                coeff[rows] = (roots[bins[rows]] @ xi[rows - lo, :, None])[..., 0]
         x += n * np.fft.ifft(coeff, axis=0)
     return Trajectory(dt=dt, samples=x, seed=seed)
 
@@ -151,8 +152,8 @@ def lag_covariance(traj: Trajectory, lags: int) -> CovarianceTable:
     for the mean-zero processes produced here). The sums are FFT correlations
     of every component pair, zero-padded to the smallest 5-smooth ``N >= n +
     lags``, so no product read at lags ``0..lags`` wraps around. One ifft per
-    row of the cross-spectrum keeps memory at the ``(d, N)`` spectrum and two
-    row blocks of its size. The zero lag is hermitized.
+    entry ``(i, j)`` of the cross-spectrum keeps working memory at the ``(d,
+    N)`` spectrum plus two rows of length ``N``. The zero lag is hermitized.
     """
     lags = integer(lags, "lags")
     n = traj.n
@@ -161,11 +162,13 @@ def lag_covariance(traj: Trajectory, lags: int) -> CovarianceTable:
     d = traj.dim
     spec = np.fft.fft(traj.samples.T, n=_fft_length(n + lags))
     vals = np.empty((lags + 1, d, d), dtype=np.complex128)
-    for i in range(d):
-        # entry (i, j): sum_t x_{t+m,i} conj(x_{t,j}). spec[i, None] keeps the
-        # operand shapes equal at d = 1, as the batched product had them, so a
-        # large product reuses its temporary with swapped operands in both
-        vals[:, i, :] = np.fft.ifft(spec[i, None] * spec.conj())[:, : lags + 1].T
+    # At d = 1 the batched product's operands had equal shapes, so from 256 KiB
+    # on numpy computed it into its temporary conj operand: conj * spec.
+    swap = d == 1 and spec.nbytes >= 1 << 18
+    for i, j in np.ndindex(d, d):  # entry (i, j): sum_t x_{t+m,i} conj(x_{t,j})
+        row = spec[j].conj()
+        np.multiply(*((row, spec[i]) if swap else (spec[i], row)), out=row)
+        vals[:, i, j] = np.fft.ifft(row)[: lags + 1]
     vals /= (n - np.arange(lags + 1))[:, None, None]
     vals[0] = hermitize(vals[0])
     return CovarianceTable(dt=traj.dt, values=vals)
@@ -202,7 +205,8 @@ def welch_estimate(
     density-only measure with ``segment`` bins covering one Nyquist band;
     bin ``i`` has its left edge at the DFT frequency it estimates. Each bin
     is projected to the nearest PSD matrix (the average of outer products is
-    already PSD, so this only clears rounding dust).
+    already PSD, so this only clears rounding dust). Working memory is the
+    segment spectra, ``1/(1-overlap)`` times the samples, plus small blocks.
     """
     segment = EVEN.index(segment, "segment")
     n = traj.n
@@ -218,8 +222,14 @@ def welch_estimate(
         )
     windows = np.lib.stride_tricks.sliding_window_view(traj.samples, segment, axis=0)
     segs = windows[::hop][:count].swapaxes(1, 2)  # (count, segment, dim) view
-    spectra = np.fft.fft(w[None, :, None] * segs, axis=1)
-    acc = (spectra.transpose(1, 2, 0) @ spectra.transpose(1, 0, 2).conj()) / count
+    spectra = np.empty(segs.shape, dtype=np.complex128)
+    step = max(1, _BLOCK // segment)
+    for lo in range(0, count, step):
+        spectra[lo : lo + step] = np.fft.fft(w[None, :, None] * segs[lo : lo + step], axis=1)
+    step = max(1, _BLOCK // count)  # frequencies per block; per frequency X^T @ conj(X)
+    blocks = (spectra[:, lo : lo + step] for lo in range(0, segment, step))
+    acc = np.concatenate([(b.transpose(1, 2, 0) @ b.transpose(1, 0, 2).conj()) / count for b in blocks])
+    del spectra
     acc *= traj.dt / float(np.sum(w * w))
     acc = np.fft.fftshift(acc, axes=0)
     nyquist = 1.0 / (2.0 * traj.dt)

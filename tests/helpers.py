@@ -1,5 +1,8 @@
 """Shared random-object factories for the test suite."""
 
+import contextlib
+import io
+import os
 import sys
 
 import numpy as np
@@ -74,3 +77,33 @@ def count_psd_checks(monkeypatch) -> list:
     for name in ("cholesky", "eigvalsh"):
         monkeypatch.setattr(np.linalg, name, counting(getattr(np.linalg, name)))
     return shapes
+
+
+def golden_mismatch(name: str) -> str:
+    """Failure message for a file that differs from its golden: the file, and
+    what its bits depend on besides the code, namely numpy's BLAS build and
+    the CPU features numpy dispatches on (plus any variable forcing either)."""
+    try:
+        from numpy._core import _multiarray_umath as umath  # numpy >= 2
+    except ImportError:
+        from numpy.core import _multiarray_umath as umath  # numpy 1.x
+    features = getattr(umath, "__cpu_features__", {})
+    dispatch = [f for f in getattr(umath, "__cpu_dispatch__", ()) if features.get(f)]
+    baseline = list(getattr(umath, "__cpu_baseline__", ()))
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas.get('name')} {blas.get('version')} ({blas.get('openblas configuration')})"
+    except TypeError:  # before numpy 1.26, show_config only prints
+        text = io.StringIO()
+        with contextlib.redirect_stdout(text):
+            np.show_config()
+        blas = text.getvalue().strip()
+    forced = {
+        k: os.environ[k]
+        for k in ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES", "NPY_ENABLE_CPU_FEATURES")
+        if k in os.environ
+    }
+    return (
+        f"{name} differs from its golden. numpy {np.__version__}, BLAS build {blas}; "
+        f"CPU baseline {baseline}, dispatched {dispatch}; forced {forced}"
+    )

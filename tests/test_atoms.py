@@ -54,6 +54,7 @@ from qwss.errors import DimensionMismatchError, QwssError
 from qwss.linalg import hermitize, validate_psd
 
 from helpers import (
+    golden_mismatch,
     outcome,
     random_complex_matrix,
     random_density_matrix,
@@ -138,7 +139,8 @@ def test_cli_bytes_match_goldens(tmp_path):
     write_all(tmp_path)
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(FILES)
     for name in FILES:
-        assert (tmp_path / name).read_bytes() == (DATA / name).read_bytes(), name
+        got, want = (tmp_path / name).read_bytes(), (DATA / name).read_bytes()
+        assert got == want, golden_mismatch(name)
 
 
 # --- per-atom and per-mode reference loops ------------------------------------

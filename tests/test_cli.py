@@ -38,7 +38,7 @@ from qwss import (
 from qwss import cli
 from qwss.cli import main
 
-from helpers import rel_frob
+from helpers import golden_mismatch, rel_frob
 
 from test_serialize import example_model, rich_measure
 
@@ -674,7 +674,7 @@ class TestDemo:
         assert run("demo", "ou", out, *DEMO_ARGS) == 0
         for name in ("spectrum.json", "summary.json"):
             golden = (datadir / name).read_bytes()
-            assert (out / name).read_bytes() == golden, name
+            assert (out / name).read_bytes() == golden, golden_mismatch(name)
 
 
 class TestAllOrNothing:

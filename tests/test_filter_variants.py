@@ -29,6 +29,7 @@ from qwss.filters import (
     white_noise,
 )
 from qwss.linalg import resolvent
+from qwss.filters import apply_filter
 from qwss.measure import OperatorSpectralMeasure
 from qwss.serialize import filter_to_document, serialize_filter
 
@@ -57,6 +58,12 @@ def ref_characteristic(filt, nus):
     if isinstance(filt, Composition):
         return ref_characteristic(filt.first, nus) @ ref_characteristic(filt.second, nus)
     raise TypeError(f"unknown filter variant {type(filt).__name__}")
+
+
+def ref_covers(filt, lo, hi):
+    if isinstance(filt, Composition):
+        return ref_covers(filt.first, lo, hi) and ref_covers(filt.second, lo, hi)
+    return filt.covers(lo, hi)
 
 
 def ref_factors(filt):
@@ -287,3 +294,67 @@ class TestDocumentsMatchReference:
         assert outcome(filter_to_document, value) == outcome(
             ref_filter_to_document, value
         )
+
+
+# --- deep trees: the explicit-stack walks against the recursive references --
+
+
+def shaped_tree(rng, d, shape, depth):
+    """A left-nested chain, a right-nested chain or a balanced tree."""
+    if depth == 0:
+        return random_leaf(rng, d)
+    if shape == "left":
+        return Composition(first=shaped_tree(rng, d, shape, depth - 1), second=random_leaf(rng, d))
+    if shape == "right":
+        return Composition(first=random_leaf(rng, d), second=shaped_tree(rng, d, shape, depth - 1))
+    return Composition(
+        first=shaped_tree(rng, d, shape, depth - 1), second=shaped_tree(rng, d, shape, depth - 1)
+    )
+
+
+SHAPED = [
+    (shape, seed, shaped_tree(rng_for(100 + seed), 1 + seed % 3, shape, depth))
+    for shape in ("left", "right", "balanced")
+    for seed in range(10)
+    for depth in [1 + seed % 5 if shape == "balanced" else 1 + 4 * seed]
+]
+
+
+class TestShapedTreesMatchReference:
+    @pytest.mark.parametrize("where", sorted(NUS))
+    def test_psi_bytes_and_errors(self, where):
+        nus = NUS[where]
+        for shape, seed, tree in SHAPED:
+            got = outcome(lambda: tree._psi(nus))
+            want = outcome(lambda: ref_characteristic(tree, nus))
+            if want[0] == "ok":
+                assert got[0] == "ok", (shape, seed)
+                assert got[1].tobytes() == want[1].tobytes(), (shape, seed)
+            else:
+                assert got == want, (shape, seed)
+
+    @pytest.mark.parametrize("lo, hi", [(-0.5, 0.5), (-1.0, 1.0), (-2.0, 2.0), (-4.0, 4.0)])
+    def test_covers_and_in_domain(self, lo, hi):
+        for shape, seed, tree in SHAPED:
+            assert tree.covers(lo, hi) is ref_covers(tree, lo, hi), (shape, seed)
+            mu = white_noise(np.eye(tree.dim), band=hi, bins=2)
+            assert in_domain(mu, tree) is ref_in_domain(mu, tree), (shape, seed)
+
+    def test_shapes_mix_outcomes(self):
+        for shape in ("left", "right", "balanced"):
+            covered = {t.covers(-2.0, 2.0) for sh, _, t in SHAPED if sh == shape}
+            assert covered == {True, False}, shape
+
+
+@pytest.mark.parametrize("nested", ["left", "right"])
+def test_depth_5000_chain_applies(nested):
+    chain = Derivative(dim=1)
+    for _ in range(5000):
+        pair = (chain, Derivative(dim=1)) if nested == "left" else (Derivative(dim=1), chain)
+        chain = Composition(*pair)
+    # |2 pi i nu| = 1 here, so 5001 factors keep the weight at 2
+    mu = OperatorSpectralMeasure(dim=1, atoms=((1.0 / (2.0 * math.pi), [[2.0]]),))
+    assert in_domain(mu, chain) and chain.covers(-1.0, 1.0)
+    assert abs(apply_filter(mu, chain).weights[0, 0, 0] - 2.0) < 1e-9
+    narrow = Composition(first=chain, second=Tabulated(-0.1, 0.1, [[[1.0]]]))
+    assert not narrow.covers(-1.0, 1.0) and not in_domain(mu, narrow)

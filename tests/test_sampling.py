@@ -264,8 +264,21 @@ class TestSynthesizeBlocks:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # 5.9x the 4.2 MB output; the one (n, d, d) gather of roots took 8.4x
-        assert peak < 7 * n * dim * 16
+        # 3.4x the 4.2 MB output: the output, the bin coefficients and their
+        # ifft; drawing every normal at once took 5.9x
+        assert peak < 4 * n * dim * 16
+
+    @pytest.mark.parametrize("n", [2**10, 2**15])
+    @pytest.mark.parametrize("lo, hi", [(-5.0, 5.0), (2.0, 4.0), (-4.5, -0.2), (1e-4, 4e-4)])
+    def test_blocks_of_counter_rows_equal_one_draw(self, n, lo, hi):
+        # at dt = 0.1, n = 2^15 spans eight blocks of rows; the narrow bands
+        # hit some of them only (the narrowest one row of one block, at n =
+        # 2^15), and n = 2^10 is less than one block
+        rng = rng_for(n + int(10 * hi))
+        values = np.stack([random_psd(rng, 3) for _ in range(5)])
+        mu = OperatorSpectralMeasure(dim=3, atoms=(), density=DensityGrid(lo, hi, values))
+        got = synthesize(mu, dt=0.1, n=n, seed=n).samples
+        assert got.tobytes() == synthesize_unblocked(mu, 0.1, n, n).tobytes()
 
 
 class TestLagCovariance:
@@ -332,6 +345,23 @@ class TestLagCovariance:
         acc /= len(seeds)
         assert np.linalg.norm(acc - theory) / np.linalg.norm(theory) < 0.10
 
+    def test_synthesized_route_matches_bochner_noncommuting(self):
+        # The filter theorem by the synthesized route: lag products of a draw
+        # of filtered noise against the Bochner table of the filtered
+        # spectrum, for gamma and S that do not commute. Over seeds 0-99 the
+        # largest entry error was 0.0039-0.0306 (mean 0.0105, sd 0.0052)
+        # against the Bochner table, and 0.0478-0.0627 against its adjoint
+        # a^H M exp(-gamma tau) a, the convention ou_covariance had before.
+        # The bound 0.04 lies between the two; seed 0 (0.0077) is at the
+        # 30th percentile of the first.
+        g = np.array([[1.5, 0.4], [0.4, 1.0]])
+        s = np.array([[1.0, 0.3j], [-0.3j, 2.0]])
+        mu = apply_filter(white_noise(s, band=10.0, bins=8192), ExpOperator(gamma=g, a=np.eye(2)))
+        table = covariance_from_spectrum(mu, dt=0.05, lags=18).values
+        est = lag_covariance(synthesize(mu, dt=0.05, n=2**18, seed=0), 18).values
+        assert np.abs(est - table).max() < 0.04
+        assert np.abs(est - table.conj().swapaxes(-1, -2)).max() > 0.04
+
     def test_zero_lag_is_hermitian_and_nearly_psd(self):
         mu = flat_measure(2.0, B2)
         tab = lag_covariance(synthesize(mu, dt=0.1, n=2**14, seed=21), 10)
@@ -358,9 +388,10 @@ class TestLagCovariance:
     @pytest.mark.parametrize("dim", [1, 2, 3, 4])
     def test_row_blocks_match_batched_ifft_bit_for_bit(self, dim):
         rng = rng_for(20 + dim)
-        # at n = 16385 the (N, 1) product at dim 1 passes 256 KiB, where numpy
-        # reuses the temporary of a product in place and rounds it differently
-        for n in (3, 37, 251, 1024, 16385):
+        # from n = 16385 on, the (N, 1) product at dim 1 passes 256 KiB, where
+        # numpy reuses the temporary of a product in place and rounds it
+        # differently
+        for n in (3, 37, 251, 1024, 16385, 2**16):
             x = rng.standard_normal((n, dim)) + 1j * rng.standard_normal((n, dim))
             tr = Trajectory(dt=0.5, samples=x * 10.0 ** rng.uniform(-3, 3))
             for lags in sorted({0, 1, (n - 1) // 2}):
@@ -379,8 +410,9 @@ class TestLagCovariance:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # the spectrum and two row blocks: 13.3 MB; the batched ifft took 39 MB
-        assert peak < 4 * spectrum_bytes
+        # the spectrum and two rows: 6.5 MB; two row blocks took 13.1 MB and
+        # the batched ifft 39 MB
+        assert peak < 2.5 * spectrum_bytes
 
     def test_rejects_bad_lag_counts(self):
         tr = synthesize(flat_measure(2.0, [[1.0]]), dt=0.1, n=32, seed=0)
@@ -428,6 +460,35 @@ class TestWelchEstimate:
         got = welch_estimate(tr, segment=segment, overlap=overlap, taper=taper)
         want = welch_gathered(tr, segment, overlap, taper)
         assert got.density.values.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    @pytest.mark.parametrize("segment, overlap", [(64, 0.5), (4, 0.5), (8192, 0.9)])
+    def test_blocks_match_the_gather(self, segment, overlap, dim):
+        # n = 2^14 gives 8 blocks of segments and 8 of frequencies at segment
+        # 64; 8191 segments, one frequency per block, at segment 4; and one
+        # segment per block, 23 blocks of frequencies, at segment 8192
+        rng = rng_for(segment + dim)
+        x = rng.standard_normal((2**14, dim)) + 1j * rng.standard_normal((2**14, dim))
+        tr = Trajectory(dt=0.1, samples=x)
+        got = welch_estimate(tr, segment=segment, overlap=overlap)
+        want = welch_gathered(tr, segment, overlap, "hann")
+        assert got.density.values.tobytes() == want.tobytes()
+
+    def test_peak_memory_is_the_spectra_stack(self):
+        rng = rng_for(32)
+        n, dim = 2**16, 4
+        x = rng.standard_normal((n, dim)) + 1j * rng.standard_normal((n, dim))
+        tr = Trajectory(dt=0.1, samples=x)
+        welch_estimate(tr, segment=256)  # warm the FFT plan cache
+        tracemalloc.start()
+        try:
+            welch_estimate(tr, segment=256, overlap=0.5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # 2.1x the 4.2 MB samples, 2x of it the segment spectra; tapering all
+        # segments at once and conjugating the whole stack took 4x
+        assert peak < 3 * x.nbytes
 
     def test_zero_trajectory_gives_zero_density(self):
         tr = Trajectory(dt=0.1, samples=np.zeros((128, 2)))
