@@ -54,7 +54,7 @@ from .linalg import (
     solve_lyapunov,
     validate_psd,
 )
-from .measure import DensityGrid, OperatorSpectralMeasure, UniformGrid, _Record
+from .measure import _BLOCK, DensityGrid, OperatorSpectralMeasure, UniformGrid, _Record
 
 __all__ = [
     "Shift",
@@ -250,6 +250,20 @@ class Composition(FilterSpec):
     def _psi(self, nus):
         return self._fold(lambda f: f._psi(nus), np.matmul)
 
+    def __repr__(self) -> str:
+        return self._fold(repr, "Composition(first={}, second={})".format)
+
+    def __hash__(self) -> int:
+        return self._fold(hash, lambda a, b: hash((a, b)))
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        a, b = [], []  # each tree in postfix: factors left to right, None closing a node
+        self._fold(a.append, lambda *_: a.append(None))
+        other._fold(b.append, lambda *_: b.append(None))
+        return len(a) == len(b) and all(x is y or x == y for x, y in zip(a, b))
+
 
 @dataclass(frozen=True, eq=False)
 class UnboundedWhiteNoise(_Record):
@@ -281,11 +295,11 @@ def apply_filter(
     """Push a measure through a filter: congruence by ``psi`` at atoms and
     density bin midpoints.
 
-    Atoms and bins form one stack, evaluated and transformed together. The
-    output is validated once, by ``DensityGrid`` and
-    ``OperatorSpectralMeasure`` at ``TOL_PSD``, the tolerance the input
-    passed; a failure (such as a congruence that overflows) names
-    ``density bin j`` or ``atom i weight``.
+    Atoms, then bins, are evaluated and transformed 4096 / d at a time, so
+    the working memory beside the output is a few such blocks. The output is
+    validated once, by ``DensityGrid`` and ``OperatorSpectralMeasure`` at
+    ``TOL_PSD``, the tolerance the input passed; a failure (such as a
+    congruence that overflows) names ``density bin j`` or ``atom i weight``.
     """
     if isinstance(mu, UnboundedWhiteNoise):
         raise FilterDomainError(
@@ -300,17 +314,19 @@ def apply_filter(
         # |e^{2 pi i s nu}| = 1, so the congruence fixes every weight exactly;
         # returning the (immutable) measure keeps the invariance bit-exact.
         return mu
-    k, den = len(mu.nus), mu.density
-    nus, weights = mu.nus, mu.weights
+    atoms, den = _congruence(filt, mu.nus, mu.weights), mu.density
     if den is not None:
-        nus = np.concatenate([nus, den.midpoints()])
-        weights = np.concatenate([weights, den.values])
-    psi = filt._psi(nus)
-    out = hermitize(psi.conj().swapaxes(-1, -2) @ weights @ psi)
-    density = None
-    if den is not None:
-        density = DensityGrid(den.nu_min, den.nu_max, out[k:])
-    return OperatorSpectralMeasure(dim=mu.dim, atoms=zip(mu.nus, out[:k]), density=density)
+        den = DensityGrid(den.nu_min, den.nu_max, _congruence(filt, den.midpoints(), den.values))
+    return OperatorSpectralMeasure(dim=mu.dim, atoms=zip(mu.nus, atoms), density=den)
+
+
+def _congruence(filt: FilterSpec, nus: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    # psi^H W psi, hermitized, 4096 / d matrices at a time: bit for bit as one stack
+    out, step = np.empty_like(weights), max(1, _BLOCK // filt.dim)
+    for lo in range(0, len(nus), step):
+        psi, block = filt._psi(nus[lo : lo + step]), slice(lo, lo + step)
+        out[block] = hermitize(psi.conj().swapaxes(-1, -2) @ weights[block] @ psi)
+    return out
 
 
 def in_domain(mu, filt: FilterSpec) -> bool:

@@ -52,6 +52,7 @@ __all__ = [
 ]
 
 _ATOM_MERGE_RTOL = 1e-12
+_BLOCK = 4096  # rows of d-vectors, or bins, per block of working memory; bounds the peak
 
 
 class _Record:
@@ -445,9 +446,9 @@ def spectrum_from_covariance(
         raise QwssError("spectrum_from_covariance needs at least 2 lags")
     bins = integer(bins, "bins")
     if bins < m + 1:
-        raise QwssError(f"bins ({bins}) must be >= number of lags ({m + 1})")
+        raise QwssError(f"bins ({bins}) must be >= number of lags ({m + 1})", location="bins")
     if window not in _LAG_WINDOWS:
-        raise QwssError(f"unknown window {window!r}; choose from {_LAG_WINDOWS}")
+        raise QwssError(f"unknown window {window!r}; choose from {_LAG_WINDOWS}", location="window")
     dt = table.dt
     j = np.arange(-m, m + 1)
     w = 1.0 - np.abs(j) / (m + 1) if window == "bartlett" else np.ones(2 * m + 1)

@@ -37,7 +37,7 @@ from .errors import EVEN, OVERLAP, POSITIVE, POWER_OF_TWO, SEED, integer
 from .errors import AliasingError, DimensionMismatchError, QwssError
 from .linalg import hermitize, nearest_psd, psd_sqrt
 from .measure import CovarianceTable, DensityGrid, OperatorSpectralMeasure
-from .measure import _fft_length, _Record
+from .measure import _BLOCK, _fft_length, _Record
 
 __all__ = ["Trajectory", "synthesize", "lag_covariance", "welch_estimate"]
 
@@ -80,7 +80,6 @@ class Trajectory(_Record):
 
 
 _ATOM_ROW = 1 << 64
-_BLOCK = 4096  # rows of d-vectors per block of sample-sized work; bounds the peak
 
 
 def _normals(seed: int, first: int, count: int, dim: int) -> np.ndarray:
@@ -149,26 +148,34 @@ def lag_covariance(traj: Trajectory, lags: int) -> CovarianceTable:
     """Unbiased lag-product estimate ``C(m*dt) ~ mean_t x_{t+m} x_t^H``.
 
     Each lag ``m`` averages over its ``n - m`` available products (unbiased
-    for the mean-zero processes produced here). The sums are FFT correlations
-    of every component pair, zero-padded to the smallest 5-smooth ``N >= n +
-    lags``, so no product read at lags ``0..lags`` wraps around. One ifft per
-    entry ``(i, j)`` of the cross-spectrum keeps working memory at the ``(d,
-    N)`` spectrum plus two rows of length ``N``. The zero lag is hermitized.
+    for the mean-zero processes produced here). The sums are sectioned FFT
+    correlations: with blocks of ``b >= lags`` samples and ``A_j`` the
+    length-``2b`` spectrum of block ``j``, ``(A_j + (-1)^k A_{j+1}) A_j^H`` is
+    summed per frequency ``k`` over groups of blocks (at least 8 and 4096
+    samples); one ifft per entry reads lags ``0..lags``. Cost O(n d log b + n
+    d^2), in memory that does not grow with ``n``. The zero lag is hermitized.
     """
     lags = integer(lags, "lags")
     n = traj.n
     if lags < 0 or 2 * lags >= n:
-        raise QwssError(f"lags must satisfy 0 <= lags < n/2, got {lags} with n={n}")
-    d = traj.dim
-    spec = np.fft.fft(traj.samples.T, n=_fft_length(n + lags))
-    vals = np.empty((lags + 1, d, d), dtype=np.complex128)
-    # At d = 1 the batched product's operands had equal shapes, so from 256 KiB
-    # on numpy computed it into its temporary conj operand: conj * spec.
-    swap = d == 1 and spec.nbytes >= 1 << 18
-    for i, j in np.ndindex(d, d):  # entry (i, j): sum_t x_{t+m,i} conj(x_{t,j})
-        row = spec[j].conj()
-        np.multiply(*((row, spec[i]) if swap else (spec[i], row)), out=row)
-        vals[:, i, j] = np.fft.ifft(row)[: lags + 1]
+        raise QwssError(f"lags must satisfy 0 <= lags < n/2, got {lags} with n={n}", location="lags")
+    d, b = traj.dim, _fft_length(max(lags, 1))
+    blocks, step = -(-n // b), max(8, _BLOCK // b)  # several blocks a group, even long ones
+    acc = np.zeros((d, d, 2 * b), dtype=np.complex128)
+    for lo in range(0, blocks, step):
+        g, span = min(step, blocks - lo), min(step + 1, blocks - lo)  # span: and the next block
+        rows = traj.samples[lo * b : (lo + span) * b]
+        if len(rows) < span * b:
+            rows = np.pad(rows, ((0, span * b - len(rows)), (0, 0)))
+        spec = np.fft.fft(rows.reshape(span, b, d).transpose(0, 2, 1), n=2 * b)
+        pair = spec[:g].copy()  # A_j + (-1)^k A_{j+1}: a shift by b in a 2b FFT
+        pair[: span - 1, :, 0::2] += spec[1:, :, 0::2]
+        pair[: span - 1, :, 1::2] -= spec[1:, :, 1::2]
+        conj = np.conjugate(spec[:g], out=spec[:g])  # A_j^H, in place: spec is spent
+        for i, j in np.ndindex(d, d):  # entry (i, j): sum_t x_{t+m,i} conj(x_{t,j})
+            acc[i, j] += (pair[:, i] * conj[:, j]).sum(axis=0)
+        del spec, pair, conj  # before the next group's spectra
+    vals = np.fft.ifft(acc)[..., : lags + 1].transpose(2, 0, 1)  # one ifft per entry
     vals /= (n - np.arange(lags + 1))[:, None, None]
     vals[0] = hermitize(vals[0])
     return CovarianceTable(dt=traj.dt, values=vals)
@@ -185,7 +192,7 @@ def _taper(name: str, length: int) -> np.ndarray:
         return 1.0 - np.abs(2.0 * t / length - 1.0)
     if name == "boxcar":
         return np.ones(length)
-    raise QwssError(f"unknown taper {name!r}; choose from {_TAPERS}")
+    raise QwssError(f"unknown taper {name!r}; choose from {_TAPERS}", location="taper")
 
 
 def welch_estimate(
@@ -205,31 +212,29 @@ def welch_estimate(
     density-only measure with ``segment`` bins covering one Nyquist band;
     bin ``i`` has its left edge at the DFT frequency it estimates. Each bin
     is projected to the nearest PSD matrix (the average of outer products is
-    already PSD, so this only clears rounding dust). Working memory is the
-    segment spectra, ``1/(1-overlap)`` times the samples, plus small blocks.
+    already PSD, so this only clears rounding dust). Working memory is one
+    block of 4096 rows of segment spectra, whatever ``n`` and ``overlap``.
     """
     segment = EVEN.index(segment, "segment")
     n = traj.n
     if segment > n:
-        raise QwssError(f"segment must be in [2, n], got {segment} with n={n}")
+        raise QwssError(f"segment must be in [2, n], got {segment} with n={n}", location="segment")
     overlap = OVERLAP.check(float(overlap), "overlap")
     w = _taper(taper, segment)
     hop = max(1, int(round(segment * (1.0 - overlap))))
     count = 1 + (n - segment) // hop
     if count < 2:
         raise QwssError(
-            f"need at least 2 segments, got {count} (n={n}, segment={segment})"
+            f"need at least 2 segments, got {count} (n={n}, segment={segment})", location="segment"
         )
     windows = np.lib.stride_tricks.sliding_window_view(traj.samples, segment, axis=0)
     segs = windows[::hop][:count].swapaxes(1, 2)  # (count, segment, dim) view
-    spectra = np.empty(segs.shape, dtype=np.complex128)
-    step = max(1, _BLOCK // segment)
+    step = max(1, _BLOCK // segment)  # segments per block; per frequency X^T @ conj(X)
     for lo in range(0, count, step):
-        spectra[lo : lo + step] = np.fft.fft(w[None, :, None] * segs[lo : lo + step], axis=1)
-    step = max(1, _BLOCK // count)  # frequencies per block; per frequency X^T @ conj(X)
-    blocks = (spectra[:, lo : lo + step] for lo in range(0, segment, step))
-    acc = np.concatenate([(b.transpose(1, 2, 0) @ b.transpose(1, 0, 2).conj()) / count for b in blocks])
-    del spectra
+        spec = np.fft.fft(w[None, :, None] * segs[lo : lo + step], axis=1)
+        part = spec.transpose(1, 2, 0) @ spec.transpose(1, 0, 2).conj()
+        acc = acc + part if lo else part
+    acc /= count
     acc *= traj.dt / float(np.sum(w * w))
     acc = np.fft.fftshift(acc, axes=0)
     nyquist = 1.0 / (2.0 * traj.dt)

@@ -292,4 +292,6 @@ def test_only_record_store_sets_fields_and_locks_arrays():
         ("measure.py", "_Record._store", "value.setflags"),
         ("measure.py", "_Record._store", "object.__setattr__"),
         ("measure.py", "_Record.__eq__", "def"),
+        # replaces the recursive dataclass __eq__ of a filter tree, no array record
+        ("filters.py", "Composition.__eq__", "def"),
     }

@@ -863,6 +863,18 @@ class TestUsageContract:
         err = self.one_error(dirs, capsys, argv)
         assert err == {"code": "invalid_value", "message": message, "location": flag[2:]}
 
+    @pytest.mark.parametrize(
+        "sub, flag, value, message",
+        [
+            ("estimate", "--lags", "32", "lags must satisfy 0 <= lags < n/2, got 32 with n=64"),
+            ("estimate", "--segment", "64", "need at least 2 segments, got 1 (n=64, segment=64)"),
+            ("inverse", "--bins", "3", "bins (3) must be >= number of lags (9)"),
+        ],
+    )
+    def test_constraint_on_the_input_names_its_flag(self, dirs, capsys, sub, flag, value, message):
+        err = self.one_error(dirs, capsys, self.argv(dirs, sub, {flag: value}))
+        assert err == {"code": "invalid_value", "message": message, "location": flag[2:]}
+
     @pytest.mark.parametrize("sub", sorted(CONTRACT))
     @pytest.mark.parametrize("change", ["unknown flag", "missing positional"])
     def test_malformed_command_line(self, dirs, capsys, sub, change):

@@ -358,3 +358,83 @@ def test_depth_5000_chain_applies(nested):
     assert abs(apply_filter(mu, chain).weights[0, 0, 0] - 2.0) < 1e-9
     narrow = Composition(first=chain, second=Tabulated(-0.1, 0.1, [[[1.0]]]))
     assert not narrow.covers(-1.0, 1.0) and not in_domain(mu, narrow)
+
+
+# --- comparison, hashing and printing: explicit-stack walks against the
+# recursive rules that dataclass generated for Composition ------------------
+
+
+def ref_repr(filt):
+    if isinstance(filt, Composition):
+        return f"Composition(first={ref_repr(filt.first)}, second={ref_repr(filt.second)})"
+    return repr(filt)
+
+
+def ref_eq(a, b):
+    """``(a.first, a.second) == (b.first, b.second)``: tuples try identity
+    before ``==``, item by item."""
+    if isinstance(a, Composition) and isinstance(b, Composition):
+        return all(x is y or ref_eq(x, y) for x, y in ((a.first, b.first), (a.second, b.second)))
+    return a == b
+
+
+def leaves(filt):
+    return [f for f in nodes(filt) if not isinstance(f, Composition)]
+
+
+class TestCompareHashPrint:
+    def test_repr_is_the_dataclass_repr(self):
+        tree = Composition(Composition(Shift(1, 0.3), Derivative(1)), Shift(1, -0.5))
+        assert repr(tree) == (
+            "Composition(first=Composition(first=Shift(dim=1, s=0.3), "
+            "second=Derivative(dim=1)), second=Shift(dim=1, s=-0.5))"
+        )
+        for _, tree in TREES:
+            assert repr(tree) == ref_repr(tree)
+        for _, _, tree in SHAPED:
+            assert repr(tree) == ref_repr(tree)
+
+    def test_eq_matches_reference_on_random_trees(self):
+        # the same seed builds an equal tree from new objects; another seed
+        # mostly a different one
+        again = [random_tree(rng_for(seed), 1 + seed % 3, 1 + seed % 4) for seed in range(60)]
+        outcomes = set()
+        for (seed, tree), copy in zip(TREES, again):
+            assert tree is not copy
+            for other in (copy, again[(seed + 1) % 60], again[(seed + 3) % 60]):
+                want = ref_eq(tree, other)
+                assert (tree == other) is want and (tree != other) is (not want), seed
+                outcomes.add(want)
+        assert outcomes == {True, False}
+
+    def test_equal_trees_hash_alike(self):
+        hashed = 0
+        for seed, tree in TREES:
+            copy = random_tree(rng_for(seed), 1 + seed % 3, 1 + seed % 4)
+            unhashable = [f for f in leaves(tree) if isinstance(f, (ExpOperator, Tabulated))]
+            if unhashable:
+                # the first unhashable factor, left to right, is named
+                name = type(unhashable[0]).__name__
+                with pytest.raises(TypeError, match=f"unhashable type: '{name}'"):
+                    hash(tree)
+            else:
+                assert hash(tree) == hash(copy), seed
+                hashed += 1
+        assert hashed >= 10
+
+
+@pytest.mark.parametrize("nested", ["left", "right"])
+def test_depth_5000_chain_compares_hashes_and_prints(nested):
+    def chain(last):
+        c = last
+        for _ in range(5000):
+            c = Composition(c, Derivative(1)) if nested == "left" else Composition(Derivative(1), c)
+        return c
+
+    a, b, c = chain(Shift(1, 0.5)), chain(Shift(1, 0.5)), chain(Shift(1, 0.25))
+    assert a == b and not a != b
+    assert a != c and not a == c  # differs only at the deepest factor
+    assert hash(a) == hash(b)
+    text = repr(a)
+    assert text == repr(b) and text.count("Composition(") == 5000
+    assert text.count("Shift(dim=1, s=0.5)") == 1 and repr(c) != text

@@ -44,7 +44,7 @@ from qwss.filters import (
     ou_covariance,
     white_noise,
 )
-from qwss.linalg import is_psd, solve_lyapunov
+from qwss.linalg import hermitize, is_psd, solve_lyapunov
 from qwss.measure import (
     DensityGrid,
     OperatorSpectralMeasure,
@@ -323,6 +323,33 @@ class TestApplyFilter:
         mu = OperatorSpectralMeasure(dim=2)
         with pytest.raises(DimensionMismatchError):
             apply_filter(mu, Derivative(dim=3))
+
+    @pytest.mark.parametrize("dim", [1, 2, 4])
+    @pytest.mark.parametrize("variant", ["exp", "scalar", "derivative", "chain"])
+    def test_blocks_equal_one_stack_bit_for_bit(self, dim, variant):
+        # 4096 / dim bins to a block: 3 atoms and 5000 bins make 2 blocks at
+        # dim 1, 3 at dim 2 and 5 at dim 4
+        rng = rng_for(39 + dim)
+        mu = OperatorSpectralMeasure(
+            dim=dim,
+            atoms=[(nu, random_psd(rng, dim)) for nu in (-0.7, 0.1, 0.45)],
+            density=DensityGrid(-1.0, 1.0, np.stack([random_psd(rng, dim) for _ in range(5000)])),
+        )
+        exp = ExpOperator(gamma=random_hpd(rng, dim), a=random_complex_matrix(rng, dim))
+        table = Tabulated(-1.0, 1.0, np.stack([random_complex_matrix(rng, dim) for _ in range(7)]))
+        filt = {
+            "exp": exp,
+            "scalar": ScalarConvolution(dim, lambda nu: 1.0 / (1.0 + 2j * nu)),
+            "derivative": Derivative(dim),
+            "chain": Composition(Composition(exp, table), Derivative(dim)),
+        }[variant]
+        nus = np.concatenate([mu.nus, mu.density.midpoints()])
+        psi = filt._psi(nus)
+        weights = np.concatenate([mu.weights, mu.density.values])
+        want = hermitize(psi.conj().swapaxes(-1, -2) @ weights @ psi)
+        got = apply_filter(mu, filt)
+        assert got.weights.tobytes() == want[:3].tobytes()
+        assert got.density.values.tobytes() == want[3:].tobytes()
 
 
 class TestInDomain:

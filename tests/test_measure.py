@@ -1,5 +1,6 @@
 """Spectral measures, the Bochner pair, kernel checks, and measure addition."""
 
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from qwss.errors import (
     DimensionMismatchError,
     NotPositiveSemidefiniteError,
     OffGridLagError,
+    QwssError,
 )
 from qwss.filters import Tabulated
 from qwss.linalg import is_psd, nearest_psd
@@ -417,8 +419,16 @@ class TestSpectrumFromCovariance:
 
     def test_bins_must_cover_lags(self):
         table = CovarianceTable(dt=0.5, values=np.broadcast_to(B2, (8, 2, 2)).copy())
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape("bins (4) must be >= number of lags (8)")) as exc:
             spectrum_from_covariance(table, bins=4)
+        assert exc.value.location == "bins"
+
+    def test_unknown_window_is_located(self):
+        table = CovarianceTable(dt=0.5, values=np.broadcast_to(B2, (8, 2, 2)).copy())
+        with pytest.raises(QwssError, match="unknown window 'hann'") as exc:
+            spectrum_from_covariance(table, bins=8, window="hann")
+        assert exc.value.location == "window"
+
 
     def test_needs_two_lags(self):
         table = CovarianceTable(dt=0.5, values=B2[None])

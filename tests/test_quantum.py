@@ -14,6 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qwss import (
+    Composition,
     Derivative,
     DimensionMismatchError,
     ExpOperator,
@@ -22,6 +23,8 @@ from qwss import (
     NotPositiveSemidefiniteError,
     QuantumModel,
     QwssError,
+    Shift,
+    Tabulated,
     add_scaled,
     apply_filter,
     check_psd_kernel,
@@ -571,11 +574,24 @@ class TestFilteredProcess:
     measure, and its conditioned covariance is that measure's Bochner
     transform."""
 
-    @pytest.mark.parametrize("second", [None, Derivative(2)], ids=["exp", "exp_derivative"])
-    def test_filter_on_process_equals_filter_on_spectrum(self, second):
-        filt = ExpOperator(gamma=[[1.5, 0.4], [0.4, 1.0]], a=[[1.0, 0.2j], [-0.3, 0.8]])
-        if second is not None:
-            filt = compose(filt, second)
+    EXP = ExpOperator(gamma=[[1.5, 0.4], [0.4, 1.0]], a=[[1.0, 0.2j], [-0.3, 0.8]])
+    # bins of width 0.5 on [-1.5, 3]; the modes at -1.3, 0.2 and 2.5 fall in
+    # bins 0, 3 and 8
+    TABLE = Tabulated(
+        -1.5, 3.0, [random_complex_matrix(rng_for(78 + k), 2) for k in range(9)]
+    )
+    FILTERS = {
+        "exp": EXP,
+        "exp_derivative": compose(EXP, Derivative(2)),
+        "shift": Shift(2, 0.3),
+        "tabulated": TABLE,
+        "chain_left": Composition(Composition(EXP, Shift(2, 0.3)), TABLE),
+        "chain_right": Composition(EXP, Composition(Shift(2, 0.3), TABLE)),
+    }
+
+    @pytest.mark.parametrize("name", list(FILTERS))
+    def test_filter_on_process_equals_filter_on_spectrum(self, name):
+        filt = self.FILTERS[name]
         model = three_mode_model()
         filtered = QuantumModel(
             dim_system=2,

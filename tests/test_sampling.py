@@ -8,6 +8,7 @@ fixed seeds used here.
 
 import cmath
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -386,41 +387,70 @@ class TestLagCovariance:
             assert np.abs(got - want).max() < 1e-12 * np.abs(want).max()
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 4])
-    def test_row_blocks_match_batched_ifft_bit_for_bit(self, dim):
+    @pytest.mark.parametrize(
+        "n, lags",
+        [(n, lags) for lags in (0, 1, 16, 512) for n in (12288, 12289)]
+        + [(1536, 767), (1537, 768)],
+    )
+    def test_block_edges_match_direct_lag_products(self, n, lags, dim):
+        # n is a multiple of the block length b (1 at lags 0 and 1, then 16,
+        # 512 and 768), or one more. Lags 16, 512 and 768 equal their b, the
+        # longest lag a 2b-point block correlation reads, and 767 and 768 are
+        # (n - 1) // 2. 12288 rows make 3 groups of blocks at b = 1, 16 and
+        # 512 (4096 blocks, 256 blocks and 8 blocks a group)
+        rng = rng_for(n + dim + lags)
+        x = rng.standard_normal((n, dim)) + 1j * rng.standard_normal((n, dim))
+        want = np.stack([x[m:].T @ x[: n - m].conj() / (n - m) for m in range(lags + 1)])
+        want[0] = hermitize(want[0])
+        got = lag_covariance(Trajectory(dt=0.5, samples=x), lags).values
+        assert np.abs(got - want).max() < 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_block_sums_match_batched_ifft(self, dim):
+        # the block sums round differently from one ifft of the whole padded
+        # cross-spectrum, the code they replaced, so agreement is to 1e-12
         rng = rng_for(20 + dim)
-        # from n = 16385 on, the (N, 1) product at dim 1 passes 256 KiB, where
-        # numpy reuses the temporary of a product in place and rounds it
-        # differently
         for n in (3, 37, 251, 1024, 16385, 2**16):
             x = rng.standard_normal((n, dim)) + 1j * rng.standard_normal((n, dim))
             tr = Trajectory(dt=0.5, samples=x * 10.0 ** rng.uniform(-3, 3))
             for lags in sorted({0, 1, (n - 1) // 2}):
-                got = lag_covariance(tr, lags)
-                assert got.values.tobytes() == lag_covariance_batched(tr, lags).values.tobytes()
+                got = lag_covariance(tr, lags).values
+                want = lag_covariance_batched(tr, lags).values
+                assert np.abs(got - want).max() < 1e-12 * np.abs(want).max()
 
     def test_peak_memory_is_a_few_spectra(self):
-        rng = rng_for(30)
-        n, dim, lags = 2**16, 4, 128
-        x = rng.standard_normal((n, dim)) + 1j * rng.standard_normal((n, dim))
-        tr = Trajectory(dt=0.1, samples=x)
-        spectrum_bytes = dim * _fft_length(n + lags) * 16  # 4.3 MB
-        tracemalloc.start()
-        try:
-            lag_covariance(tr, lags)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        # the spectrum and two rows: 6.5 MB; two row blocks took 13.1 MB and
-        # the batched ifft 39 MB
-        assert peak < 2.5 * spectrum_bytes
+        # dim 4, 128 lags: the spectra of one group of blocks, whatever n; the
+        # padded spectrum and two rows took 25.2 MB at n = 2^18
+        estimate = lambda tr: lag_covariance(tr, 128)
+        peaks = [traced_peak(estimate, white_trajectory(n, 4)) for n in (2**16, 2**18)]
+        assert max(peaks) < 1.25 * min(peaks)
+        assert peaks[1] < 4e6
 
     def test_rejects_bad_lag_counts(self):
         tr = synthesize(flat_measure(2.0, [[1.0]]), dt=0.1, n=32, seed=0)
         with pytest.raises(ValueError):
             lag_covariance(tr, -1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"lags must satisfy 0 <= lags < n/2") as exc:
             lag_covariance(tr, 16)  # 2*lags must stay below n
+        assert exc.value.location == "lags"
         assert lag_covariance(tr, 15).max_lag_index == 15
+
+
+def white_trajectory(n, dim):
+    rng = rng_for(n + dim)
+    x = rng.standard_normal((n, dim)) + 1j * rng.standard_normal((n, dim))
+    return Trajectory(dt=0.1, samples=x)
+
+
+def traced_peak(estimate, traj):
+    """Traced peak bytes of ``estimate(traj)``, FFT plans already cached."""
+    estimate(traj)
+    tracemalloc.start()
+    try:
+        estimate(traj)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def lag_covariance_batched(traj, lags):
@@ -464,31 +494,26 @@ class TestWelchEstimate:
     @pytest.mark.parametrize("dim", [1, 3])
     @pytest.mark.parametrize("segment, overlap", [(64, 0.5), (4, 0.5), (8192, 0.9)])
     def test_blocks_match_the_gather(self, segment, overlap, dim):
-        # n = 2^14 gives 8 blocks of segments and 8 of frequencies at segment
-        # 64; 8191 segments, one frequency per block, at segment 4; and one
-        # segment per block, 23 blocks of frequencies, at segment 8192
+        # n = 2^14 gives 8 blocks of 64 segments at segment 64; 8 blocks of
+        # 1024 at segment 4; and 11 blocks of one segment at segment 8192.
+        # Summing block by block rounds differently from one sum over every
+        # segment, so agreement is to 1e-12 of the largest entry
         rng = rng_for(segment + dim)
         x = rng.standard_normal((2**14, dim)) + 1j * rng.standard_normal((2**14, dim))
         tr = Trajectory(dt=0.1, samples=x)
-        got = welch_estimate(tr, segment=segment, overlap=overlap)
+        got = welch_estimate(tr, segment=segment, overlap=overlap).density.values
         want = welch_gathered(tr, segment, overlap, "hann")
-        assert got.density.values.tobytes() == want.tobytes()
+        assert np.abs(got - want).max() < 1e-12 * np.abs(want).max()
 
     def test_peak_memory_is_the_spectra_stack(self):
-        rng = rng_for(32)
-        n, dim = 2**16, 4
-        x = rng.standard_normal((n, dim)) + 1j * rng.standard_normal((n, dim))
-        tr = Trajectory(dt=0.1, samples=x)
-        welch_estimate(tr, segment=256)  # warm the FFT plan cache
-        tracemalloc.start()
-        try:
-            welch_estimate(tr, segment=256, overlap=0.5)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        # 2.1x the 4.2 MB samples, 2x of it the segment spectra; tapering all
-        # segments at once and conjugating the whole stack took 4x
-        assert peak < 3 * x.nbytes
+        # dim 4, segment 256: the spectra of one block of 16 segments, whatever
+        # n and overlap; the stack of every segment's spectrum took 34.1 MB at
+        # n = 2^18, overlap 0.5, and 165.9 MB at overlap 0.9
+        for overlap in (0.5, 0.9):
+            estimate = lambda tr: welch_estimate(tr, segment=256, overlap=overlap)
+            peaks = [traced_peak(estimate, white_trajectory(n, 4)) for n in (2**16, 2**18)]
+            assert max(peaks) < 1.25 * min(peaks)
+            assert peaks[1] < 2e6
 
     def test_zero_trajectory_gives_zero_density(self):
         tr = Trajectory(dt=0.1, samples=np.zeros((128, 2)))
@@ -567,15 +592,17 @@ class TestWelchEstimate:
 
     def test_rejects_unknown_taper(self):
         tr = synthesize(flat_measure(2.0, [[1.0]]), dt=0.1, n=256, seed=2)
-        with pytest.raises(ValueError, match="taper"):
+        with pytest.raises(ValueError, match="unknown taper 'kaiser'") as exc:
             welch_estimate(tr, segment=64, taper="kaiser")
+        assert exc.value.location == "taper"
 
     def test_rejects_bad_segment_and_overlap(self):
         tr = synthesize(flat_measure(2.0, [[1.0]]), dt=0.1, n=256, seed=2)
         with pytest.raises(ValueError):
             welch_estimate(tr, segment=63)  # odd
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape("segment must be in [2, n]")) as exc:
             welch_estimate(tr, segment=512)  # longer than the trajectory
+        assert exc.value.location == "segment"
         with pytest.raises(ValueError):
             welch_estimate(tr, segment=0)
         with pytest.raises(ValueError):
@@ -585,5 +612,7 @@ class TestWelchEstimate:
 
     def test_rejects_single_segment(self):
         tr = synthesize(flat_measure(2.0, [[1.0]]), dt=0.1, n=256, seed=2)
-        with pytest.raises(ValueError, match="segment"):
+        with pytest.raises(ValueError, match="need at least 2 segments") as exc:
             welch_estimate(tr, segment=256, overlap=0.0)
+        assert exc.value.location == "segment"
+
