@@ -513,8 +513,10 @@ def _kernel_blocks(cov, times: Sequence[float]) -> np.ndarray:
 
 def _block_gram(blocks: np.ndarray) -> tuple[np.ndarray, float]:
     """Gram matrix of ``(n, n, d, d)`` blocks, ``K[i,j][a,b]`` at ``(i*d+a, j*d+b)``,
-    and its scale ``max(1, max|K|)``; the first block holding NaN or inf raises."""
+    and its scale ``max(1, max|K|)``; raises if empty or at the first non-finite block."""
     n, _, d, _ = blocks.shape
+    if n * d == 0:
+        raise DimensionMismatchError(f"block kernel is empty: blocks of shape {blocks.shape}")
     gram = blocks.transpose(0, 2, 1, 3).reshape(n * d, n * d)
     top = float(np.abs(gram).max())
     if not np.isfinite(top):  # the maximum is NaN or inf iff an entry is

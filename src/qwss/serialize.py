@@ -18,6 +18,14 @@ Conventions shared by every format:
   dim u32, n u64, dt f64, then n*dim complex128 samples (interleaved re/im
   f64, time-major)
 
+Each kind of JSON document is declared once, as a table of fields in key
+order (``_MEASURE``, ..., one per filter variant in ``_FILTER_DOCS``): a key,
+a codec (``float``, ``bool``, a range from ``errors``, a ``_Stack`` with a
+shape rule, an ``_Object``, or ``[_Object]``, a list of them) and where the
+writer takes the value from. ``_read`` and ``_write`` walk any table; the
+writer runs each field's check too, so it refuses what the reader rejects.
+Filter trees are walked on explicit stacks, to any depth JSON can nest.
+
 Schema violations raise SchemaError with a JSON-path location. Non-PSD
 weights raise the measure constructors' NotPositiveSemidefiniteError, which
 names the atom or bin and the witness eigenvalue; the decoder sets its
@@ -34,6 +42,8 @@ import math
 import os
 import struct
 from dataclasses import fields
+from operator import attrgetter
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -93,7 +103,11 @@ def _enc(a: np.ndarray) -> list:
 
 
 def _dumps(doc: dict) -> bytes:
-    return (json.dumps(doc, indent=2, allow_nan=False) + "\n").encode("utf-8")
+    try:
+        text = json.dumps(doc, indent=2, allow_nan=False)
+    except RecursionError:
+        raise SchemaError("cannot write JSON: nested too deeply") from None
+    return (text + "\n").encode("utf-8")
 
 
 def _text(data) -> str:
@@ -117,11 +131,14 @@ def _loads(data) -> dict:
     return doc
 
 
+def _at(loc: str | None, key: str) -> str:
+    return f"{loc}.{key}" if loc else key
+
+
 def _check_keys(doc: dict, required: tuple, optional: tuple, loc: str | None):
     for key in doc:
         if key not in required and key not in optional:
-            where = key if loc is None else f"{loc}.{key}"
-            raise SchemaError(f"unknown key {key!r}", location=where)
+            raise SchemaError(f"unknown key {key!r}", location=_at(loc, key))
     for key in required:
         if key not in doc:
             raise SchemaError(f"missing key {key!r}", location=loc)
@@ -217,27 +234,102 @@ def _as_object(v, loc: str) -> dict:
     return v
 
 
-# --- spectral measures -----------------------------------------------------
+# --- JSON documents ------------------------------------------------------------
 
 
-def measure_to_document(mu: OperatorSpectralMeasure) -> dict:
-    doc = {
-        "kind": "spectral_measure",
-        "dim": int(mu.dim),
-        "atoms": [
-            {"nu": nu, "weight": w}
-            for nu, w in zip(mu.nus.tolist(), _enc(mu.weights))
-        ],
-    }
-    if mu.density is not None:
-        den = mu.density
-        doc["density"] = {
-            "nu_min": float(den.nu_min),
-            "nu_max": float(den.nu_max),
-            "bins": int(den.bins),
-            "values": _enc(den.values),
-        }
+class _Object:
+    """A JSON object: its fields in key order, each ``(key, codec[, get[,
+    optional]])``, read as ``build(**values)`` (``None`` for an absent
+    optional field) and written from ``get(obj)``, by default the attribute
+    ``key``; ``head`` holds the constant keys written ahead of them."""
+
+    def __init__(self, *fields: tuple, build: Callable, **head: str):
+        padded = ((*f, None, False)[:4] for f in fields)
+        self.fields = [(k, c, g or attrgetter(k), o) for k, c, g, o in padded]
+        self.build, self.head = build, head
+        self.required = (*head, *(k for k, _, _, o in self.fields if not o))
+        self.optional = tuple(k for k, _, _, o in self.fields if o)
+
+
+class _Stack(NamedTuple):
+    """A complex stack: ``shape(env, v)`` is the size of each axis, ``None``
+    where free, given the stack ``v`` (its JSON list, or its array); ``empty``
+    is the error for no entries, where their number is free."""
+
+    shape: Callable
+    empty: str | None = None
+
+
+class _Multipliers(_Stack):
+    """A tabulated filter's ``values``: square matrices, sized by the first."""
+
+
+def _check(obj: _Object, doc, loc: str | None) -> dict:
+    doc = _as_object(doc, loc)
+    _check_keys(doc, obj.required, obj.optional, loc)
+    if "kind" in obj.head:
+        _check_kind(doc, obj.head["kind"])
     return doc
+
+
+def _read(codec, v, loc: str | None = None, env=()):
+    """Decode ``v`` at ``loc``. An object's keys are checked, then its fields
+    read in order, each into ``env``: the values read so far, enclosing
+    objects' included, which shape rules use."""
+    if isinstance(codec, _Object):
+        doc, env, values = _check(codec, v, loc), dict(env), {}
+        for key, inner, _, _ in codec.fields:
+            x = _read(inner, doc[key], _at(loc, key), env) if key in doc else None
+            env[key] = values[key] = x
+        return codec.build(**values)
+    if isinstance(codec, list):
+        entries = enumerate(_as_list(v, loc))
+        return [_read(codec[0], e, f"{loc}[{i}]", env) for i, e in entries]
+    if isinstance(codec, _Stack) and not (codec.empty is None or _as_list(v, loc)):
+        raise SchemaError(codec.empty, location=loc)
+    if isinstance(codec, _Multipliers):
+        d, cols = _as_stack(v[0], f"{loc}[0]", (None, None)).shape
+        if cols != d:
+            raise SchemaError("multiplier matrices must be square", location=f"{loc}[0]")
+        return _as_stack(v, loc, (None, d, d))
+    if isinstance(codec, _Stack):
+        return _as_stack(v, loc, codec.shape(env, v))
+    if codec is float:
+        return _as_real(v, loc)
+    return _as_bool(v, loc) if codec is bool else _as_int(v, loc, codec)
+
+
+def _write(codec, v, loc: str | None = None, env=(), rows: bool = False):
+    """``v`` as JSON, checked as ``_read`` checks it; with ``rows``, a column
+    that holds a field of every object of a list. A stack goes out in one
+    ``_enc``, checked for its shape (no free axis empty) and finite numbers."""
+    if isinstance(codec, _Object):
+        doc, env = dict(codec.head), dict(env)
+        for key, inner, get, optional in codec.fields:
+            x = get(v)
+            if x is not None or not optional:
+                doc[key] = env[key] = _write(inner, x, _at(loc, key), env)
+        return doc
+    if isinstance(codec, list):
+        fields = codec[0].fields
+        columns = [_write(c, get(v), loc, env, rows=True) for _, c, get, _ in fields]
+        keys = [key for key, _, _, _ in fields]
+        return [dict(zip(keys, row)) for row in zip(*columns)]
+    if isinstance(codec, _Stack):
+        if codec.empty is not None and not len(v):
+            raise SchemaError(codec.empty, location=loc)
+        want = ((len(v),) if rows else ()) + codec.shape(env, v)
+        if v.ndim != len(want) or any(
+            n < 1 if w is None else n != w for n, w in zip(v.shape, want)
+        ):
+            msg = f"shape {v.shape} is not {want} (None: any size >= 1)"
+            raise SchemaError(msg, location=loc)
+        if not np.isfinite(v).all():
+            raise SchemaError("number must be finite", location=loc)
+        return _enc(v)
+    if rows:
+        return [_write(codec, x, loc, env) for x in v.tolist()]
+    return _read(codec, codec(v) if codec in (float, bool) else int(v), loc, env)
 
 
 def _located(path, build):
@@ -250,45 +342,70 @@ def _located(path, build):
         raise
 
 
-def measure_from_document(doc: dict) -> OperatorSpectralMeasure:
-    _check_keys(doc, ("kind", "dim", "atoms"), ("density",), None)
-    _check_kind(doc, "spectral_measure")
-    dim = _as_int(doc["dim"], "dim", allowed=SIZE)
-    atoms = []
-    for i, entry in enumerate(_as_list(doc["atoms"], "atoms")):
-        loc = f"atoms[{i}]"
-        entry = _as_object(entry, loc)
-        _check_keys(entry, ("nu", "weight"), (), loc)
-        nu = _as_real(entry["nu"], f"{loc}.nu")
-        atoms.append((nu, _as_stack(entry["weight"], f"{loc}.weight", (dim, dim))))
-    density = None
-    if "density" in doc:
-        den = _as_object(doc["density"], "density")
-        _check_keys(den, ("nu_min", "nu_max", "bins", "values"), (), "density")
-        nu_min = _as_real(den["nu_min"], "density.nu_min")
-        nu_max = _as_real(den["nu_max"], "density.nu_max")
-        bins = _as_int(den["bins"], "density.bins", allowed=SIZE)
-        vals = _as_stack(den["values"], "density.values", (bins, dim, dim))
-        density = _located(
-            lambda b: f"density.values[{b}]",
-            lambda: DensityGrid(nu_min=nu_min, nu_max=nu_max, values=vals),
-        )
-    return _located(
-        lambda i: f"atoms[{i}].weight",
-        lambda: OperatorSpectralMeasure(dim=dim, atoms=atoms, density=density),
-    )
+def _square(key: str):  # the shape rule of a key x key matrix
+    return lambda env, v: (env[key], env[key])
 
 
-def serialize_measure(mu: OperatorSpectralMeasure) -> bytes:
-    return _dumps(measure_to_document(mu))
-
-
-def deserialize_measure(data) -> OperatorSpectralMeasure:
-    return measure_from_document(_loads(data))
-
-
-# --- filters ----------------------------------------------------------------
-
+_ATOM = _Object(
+    ("nu", float, attrgetter("nus")),
+    ("weight", _Stack(_square("dim")), attrgetter("weights")),
+    build=lambda nu, weight: (nu, weight),
+)
+_DENSITY = _Object(
+    ("nu_min", float),
+    ("nu_max", float),
+    ("bins", SIZE),
+    ("values", _Stack(lambda env, v: (env["bins"], env["dim"], env["dim"]))),
+    build=lambda nu_min, nu_max, bins, values: _located(
+        lambda b: f"density.values[{b}]", lambda: DensityGrid(nu_min, nu_max, values)
+    ),
+)
+_MEASURE = _Object(
+    ("dim", SIZE),
+    ("atoms", [_ATOM], lambda mu: mu),
+    ("density", _DENSITY, None, True),
+    build=lambda dim, atoms, density: _located(
+        lambda i: f"atoms[{i}].weight", lambda: OperatorSpectralMeasure(dim, atoms, density)
+    ),
+    kind="spectral_measure",
+)
+_MODE = _Object(
+    ("nu", float, attrgetter("nus")),
+    ("system_op", _Stack(_square("dim_system")), attrgetter("system_ops")),
+    ("environment_op", _Stack(_square("dim_environment")), attrgetter("environment_ops")),
+    build=Mode,
+)
+_MODEL = _Object(
+    ("dim_system", SIZE),
+    ("dim_environment", SIZE),
+    ("env_state", _Stack(_square("dim_environment"))),
+    ("modes", [_MODE], lambda model: model),
+    build=QuantumModel,
+    kind="quantum_model",
+)
+_KERNEL = _Object(  # n x n blocks, n the number of block rows
+    ("dim", SIZE, lambda k: k.shape[-1]),
+    ("blocks", _Stack(lambda env, v: (len(v), len(v), env["dim"], env["dim"]),
+                      "need at least one block row"), lambda k: k),
+    build=lambda dim, blocks: blocks,
+    kind="kernel",
+)
+_FACTORIZATION = _Object(  # with rank 0, each factor is []
+    ("rank", COUNT),
+    ("dim", SIZE),
+    ("factors", _Stack(lambda env, v: (len(v), env["rank"], env["dim"]),
+                       "need at least one factor")),
+    build=lambda rank, dim, factors: KolmogorovFactorization(rank=rank, factors=factors),
+    kind="kolmogorov_factorization",
+)
+_VERDICT = _Object(
+    ("passed", bool),
+    ("dim", SIZE),
+    ("points", SIZE),
+    ("witness", float, None, True),
+    build=KernelVerdict,
+    kind="kernel_verdict",
+)
 
 _FILTERS = {
     "shift": Shift,
@@ -299,17 +416,45 @@ _FILTERS = {
 }
 # a filter document holds its variant's dataclass fields, in field order
 _FILTER_KEYS = {v: tuple(f.name for f in fields(c)) for v, c in _FILTERS.items()}
+# the codec of each field but a composition's, whose factors the walks in
+# filter_to_document and filter_from_document handle
+_FILTER_CODECS = {
+    "dim": SIZE,
+    "s": float,
+    "gamma": _Stack(lambda env, v: (None, None)),
+    "a": _Stack(lambda env, v: (len(env["gamma"]), len(env["gamma"]))),
+    "nu_min": float,
+    "nu_max": float,
+    "values": _Multipliers(lambda env, v: (None, None, None), "need at least one bin"),
+}
+_FILTER_DOCS = {
+    v: _Object(*((key, _FILTER_CODECS.get(key)) for key in keys), build=_FILTERS[v],
+               kind="filter", variant=v)
+    for v, keys in _FILTER_KEYS.items()
+}
 
 
-def _field_to_json(value):
-    if isinstance(value, np.ndarray):
-        return _enc(value)
-    if isinstance(value, FilterSpec):
-        return filter_to_document(value)
-    return value  # dim (int) and frequencies (float), normalized on construction
+def measure_to_document(mu: OperatorSpectralMeasure) -> dict:
+    return _write(_MEASURE, mu)
+
+
+def measure_from_document(doc: dict) -> OperatorSpectralMeasure:
+    return _read(_MEASURE, doc)
+
+
+def serialize_measure(mu: OperatorSpectralMeasure) -> bytes:
+    return _dumps(measure_to_document(mu))
+
+
+def deserialize_measure(data) -> OperatorSpectralMeasure:
+    return measure_from_document(_loads(data))
 
 
 def filter_to_document(filt: FilterSpec) -> dict:
+    if isinstance(filt, Composition):  # post-order on an explicit stack, any depth
+        return filt._fold(filter_to_document, lambda first, second: {
+            "kind": "filter", "variant": "composition", "first": first, "second": second
+        })
     if isinstance(filt, ScalarConvolution):
         raise SchemaError(
             "scalar convolution filters hold an arbitrary callable "
@@ -317,54 +462,35 @@ def filter_to_document(filt: FilterSpec) -> dict:
         )
     for variant, cls in _FILTERS.items():
         if isinstance(filt, cls):
-            keys = _FILTER_KEYS[variant]
-            doc = {"kind": "filter", "variant": variant}
-            return doc | {key: _field_to_json(getattr(filt, key)) for key in keys}
+            return _write(_FILTER_DOCS[variant], filt)
     raise SchemaError(f"not a filter: {type(filt).__name__}")
 
 
 def filter_from_document(doc: dict, loc: str | None = None) -> FilterSpec:
-    prefix = f"{loc}." if loc else ""
-    doc = _as_object(doc, loc or "filter")
-    if "variant" not in doc:
-        raise SchemaError("missing key 'variant'", location=loc)
-    variant = doc["variant"]
-    if not isinstance(variant, str) or variant not in _FILTER_KEYS:
-        raise SchemaError(
-            f"unknown filter variant {variant!r}", location=f"{prefix}variant"
-        )
-    _check_keys(doc, ("kind", "variant") + _FILTER_KEYS[variant], (), loc)
-    _check_kind(doc, "filter")
-    if variant == "shift":
-        return Shift(
-            dim=_as_int(doc["dim"], f"{prefix}dim", allowed=SIZE),
-            s=_as_real(doc["s"], f"{prefix}s"),
-        )
-    if variant == "derivative":
-        return Derivative(dim=_as_int(doc["dim"], f"{prefix}dim", allowed=SIZE))
-    if variant == "exp_operator":
-        g = _as_stack(doc["gamma"], f"{prefix}gamma", (None, None))
-        a = _as_stack(doc["a"], f"{prefix}a", (len(g), len(g)))
-        return ExpOperator(gamma=g, a=a)
-    if variant == "tabulated":
-        raw = _as_list(doc["values"], f"{prefix}values")
-        if not raw:
-            raise SchemaError("need at least one bin", location=f"{prefix}values")
-        d, cols = _as_stack(raw[0], f"{prefix}values[0]", (None, None)).shape
-        if cols != d:
+    # post-order on an explicit stack, any depth; each node's variant and keys
+    # are checked on the way down, so errors come in a recursive walk's order
+    stack, done = [(doc, loc)], []
+    while stack:
+        node = stack.pop()
+        if node is None:  # both factors of a composition are built
+            second = done.pop()
+            done.append(Composition(first=done.pop(), second=second))
+            continue
+        doc, loc = node
+        doc = _as_object(doc, loc or "filter")
+        if "variant" not in doc:
+            raise SchemaError("missing key 'variant'", location=loc)
+        variant = doc["variant"]
+        if not isinstance(variant, str) or variant not in _FILTER_KEYS:
             raise SchemaError(
-                "multiplier matrices must be square", location=f"{prefix}values[0]"
+                f"unknown filter variant {variant!r}", location=_at(loc, "variant")
             )
-        vals = _as_stack(raw, f"{prefix}values", (None, d, d))
-        return Tabulated(
-            nu_min=_as_real(doc["nu_min"], f"{prefix}nu_min"),
-            nu_max=_as_real(doc["nu_max"], f"{prefix}nu_max"),
-            values=vals,
-        )
-    return Composition(
-        first=filter_from_document(doc["first"], f"{prefix}first"),
-        second=filter_from_document(doc["second"], f"{prefix}second"),
-    )
+        if variant != "composition":
+            done.append(_read(_FILTER_DOCS[variant], doc, loc))
+            continue
+        _check(_FILTER_DOCS[variant], doc, loc)
+        stack += [None, *((doc[key], _at(loc, key)) for key in ("second", "first"))]
+    return done[0]
 
 
 def serialize_filter(filt: FilterSpec) -> bytes:
@@ -375,50 +501,12 @@ def deserialize_filter(data) -> FilterSpec:
     return filter_from_document(_loads(data))
 
 
-# --- quantum models ---------------------------------------------------------
-
-
 def model_to_document(model: QuantumModel) -> dict:
-    return {
-        "kind": "quantum_model",
-        "dim_system": int(model.dim_system),
-        "dim_environment": int(model.dim_environment),
-        "env_state": _enc(model.env_state),
-        "modes": [
-            {"nu": nu, "system_op": m, "environment_op": d}
-            for nu, m, d in zip(
-                model.nus.tolist(), _enc(model.system_ops), _enc(model.environment_ops)
-            )
-        ],
-    }
+    return _write(_MODEL, model)
 
 
 def model_from_document(doc: dict) -> QuantumModel:
-    _check_keys(
-        doc,
-        ("kind", "dim_system", "dim_environment", "env_state", "modes"),
-        (),
-        None,
-    )
-    _check_kind(doc, "quantum_model")
-    dh = _as_int(doc["dim_system"], "dim_system", allowed=SIZE)
-    dk = _as_int(doc["dim_environment"], "dim_environment", allowed=SIZE)
-    rho = _as_stack(doc["env_state"], "env_state", (dk, dk))
-    modes = []
-    for i, entry in enumerate(_as_list(doc["modes"], "modes")):
-        loc = f"modes[{i}]"
-        entry = _as_object(entry, loc)
-        _check_keys(entry, ("nu", "system_op", "environment_op"), (), loc)
-        modes.append(
-            Mode(
-                nu=_as_real(entry["nu"], f"{loc}.nu"),
-                system_op=_as_stack(entry["system_op"], f"{loc}.system_op", (dh, dh)),
-                environment_op=_as_stack(
-                    entry["environment_op"], f"{loc}.environment_op", (dk, dk)
-                ),
-            )
-        )
-    return QuantumModel(dim_system=dh, dim_environment=dk, env_state=rho, modes=modes)
+    return _read(_MODEL, doc)
 
 
 def serialize_model(model: QuantumModel) -> bytes:
@@ -429,28 +517,12 @@ def deserialize_model(data) -> QuantumModel:
     return model_from_document(_loads(data))
 
 
-# --- kernels and factorizations ---------------------------------------------
-
-
 def kernel_to_document(blocks: np.ndarray) -> dict:
-    k = np.ascontiguousarray(blocks, dtype=np.complex128)
-    if k.ndim != 4 or k.shape[0] != k.shape[1] or k.shape[2] != k.shape[3]:
-        raise SchemaError(f"kernel blocks must have shape (n, n, d, d), got {k.shape}")
-    return {
-        "kind": "kernel",
-        "dim": int(k.shape[2]),
-        "blocks": _enc(k),
-    }
+    return _write(_KERNEL, np.ascontiguousarray(blocks, dtype=np.complex128))
 
 
 def kernel_from_document(doc: dict) -> np.ndarray:
-    _check_keys(doc, ("kind", "dim", "blocks"), (), None)
-    _check_kind(doc, "kernel")
-    d = _as_int(doc["dim"], "dim", allowed=SIZE)
-    n = len(_as_list(doc["blocks"], "blocks"))
-    if n < 1:
-        raise SchemaError("need at least one block row", location="blocks")
-    return _as_stack(doc["blocks"], "blocks", (n, n, d, d))
+    return _read(_KERNEL, doc)
 
 
 def serialize_kernel(blocks: np.ndarray) -> bytes:
@@ -462,25 +534,11 @@ def deserialize_kernel(data) -> np.ndarray:
 
 
 def factorization_to_document(fact: KolmogorovFactorization) -> dict:
-    return {
-        "kind": "kolmogorov_factorization",
-        "rank": int(fact.rank),
-        "dim": int(fact.factors.shape[2]),
-        "factors": _enc(fact.factors),
-    }
+    return _write(_FACTORIZATION, fact)
 
 
 def factorization_from_document(doc: dict) -> KolmogorovFactorization:
-    _check_keys(doc, ("kind", "rank", "dim", "factors"), (), None)
-    _check_kind(doc, "kolmogorov_factorization")
-    rank = _as_int(doc["rank"], "rank", allowed=COUNT)
-    d = _as_int(doc["dim"], "dim", allowed=SIZE)
-    raw = _as_list(doc["factors"], "factors")
-    if not raw:
-        raise SchemaError("need at least one factor", location="factors")
-    return KolmogorovFactorization(
-        rank=rank, factors=_as_stack(raw, "factors", (None, rank, d))
-    )
+    return _read(_FACTORIZATION, doc)
 
 
 def serialize_factorization(fact: KolmogorovFactorization) -> bytes:
@@ -491,31 +549,12 @@ def deserialize_factorization(data) -> KolmogorovFactorization:
     return factorization_from_document(_loads(data))
 
 
-# --- verdicts ----------------------------------------------------------------
-
-
 def verdict_to_document(verdict: KernelVerdict) -> dict:
-    doc = {
-        "kind": "kernel_verdict",
-        "passed": bool(verdict.passed),
-        "dim": int(verdict.dim),
-        "points": int(verdict.points),
-    }
-    if verdict.witness is not None:
-        doc["witness"] = float(verdict.witness)
-    return doc
+    return _write(_VERDICT, verdict)
 
 
 def verdict_from_document(doc: dict) -> KernelVerdict:
-    _check_keys(doc, ("kind", "passed", "dim", "points"), ("witness",), None)
-    _check_kind(doc, "kernel_verdict")
-    witness = _as_real(doc["witness"], "witness") if "witness" in doc else None
-    return KernelVerdict(
-        passed=_as_bool(doc["passed"], "passed"),
-        witness=witness,
-        points=_as_int(doc["points"], "points", allowed=SIZE),
-        dim=_as_int(doc["dim"], "dim", allowed=SIZE),
-    )
+    return _read(_VERDICT, doc)
 
 
 def serialize_verdict(verdict: KernelVerdict) -> bytes:

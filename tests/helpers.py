@@ -79,10 +79,11 @@ def count_psd_checks(monkeypatch) -> list:
     return shapes
 
 
-def golden_mismatch(name: str) -> str:
-    """Failure message for a file that differs from its golden: the file, and
-    what its bits depend on besides the code, namely numpy's BLAS build and
-    the CPU features numpy dispatches on (plus any variable forcing either)."""
+def numpy_build() -> str:
+    """What bits depend on besides the code: numpy's BLAS build and the CPU
+    features numpy dispatches on, plus any variable forcing either. Printed
+    to the CI job summary (``python tests/helpers.py``) and named by every
+    golden mismatch."""
     try:
         from numpy._core import _multiarray_umath as umath  # numpy >= 2
     except ImportError:
@@ -104,6 +105,15 @@ def golden_mismatch(name: str) -> str:
         if k in os.environ
     }
     return (
-        f"{name} differs from its golden. numpy {np.__version__}, BLAS build {blas}; "
+        f"numpy {np.__version__}, BLAS build {blas}; "
         f"CPU baseline {baseline}, dispatched {dispatch}; forced {forced}"
     )
+
+
+def golden_mismatch(name: str) -> str:
+    """Failure message for a file that differs from its golden."""
+    return f"{name} differs from its golden. {numpy_build()}"
+
+
+if __name__ == "__main__":
+    print(numpy_build())

@@ -31,7 +31,7 @@ from qwss.filters import (
 from qwss.linalg import resolvent
 from qwss.filters import apply_filter
 from qwss.measure import OperatorSpectralMeasure
-from qwss.serialize import filter_to_document, serialize_filter
+from qwss.serialize import deserialize_filter, filter_to_document, serialize_filter
 
 
 def ref_characteristic(filt, nus):
@@ -358,6 +358,22 @@ def test_depth_5000_chain_applies(nested):
     assert abs(apply_filter(mu, chain).weights[0, 0, 0] - 2.0) < 1e-9
     narrow = Composition(first=chain, second=Tabulated(-0.1, 0.1, [[[1.0]]]))
     assert not narrow.covers(-1.0, 1.0) and not in_domain(mu, narrow)
+
+
+def test_depth_900_chain_round_trips():
+    chain = Shift(dim=1, s=0.5)
+    for _ in range(900):
+        chain = Composition(Derivative(dim=1), chain)
+    assert deserialize_filter(serialize_filter(chain)) == chain
+
+
+def test_chain_deeper_than_json_nests_is_a_schema_error():
+    chain = Derivative(dim=1)
+    for _ in range(5000):
+        chain = Composition(chain, Derivative(dim=1))
+    assert filter_to_document(chain)["first"]["variant"] == "composition"
+    with pytest.raises(SchemaError, match="nested too deeply"):
+        serialize_filter(chain)
 
 
 # --- comparison, hashing and printing: explicit-stack walks against the

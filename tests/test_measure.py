@@ -508,6 +508,10 @@ class TestCheckPsdKernel:
         )
         assert verdict.passed
 
+    def test_empty_matrices_are_a_dimension_error(self):
+        with pytest.raises(DimensionMismatchError, match="block kernel is empty"):
+            check_psd_kernel(lambda tau: np.zeros((0, 0)), times=[0.0, 1.0])
+
     def test_hermitian_inconsistency_raises(self):
         # callable with C(-tau) != C(tau)^H is not a stationary kernel
         with pytest.raises(NotPositiveSemidefiniteError):

@@ -681,6 +681,11 @@ class TestOrthogonalSum:
 
 
 class TestKolmogorov:
+    @pytest.mark.parametrize("shape", [(0, 0, 2, 2), (1, 1, 0, 0)])
+    def test_empty_kernel_is_a_dimension_error(self, shape):
+        with pytest.raises(DimensionMismatchError, match="block kernel is empty"):
+            kolmogorov_decompose(np.zeros(shape))
+
     def test_all_ones_scalar_kernel(self):
         fact = kolmogorov_decompose(np.ones((2, 2, 1, 1)))
         assert fact.rank == 1

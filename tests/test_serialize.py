@@ -906,6 +906,18 @@ def ref_factorization_from_document(doc):
     return KolmogorovFactorization(rank=rank, factors=out)
 
 
+def ref_verdict_from_document(doc):
+    ser._check_keys(doc, ("kind", "passed", "dim", "points"), ("witness",), None)
+    ser._check_kind(doc, "kernel_verdict")
+    witness = ser._as_real(doc["witness"], "witness") if "witness" in doc else None
+    return KernelVerdict(
+        passed=ser._as_bool(doc["passed"], "passed"),
+        witness=witness,
+        points=ser._as_int(doc["points"], "points", allowed=SIZE),
+        dim=ser._as_int(doc["dim"], "dim", allowed=SIZE),
+    )
+
+
 # Signed zeros, the smallest subnormal and 1e300 format differently from
 # typical floats; draw them often.
 EXTREMES = (0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300)
@@ -1216,6 +1228,27 @@ DIFFERENTIAL_CASES = {
         ref_factorization_from_document,
         ser.factorization_from_document,
     ),
+    "filter-shift-derivative": (
+        lambda: ser.filter_to_document(
+            Composition(first=Shift(dim=2, s=0.5), second=Derivative(dim=2))
+        ),
+        ref_filter_from_document,
+        ser.filter_from_document,
+    ),
+    "verdict": (
+        lambda: ser.verdict_to_document(
+            KernelVerdict(passed=False, witness=-0.25, points=3, dim=2)
+        ),
+        ref_verdict_from_document,
+        ser.verdict_from_document,
+    ),
+    "verdict-without-witness": (
+        lambda: ser.verdict_to_document(
+            KernelVerdict(passed=True, witness=None, points=1, dim=1)
+        ),
+        ref_verdict_from_document,
+        ser.verdict_from_document,
+    ),
 }
 
 
@@ -1239,5 +1272,64 @@ class TestStackDecoderMatchesReference:
                 )
             if not same:
                 mismatches.append((mutant, ref, new))
-        assert count > 50
+        # a verdict holds four or five scalars, so yields only 36 or 45 mutants
+        assert count > (30 if kind.startswith("verdict") else 50)
         assert mismatches == []
+
+
+# --- writers refuse what readers reject -------------------------------------------
+
+
+def ref_verdict_doc(verdict):
+    doc = {
+        "kind": "kernel_verdict",
+        "passed": bool(verdict.passed),
+        "dim": int(verdict.dim),
+        "points": int(verdict.points),
+    }
+    if verdict.witness is not None:
+        doc["witness"] = float(verdict.witness)
+    return doc
+
+
+KERNEL = (serialize_kernel, deserialize_kernel, ref_kernel_doc)
+FACTORIZATION = (serialize_factorization, deserialize_factorization, ref_factorization_doc)
+VERDICT = (serialize_verdict, deserialize_verdict, ref_verdict_doc)
+FILTER = (serialize_filter, deserialize_filter, ref_filter_doc)
+
+# codec, object, and the location at which its writer refuses it (None: it
+# round-trips)
+EDGE_OBJECTS = {
+    "kernel-one-point": (*KERNEL, np.ones((1, 1, 1, 1)), None),
+    "kernel-no-points": (*KERNEL, np.zeros((0, 0, 2, 2)), "blocks"),
+    "kernel-0x0-blocks": (*KERNEL, np.zeros((1, 1, 0, 0)), "dim"),
+    "kernel-nan": (*KERNEL, np.full((2, 2, 1, 1), np.nan), "blocks"),
+    "factorization-rank-0": (
+        *FACTORIZATION, KolmogorovFactorization(rank=0, factors=np.zeros((2, 0, 1))), None
+    ),
+    "factorization-no-points": (
+        *FACTORIZATION, KolmogorovFactorization(rank=1, factors=np.zeros((0, 1, 2))), "factors"
+    ),
+    "factorization-dim-0": (
+        *FACTORIZATION, KolmogorovFactorization(rank=1, factors=np.zeros((2, 1, 0))), "dim"
+    ),
+    "verdict-no-witness": (*VERDICT, KernelVerdict(True, None, points=1, dim=1), None),
+    "verdict-no-points": (*VERDICT, KernelVerdict(True, 0.5, points=0, dim=1), "points"),
+    "verdict-nan-witness": (*VERDICT, KernelVerdict(False, math.nan, points=2, dim=1), "witness"),
+    "tabulated-0x0": (*FILTER, Tabulated(0.0, 1.0, np.zeros((1, 0, 0))), "values"),
+}
+
+
+class TestWritersRefuseWhatReadersReject:
+    @pytest.mark.parametrize("case", sorted(EDGE_OBJECTS))
+    def test_round_trips_or_is_refused(self, case):
+        write, read, ref_doc, obj, where = EDGE_OBJECTS[case]
+        if where is None:
+            assert _same_value(read(write(obj)), obj)
+            return
+        # the document written before the writer checked, NaN and all
+        with pytest.raises(SchemaError):
+            read(json.dumps(ref_doc(obj)).encode())
+        with pytest.raises(SchemaError) as exc:
+            write(obj)
+        assert exc.value.location == where
