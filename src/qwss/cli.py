@@ -65,10 +65,12 @@ from .measure import (
 from .quantum import kolmogorov_decompose, model_spectral_measure
 from .sampling import _TAPERS, Trajectory, lag_covariance, synthesize, welch_estimate
 from .serialize import (
+    _VERDICT,
     _as_int,
     _as_object,
     _as_real,
     _loads,
+    _write,
     covariance_from_csv,
     covariance_to_csv,
     deserialize_filter,
@@ -83,7 +85,6 @@ from .serialize import (
     trajectory_from_csv,
     trajectory_to_binary,
     trajectory_to_csv,
-    verdict_to_document,
     write_files,
 )
 
@@ -244,7 +245,7 @@ _COMMANDS = {
 
 def _resolve(args: argparse.Namespace) -> None:
     """Decode, check and default the parameters of the command in ``args``,
-    config values overriding flags. A command calls this before any I/O."""
+    config values overriding flags. ``main`` calls this before the command."""
     params = {p.name: p for p in _COMMANDS[args.command_name][1]}
     values = {}
 
@@ -284,13 +285,9 @@ def _resolve(args: argparse.Namespace) -> None:
 # --- shared I/O helpers --------------------------------------------------------
 
 
-def _read_bytes(path: str) -> bytes:
-    return Path(path).read_bytes()
-
-
 def _read_trajectory(path: str) -> Trajectory:
     read = trajectory_from_csv if path.endswith(".csv") else trajectory_from_binary
-    return read(_read_bytes(path))
+    return read(Path(path).read_bytes())
 
 
 class _Result(NamedTuple):
@@ -306,15 +303,13 @@ class _Result(NamedTuple):
 
 
 def _cmd_bochner(args) -> _Result:
-    _resolve(args)
-    mu = deserialize_measure(_read_bytes(args.input))
+    mu = deserialize_measure(Path(args.input).read_bytes())
     table = covariance_from_spectrum(mu, dt=args.dt, lags=args.lags)
     return _Result({args.output: covariance_to_csv(table)})
 
 
 def _cmd_inverse(args) -> _Result:
-    _resolve(args)
-    table = covariance_from_csv(_read_bytes(args.input))
+    table = covariance_from_csv(Path(args.input).read_bytes())
     bins = args.bins
     if bins is None:
         bins = max(256, table.values.shape[0])
@@ -323,35 +318,31 @@ def _cmd_inverse(args) -> _Result:
 
 
 def _cmd_filter(args) -> _Result:
-    _resolve(args)
-    mu = deserialize_measure(_read_bytes(args.input))
+    mu = deserialize_measure(Path(args.input).read_bytes())
     if isinstance(args.filter, dict):
         filt = filter_from_document(args.filter, "filter")
     else:
-        filt = deserialize_filter(_read_bytes(args.filter))
+        filt = deserialize_filter(Path(args.filter).read_bytes())
     out = apply_filter(mu, filt)
     return _Result({args.output: serialize_measure(out)})
 
 
 def _cmd_checkpsd(args) -> _Result:
-    _resolve(args)
-    table = covariance_from_csv(_read_bytes(args.input))
+    table = covariance_from_csv(Path(args.input).read_bytes())
     verdict = check_psd_kernel(table, times=args.times, tol=args.tol)
-    payload = json.dumps(verdict_to_document(verdict), allow_nan=False) + "\n"
+    payload = json.dumps(_write(_VERDICT, verdict), allow_nan=False) + "\n"
     files = {args.out: payload} if args.out else {}
     return _Result(files, payload, 0 if verdict.passed else 2)
 
 
 def _cmd_kolmogorov(args) -> _Result:
-    _resolve(args)
-    blocks = deserialize_kernel(_read_bytes(args.input))
+    blocks = deserialize_kernel(Path(args.input).read_bytes())
     fact = kolmogorov_decompose(blocks, tol=args.tol)
     return _Result({args.output: serialize_factorization(fact)})
 
 
 def _cmd_model(args) -> _Result:
-    _resolve(args)
-    model = deserialize_model(_read_bytes(args.input))
+    model = deserialize_model(Path(args.input).read_bytes())
     mu = model_spectral_measure(model)
     files = {args.output: serialize_measure(mu)}
     if args.covariance:
@@ -361,8 +352,7 @@ def _cmd_model(args) -> _Result:
 
 
 def _cmd_synth(args) -> _Result:
-    _resolve(args)
-    mu = deserialize_measure(_read_bytes(args.input))
+    mu = deserialize_measure(Path(args.input).read_bytes())
     traj = synthesize(mu, dt=args.dt, n=args.n, seed=args.seed)
     if args.output.endswith(".csv"):
         return _Result({args.output: trajectory_to_csv(traj)})
@@ -370,7 +360,6 @@ def _cmd_synth(args) -> _Result:
 
 
 def _cmd_estimate(args) -> _Result:
-    _resolve(args)
     traj = _read_trajectory(args.input)
     mu = welch_estimate(
         traj, segment=args.segment, overlap=args.overlap, taper=args.taper
@@ -385,7 +374,6 @@ def _cmd_estimate(args) -> _Result:
 def _cmd_demo_ou(args) -> _Result:
     import hashlib  # here, so that importing qwss.cli does not load it
 
-    _resolve(args)
     gamma = np.array([[args.gamma]], dtype=np.complex128)
     intensity = np.array([[args.intensity]], dtype=np.complex128)
     a = np.eye(1, dtype=np.complex128)
@@ -481,6 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        _resolve(args)
         # stderr carries only the JSON error: a NaN or inf that overflow
         # leaves behind fails validation, so numpy's warnings add nothing
         with np.errstate(all="ignore"):

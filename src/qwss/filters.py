@@ -54,7 +54,7 @@ from .linalg import (
     solve_lyapunov,
     validate_psd,
 )
-from .measure import _BLOCK, DensityGrid, OperatorSpectralMeasure, UniformGrid, _Record
+from .measure import _BLOCK, DensityGrid, OperatorSpectralMeasure, UniformGrid, _array, _Record
 
 __all__ = [
     "Shift",
@@ -164,11 +164,8 @@ class ExpOperator(FilterSpec):
     decays = True
 
     def __post_init__(self):
-        g = as_complex_matrix(self.gamma, name="gamma")
-        a = as_complex_matrix(self.a, name="a")
-        for name, m in (("gamma", g), ("a", a)):
-            if not np.isfinite(m).all():
-                raise QwssError(f"{name} holds a non-finite entry")
+        g = _array(self.gamma, "d d", "gamma", "gamma holds a non-finite entry")
+        a = _array(self.a, "d d", "a", "a holds a non-finite entry")
         if g.shape != a.shape:
             raise DimensionMismatchError(
                 f"gamma {g.shape} and a {a.shape} must have equal shapes"
@@ -179,7 +176,7 @@ class ExpOperator(FilterSpec):
             np.linalg.cholesky(hermitize(g))
         except np.linalg.LinAlgError as exc:
             raise NotPositiveDefiniteError("gamma must be positive definite") from exc
-        self._store(gamma=g.copy(), a=a.copy())
+        self._store(gamma=g, a=a)
 
     @property
     def dim(self) -> int:
@@ -193,11 +190,7 @@ class Tabulated(UniformGrid, FilterSpec):
     """Finite characteristic constant per bin on a uniform grid, undefined off it."""
 
     bounded = False
-
-    def __post_init__(self):
-        super().__post_init__()
-        if not np.isfinite(self.values).all():
-            raise QwssError("tabulated values hold a non-finite entry")
+    _finite = "tabulated values hold a non-finite entry"
 
     def covers(self, lo: float, hi: float) -> bool:
         return self.nu_min <= lo and hi <= self.nu_max

@@ -100,6 +100,22 @@ def _scale(a: np.ndarray):
     return np.fmax(1.0, np.abs(a).max(axis=(-2, -1), initial=0.0))
 
 
+def _finite_part(a: np.ndarray, h: np.ndarray):
+    """``h``, the Hermitian part of ``a``, made finite for LAPACK, and the
+    factor of each slice's eigenvalues: 1, or the largest real or imaginary
+    part ``s`` of a slice whose ``h`` holds a NaN or inf, because ``a`` does
+    (the checks report such a slice as non-finite, whatever its eigenvalues)
+    or because ``a + a^H`` overflowed. Such a slice becomes the Hermitian part
+    of ``a / s``, each non-finite entry of ``a`` read as 0."""
+    finite = np.isfinite(h).all(axis=(-2, -1))
+    if finite.all():
+        return h, 1.0
+    z = np.where(np.isfinite(a), a, 0.0)
+    s = np.fmax(1.0, np.abs(z.view(np.float64)).max(axis=(-2, -1), initial=0.0))
+    unit = hermitize(z / s[..., None, None])
+    return np.where(finite[..., None, None], h, unit), np.where(finite, 1.0, s)[..., None]
+
+
 def _rounding(d: int) -> float:
     """``B(d)`` of the PSD certificate (module docstring)."""
     return 8.0 * d * (d + 1) * np.finfo(float).eps
@@ -198,7 +214,8 @@ def validate_psd(
     # c = tol*s/2 with tol >= 8*B(d) makes -c - B*(s + c) >= -tol*s
     if tol >= 8.0 * _rounding(a.shape[-1]) and hermitian and _factors(h, tol * s / 2):
         return a
-    _raise_psd_failure(a, np.linalg.eigvalsh(h), tol, herm_tol, name)
+    h, unit = _finite_part(a, h)
+    _raise_psd_failure(a, np.linalg.eigvalsh(h) * unit, tol, herm_tol, name)
     return a
 
 

@@ -29,6 +29,7 @@ from .errors import (
 )
 from .linalg import (
     TOL_PSD,
+    _finite_part,
     as_complex_matrix,
     hermitian_defect,
     hermitize,
@@ -58,6 +59,10 @@ _BLOCK = 4096  # rows of d-vectors, or bins, per block of working memory; bounds
 class _Record:
     """Base of the value types that hold arrays, each a frozen dataclass.
 
+    Every stack of matrices or vectors a record keeps is read by ``_array``,
+    the one shape rule: its named axes (``"bins d d"``), each at least 1
+    (``rank`` at least 0), and finite entries where the record asks. So no
+    record is empty or of dimension 0, and every record can be written.
     A constructor builds its own copy of every array it keeps and hands it
     to ``_store``, which sets each field once and write-locks the arrays in
     place, so a record never locks or aliases its caller's array. Records
@@ -83,6 +88,29 @@ class _Record:
         return True
 
 
+def _array(value, axes: str, what: str, finite: str | None = None, copy: bool = True):
+    """``value`` as a C-contiguous complex128 stack with the named ``axes``,
+    a copy unless ``copy`` is false and it already is one. Checked in order:
+    one axis per name and one size per name (else ``DimensionMismatchError``
+    "``what`` must have shape (...)"); each size against ``SIZE``, or
+    ``COUNT`` for ``rank``, located at the axis name; and, when ``finite``
+    gives its message, that every entry is finite."""
+    if copy:
+        a = np.array(value, dtype=np.complex128, order="C")
+    else:
+        a = np.ascontiguousarray(value, dtype=np.complex128)
+    names, sizes = axes.split(), {}
+    if a.ndim != len(names) or any(sizes.setdefault(k, n) != n for k, n in zip(names, a.shape)):
+        raise DimensionMismatchError(
+            f"{what} must have shape ({', '.join(names)}), got {a.shape}"
+        )
+    for name, n in sizes.items():
+        (COUNT if name == "rank" else SIZE).check(n, name)
+    if finite is not None and not np.isfinite(a.view(np.float64)).all():
+        raise QwssError(finite)
+    return a
+
+
 @dataclass(frozen=True, eq=False)
 class UniformGrid(_Record):
     """A ``(bins, d, d)`` matrix stack on ``bins`` equal cells of ``[nu_min, nu_max]``.
@@ -96,15 +124,10 @@ class UniformGrid(_Record):
     nu_min: float
     nu_max: float
     values: np.ndarray  # (bins, d, d) complex128
+    _finite = None  # the message of a non-finite value, where a subclass refuses one
 
     def __post_init__(self):
-        v = np.array(self.values, dtype=np.complex128, order="C")
-        if v.ndim != 3 or v.shape[1] != v.shape[2]:
-            raise DimensionMismatchError(
-                f"{type(self).__name__} values must have shape (bins, d, d), "
-                f"got {v.shape}"
-            )
-        SIZE.check(v.shape[0], "bins")
+        v = _array(self.values, "bins d d", f"{type(self).__name__} values", self._finite)
         lo, hi = float(self.nu_min), float(self.nu_max)
         if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
             raise QwssError(f"need finite nu_min < nu_max, got [{lo}, {hi}]")
@@ -234,17 +257,11 @@ class CovarianceTable(_Record):
     values: np.ndarray  # (m+1, d, d) complex128
 
     def __post_init__(self):
-        v = np.ascontiguousarray(self.values, dtype=np.complex128)
-        if v.ndim != 3 or v.shape[1] != v.shape[2]:
-            raise DimensionMismatchError(
-                f"covariance values must have shape (m+1, d, d), got {v.shape}"
-            )
-        if v.shape[0] < 1:
-            raise QwssError("covariance table needs at least the zero lag")
+        # read, not copied: the two-sided stack below is the record's own
+        v = _array(self.values, "m+1 d d", "covariance values",
+                   "covariance values must be finite", copy=False)
         dt = POSITIVE.check(float(self.dt), "dt")
         validate_psd(v[0], name="C(0)")
-        if not np.isfinite(v.view(np.float64)).all():
-            raise QwssError("covariance values must be finite")
         stack = np.concatenate([v[1:][::-1].conj().transpose(0, 2, 1), v], axis=0)
         self._store(dt=dt, values=stack[len(v) - 1 :], _two_sided=stack)
 
@@ -519,11 +536,14 @@ def _block_gram(blocks: np.ndarray) -> tuple[np.ndarray, float]:
         raise DimensionMismatchError(f"block kernel is empty: blocks of shape {blocks.shape}")
     gram = blocks.transpose(0, 2, 1, 3).reshape(n * d, n * d)
     top = float(np.abs(gram).max())
-    if not np.isfinite(top):  # the maximum is NaN or inf iff an entry is
-        i, j = np.argwhere(~np.isfinite(blocks).all(axis=(2, 3)))[0].tolist()
-        raise NotPositiveSemidefiniteError(
-            f"block kernel holds a non-finite entry in block ({i}, {j})"
-        )
+    if not np.isfinite(top):  # an entry is NaN or inf, or its modulus overflows
+        bad = np.argwhere(~np.isfinite(blocks).all(axis=(2, 3)))
+        if bad.size:
+            i, j = bad[0].tolist()
+            raise NotPositiveSemidefiniteError(
+                f"block kernel holds a non-finite entry in block ({i}, {j})"
+            )
+        top = np.finfo(float).max
     return gram, max(1.0, top)
 
 
@@ -550,7 +570,8 @@ def check_psd_kernel(cov, times: Sequence[float], tol: float = TOL_PSD) -> Kerne
         raise NotPositiveSemidefiniteError(
             "kernel is not Hermitian-symmetric: C(-tau) != C(tau)^H beyond tolerance"
         )
-    lo = float(np.linalg.eigvalsh(hermitize(gram)).min())
+    h, unit = _finite_part(gram, hermitize(gram))
+    lo = float((np.linalg.eigvalsh(h) * unit).min())
     passed, n, d = bool(lo >= -tol * scale), len(blocks), blocks.shape[-1]
     return KernelVerdict(passed=passed, witness=lo, points=n, dim=d)
 

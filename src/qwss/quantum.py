@@ -32,7 +32,8 @@ import numpy as np
 from .errors import POSITIVE, SIZE, integer
 from .errors import DimensionMismatchError, NotPositiveSemidefiniteError, QwssError
 from .linalg import TOL_PSD, as_complex_matrix, hermitian_defect, hermitize, validate_psd
-from .measure import OperatorSpectralMeasure, _block_gram, _gram_blocks, _Record
+from .linalg import _finite_part
+from .measure import OperatorSpectralMeasure, _array, _block_gram, _gram_blocks, _Record
 
 __all__ = [
     "Mode",
@@ -100,11 +101,10 @@ class Mode(_Record):
     environment_op: np.ndarray
 
     def __post_init__(self):
-        m = as_complex_matrix(self.system_op, name="system_op").copy()
-        d = as_complex_matrix(self.environment_op, name="environment_op").copy()
-        for name, a in (("system_op", m), ("environment_op", d)):
-            if not np.isfinite(a).all():
-                raise QwssError(f"{name} holds a non-finite entry")
+        m = _array(self.system_op, "dim_system dim_system", "system_op",
+                   "system_op holds a non-finite entry")
+        d = _array(self.environment_op, "dim_environment dim_environment", "environment_op",
+                   "environment_op holds a non-finite entry")
         nu = float(self.nu)
         if not np.isfinite(nu):
             raise QwssError(f"mode frequency must be finite, got {nu}")
@@ -298,8 +298,8 @@ class KolmogorovFactorization(_Record):
     factors: np.ndarray  # (n, rank, d)
 
     def __post_init__(self):
-        f = np.array(self.factors, dtype=np.complex128, order="C")
-        if f.ndim != 3 or f.shape[1] != int(self.rank):
+        f = _array(self.factors, "n rank d", "factors")
+        if f.shape[1] != int(self.rank):
             raise DimensionMismatchError(
                 f"factors must have shape (n, rank, d), got {f.shape}"
             )
@@ -345,7 +345,9 @@ def kolmogorov_decompose(blocks, tol: float = TOL_PSD) -> KolmogorovFactorizatio
         raise NotPositiveSemidefiniteError(
             "block kernel is not Hermitian-symmetric: K[j,i] != K[i,j]^H"
         )
-    w, u = np.linalg.eigh(hermitize(gram))
+    h, unit = _finite_part(gram, hermitize(gram))
+    w, u = np.linalg.eigh(h)
+    w = w * unit
     lo = float(w.min())
     if lo < -tol * scale:
         raise NotPositiveSemidefiniteError(

@@ -34,10 +34,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EVEN, OVERLAP, POSITIVE, POWER_OF_TWO, SEED, integer
-from .errors import AliasingError, DimensionMismatchError, QwssError
+from .errors import AliasingError, QwssError
 from .linalg import hermitize, nearest_psd, psd_sqrt
 from .measure import CovarianceTable, DensityGrid, OperatorSpectralMeasure
-from .measure import _BLOCK, _fft_length, _Record
+from .measure import _BLOCK, _array, _fft_length, _Record
 
 __all__ = ["Trajectory", "synthesize", "lag_covariance", "welch_estimate"]
 
@@ -57,13 +57,7 @@ class Trajectory(_Record):
     seed: int | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        s = np.array(self.samples, dtype=np.complex128, order="C")
-        if s.ndim != 2:
-            raise DimensionMismatchError(
-                f"samples must have shape (n, dim), got {s.shape}"
-            )
-        if not np.isfinite(s.view(np.float64)).all():
-            raise QwssError("trajectory samples must be finite")
+        s = _array(self.samples, "n dim", "samples", "trajectory samples must be finite")
         dt = POSITIVE.check(float(self.dt), "dt")
         self._store(dt=dt, samples=s)
 

@@ -434,20 +434,12 @@ _FILTER_DOCS = {
 }
 
 
-def measure_to_document(mu: OperatorSpectralMeasure) -> dict:
-    return _write(_MEASURE, mu)
-
-
-def measure_from_document(doc: dict) -> OperatorSpectralMeasure:
-    return _read(_MEASURE, doc)
-
-
 def serialize_measure(mu: OperatorSpectralMeasure) -> bytes:
-    return _dumps(measure_to_document(mu))
+    return _dumps(_write(_MEASURE, mu))
 
 
 def deserialize_measure(data) -> OperatorSpectralMeasure:
-    return measure_from_document(_loads(data))
+    return _read(_MEASURE, _loads(data))
 
 
 def filter_to_document(filt: FilterSpec) -> dict:
@@ -501,68 +493,36 @@ def deserialize_filter(data) -> FilterSpec:
     return filter_from_document(_loads(data))
 
 
-def model_to_document(model: QuantumModel) -> dict:
-    return _write(_MODEL, model)
-
-
-def model_from_document(doc: dict) -> QuantumModel:
-    return _read(_MODEL, doc)
-
-
 def serialize_model(model: QuantumModel) -> bytes:
-    return _dumps(model_to_document(model))
+    return _dumps(_write(_MODEL, model))
 
 
 def deserialize_model(data) -> QuantumModel:
-    return model_from_document(_loads(data))
-
-
-def kernel_to_document(blocks: np.ndarray) -> dict:
-    return _write(_KERNEL, np.ascontiguousarray(blocks, dtype=np.complex128))
-
-
-def kernel_from_document(doc: dict) -> np.ndarray:
-    return _read(_KERNEL, doc)
+    return _read(_MODEL, _loads(data))
 
 
 def serialize_kernel(blocks: np.ndarray) -> bytes:
-    return _dumps(kernel_to_document(blocks))
+    return _dumps(_write(_KERNEL, np.ascontiguousarray(blocks, dtype=np.complex128)))
 
 
 def deserialize_kernel(data) -> np.ndarray:
-    return kernel_from_document(_loads(data))
-
-
-def factorization_to_document(fact: KolmogorovFactorization) -> dict:
-    return _write(_FACTORIZATION, fact)
-
-
-def factorization_from_document(doc: dict) -> KolmogorovFactorization:
-    return _read(_FACTORIZATION, doc)
+    return _read(_KERNEL, _loads(data))
 
 
 def serialize_factorization(fact: KolmogorovFactorization) -> bytes:
-    return _dumps(factorization_to_document(fact))
+    return _dumps(_write(_FACTORIZATION, fact))
 
 
 def deserialize_factorization(data) -> KolmogorovFactorization:
-    return factorization_from_document(_loads(data))
-
-
-def verdict_to_document(verdict: KernelVerdict) -> dict:
-    return _write(_VERDICT, verdict)
-
-
-def verdict_from_document(doc: dict) -> KernelVerdict:
-    return _read(_VERDICT, doc)
+    return _read(_FACTORIZATION, _loads(data))
 
 
 def serialize_verdict(verdict: KernelVerdict) -> bytes:
-    return _dumps(verdict_to_document(verdict))
+    return _dumps(_write(_VERDICT, verdict))
 
 
 def deserialize_verdict(data) -> KernelVerdict:
-    return verdict_from_document(_loads(data))
+    return _read(_VERDICT, _loads(data))
 
 
 # --- CSV tables ---------------------------------------------------------------
@@ -631,7 +591,7 @@ def _read_rows(text, index_name: str, expected_header) -> tuple[float, np.ndarra
         if not all(math.isfinite(x) for x in nums):
             raise SchemaError(f"row {k} holds a non-finite value")
         axis[k] = nums[0]
-        data[k] = np.asarray(nums[1::2]) + 1j * np.asarray(nums[2::2])
+        data[k] = np.array(nums[1:]).view(np.complex128)  # re, im as written: -0.0 too
     if abs(axis[0]) > 1e-12 * max(1.0, abs(axis[-1])):
         raise SchemaError(f"index must start at 0, got {axis[0]}")
     dt = axis[1] - axis[0]

@@ -1,7 +1,8 @@
 """Package-wide contracts: ``qwss`` re-exports each module's ``__all__``,
 every deliberate error is a ``QwssError`` (or a ``TypeError``), the
 library checks each scalar argument against the CLI's range and wording,
-and every array-holding value type follows the one ``_Record`` rule."""
+every array-holding value type follows the one ``_Record`` rule, and any
+array either builds an object its codec writes back or is refused."""
 
 import ast
 import dataclasses
@@ -13,6 +14,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import qwss
 from qwss import (
@@ -25,18 +29,35 @@ from qwss import (
     OperatorSpectralMeasure,
     QuantumModel,
     QwssError,
+    SchemaError,
     Tabulated,
     Trajectory,
     UnboundedWhiteNoise,
     UniformGrid,
     check_psd_kernel,
     conditional_expectation,
+    covariance_from_csv,
     covariance_from_spectrum,
+    covariance_to_csv,
+    deserialize_factorization,
+    deserialize_filter,
+    deserialize_kernel,
+    deserialize_measure,
+    deserialize_model,
     kolmogorov_decompose,
     lag_covariance,
     partial_trace_environment,
+    serialize_factorization,
+    serialize_filter,
+    serialize_kernel,
+    serialize_measure,
+    serialize_model,
     spectrum_from_covariance,
     synthesize,
+    trajectory_from_binary,
+    trajectory_from_csv,
+    trajectory_to_binary,
+    trajectory_to_csv,
     welch_estimate,
     white_noise,
 )
@@ -150,6 +171,33 @@ STATE = [[1.0]]
          "dim_system", "dim_system must be >= 1, got 0"),
         (lambda: QuantumModel(1, 0, STATE, ()),
          "dim_environment", "dim_environment must be >= 1, got 0"),
+        # every array a record keeps has each axis of size >= 1, so no record
+        # is empty or of dim 0 (the shape rule of qwss.measure._Record)
+        pytest.param(lambda: DensityGrid(-1.0, 1.0, np.zeros((2, 0, 0))),
+                     "d", "d must be >= 1, got 0", id="density-dim-0"),
+        pytest.param(lambda: Tabulated(0.0, 1.0, np.zeros((1, 0, 0))),
+                     "d", "d must be >= 1, got 0", id="tabulated-0x0"),
+        pytest.param(lambda: CovarianceTable(dt=0.1, values=np.zeros((2, 0, 0))),
+                     "d", "d must be >= 1, got 0", id="covariance-dim-0"),
+        pytest.param(lambda: CovarianceTable(dt=0.1, values=np.zeros((0, 1, 1))),
+                     "m+1", "m+1 must be >= 1, got 0", id="covariance-no-lags"),
+        pytest.param(lambda: Trajectory(dt=0.1, samples=np.zeros((0, 2))),
+                     "n", "n must be >= 1, got 0", id="trajectory-no-samples"),
+        pytest.param(lambda: Trajectory(dt=0.1, samples=np.zeros((4, 0))),
+                     "dim", "dim must be >= 1, got 0", id="trajectory-dim-0"),
+        pytest.param(lambda: KolmogorovFactorization(rank=1, factors=np.zeros((0, 1, 2))),
+                     "n", "n must be >= 1, got 0", id="factorization-no-points"),
+        pytest.param(lambda: KolmogorovFactorization(rank=2, factors=np.zeros((0, 2, 3))),
+                     "n", "n must be >= 1, got 0", id="factorization-no-points-rank-2"),
+        pytest.param(lambda: KolmogorovFactorization(rank=1, factors=np.zeros((2, 1, 0))),
+                     "d", "d must be >= 1, got 0", id="factorization-dim-0"),
+        pytest.param(lambda: Mode(0.0, np.zeros((0, 0)), [[1.0]]),
+                     "dim_system", "dim_system must be >= 1, got 0", id="mode-system-0x0"),
+        pytest.param(lambda: Mode(0.0, [[1.0]], np.zeros((0, 0))),
+                     "dim_environment", "dim_environment must be >= 1, got 0",
+                     id="mode-environment-0x0"),
+        pytest.param(lambda: ExpOperator(np.zeros((0, 0)), np.zeros((0, 0))),
+                     "d", "d must be >= 1, got 0", id="exp-operator-0x0"),
     ],
 )
 def test_library_ranges_match_the_cli(call, name, message):
@@ -295,3 +343,73 @@ def test_only_record_store_sets_fields_and_locks_arrays():
         # replaces the recursive dataclass __eq__ of a filter tree, no array record
         ("filters.py", "Composition.__eq__", "def"),
     }
+
+
+# --- the library boundary: any array builds a writable object or is refused ---
+
+
+def _stacks(axes: str):
+    """Complex arrays, NaN and inf included, with every axis of size 0-3: of
+    the shape ``axes`` names (a repeated name, one size), or of any shape of
+    up to four axes, so also of the wrong ndim or not square."""
+    names = axes.split()
+    named = st.fixed_dictionaries({k: st.integers(0, 3) for k in names})
+    shapes = st.one_of(
+        named.map(lambda size: tuple(size[k] for k in names)),
+        st.lists(st.integers(0, 3), max_size=4).map(tuple),
+    )
+    return shapes.flatmap(lambda shape: arrays(np.complex128, shape, elements=st.complex_numbers()))
+
+
+def _measure(grid):
+    return OperatorSpectralMeasure(grid.dim, density=grid)
+
+
+def _model(mode):
+    dk = len(mode.environment_op)
+    return QuantumModel(len(mode.system_op), dk, np.eye(dk) / dk, [mode])
+
+
+# the axes of each input, the call, and the codec of its result
+BOUNDARY = {
+    "DensityGrid": (("bins d d",), lambda v: _measure(DensityGrid(-1.0, 1.0, v)),
+                    serialize_measure, deserialize_measure),
+    "Tabulated": (("bins d d",), lambda v: Tabulated(-1.0, 1.0, v),
+                  serialize_filter, deserialize_filter),
+    "CovarianceTable": (("m d d",), lambda v: CovarianceTable(0.25, v),
+                        covariance_to_csv, covariance_from_csv),
+    "Trajectory-binary": (("n dim",), lambda x: Trajectory(0.25, x),
+                          trajectory_to_binary, trajectory_from_binary),
+    "Trajectory-csv": (("n dim",), lambda x: Trajectory(0.25, x),
+                       trajectory_to_csv, trajectory_from_csv),
+    "KolmogorovFactorization": (
+        ("n rank d",), lambda f: KolmogorovFactorization(f.shape[1] if f.ndim > 1 else 0, f),
+        serialize_factorization, deserialize_factorization,
+    ),
+    "Mode": (("dh dh", "dk dk"), lambda m, d: _model(Mode(0.0, m, d)),
+             serialize_model, deserialize_model),
+    "ExpOperator": (("d d", "d d"), ExpOperator, serialize_filter, deserialize_filter),
+    "kolmogorov_decompose": (("n n d d",), kolmogorov_decompose,
+                             serialize_factorization, deserialize_factorization),
+    "serialize_kernel": (("n n d d",), lambda k: k, serialize_kernel, deserialize_kernel),
+}
+
+
+@pytest.mark.parametrize("case", BOUNDARY)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_any_array_builds_a_writable_object_or_is_refused(case, data):
+    # a bare ValueError, IndexError or ZeroDivisionError fails the test;
+    # numpy's overflow warnings on entries near 1e308 do not
+    axes, call, write, read = BOUNDARY[case]
+    values = [data.draw(_stacks(a), label=a) for a in axes]
+    with np.errstate(all="ignore"):
+        try:
+            obj = call(*values)
+        except (QwssError, TypeError):
+            return
+        try:
+            written = write(obj)
+        except SchemaError:  # as a 1-lag table in CSV: no time step to write
+            return
+        assert write(read(written)) == written

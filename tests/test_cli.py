@@ -517,7 +517,7 @@ class TestErrorReporting:
     @pytest.mark.parametrize(
         "argv, exc, message",
         [
-            (("synth", "--n", 8), MemoryError("Unable to allocate 16.0 TiB"), "Unable to allocate 16.0 TiB"),
+            (("synth", "--n", 8, "--seed", 1), MemoryError("Unable to allocate 16.0 TiB"), "Unable to allocate 16.0 TiB"),
             (("bochner",), MemoryError(), "MemoryError"),
         ],
         ids=["synth", "bochner"],

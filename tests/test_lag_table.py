@@ -29,7 +29,7 @@ from qwss.measure import (
     covariance_from_spectrum,
     spectrum_from_covariance,
 )
-from qwss.quantum import KolmogorovFactorization, kolmogorov_decompose
+from qwss.quantum import kolmogorov_decompose
 
 
 def at_index_reference(table, m):
@@ -349,8 +349,3 @@ class TestNonFiniteKernels:
 
         with pytest.raises(NotPositiveSemidefiniteError, match=NON_FINITE_01):
             check_psd_kernel(cov, [0.0, 1.0, 2.0])
-
-
-def test_reconstruction_of_no_points():
-    fact = KolmogorovFactorization(rank=2, factors=np.zeros((0, 2, 3)))
-    assert fact.reconstruction().shape == (0, 0, 3, 3)
