@@ -47,6 +47,8 @@ from .errors import (
 )
 from .linalg import (
     TOL_HERM,
+    _factors,
+    _scale,
     as_complex_matrix,
     hermitian_defect,
     hermitize,
@@ -80,6 +82,8 @@ class FilterSpec(_Record):
     whether ``psi`` is ``bounded`` and ``decays`` (is square-integrable) on the
     whole line; ``covers(lo, hi)`` says whether ``psi`` is defined on
     ``[lo, hi]``. ``Composition`` derives all three from its two factors.
+    ``_congruence(nus, weights)`` is ``psi^H W psi`` at each frequency, from
+    ``_psi`` unless a variant has a cheaper exact form.
     """
 
     bounded = True
@@ -87,6 +91,14 @@ class FilterSpec(_Record):
 
     def covers(self, lo: float, hi: float) -> bool:
         return True
+
+    def _congruence(self, nus: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        # psi^H W psi, hermitized, 4096 / d matrices at a time: bit for bit as one stack
+        out, step = np.empty_like(weights), max(1, _BLOCK // self.dim)
+        for lo in range(0, len(nus), step):
+            psi, block = self._psi(nus[lo : lo + step]), slice(lo, lo + step)
+            out[block] = hermitize(psi.conj().swapaxes(-1, -2) @ weights[block] @ psi)
+        return out
 
 
 def _scalar(h: np.ndarray, d: int) -> np.ndarray:
@@ -170,12 +182,10 @@ class ExpOperator(FilterSpec):
             raise DimensionMismatchError(
                 f"gamma {g.shape} and a {a.shape} must have equal shapes"
             )
-        if hermitian_defect(g) > TOL_HERM * max(1.0, float(np.abs(g).max())):
+        if hermitian_defect(g) > TOL_HERM * float(_scale(g)):
             raise NotPositiveDefiniteError("gamma must be Hermitian")
-        try:
-            np.linalg.cholesky(hermitize(g))
-        except np.linalg.LinAlgError as exc:
-            raise NotPositiveDefiniteError("gamma must be positive definite") from exc
+        if not _factors(hermitize(g), 0.0):  # also when the Hermitian part overflows
+            raise NotPositiveDefiniteError("gamma must be positive definite")
         self._store(gamma=g, a=a)
 
     @property
@@ -184,6 +194,32 @@ class ExpOperator(FilterSpec):
 
     def _psi(self, nus):
         return resolvent(self.gamma, nus) @ self.a
+
+    def _congruence(self, nus, weights):
+        # gamma = U diag(w) U^H and P = U^H a give psi = U D P, D = diag(1 / (w
+        # - 2 pi i nu)), so psi^H W psi = P^H N P, N = (U^H W U) o conj(D) D^T.
+        # Every product is then by a constant matrix, one GEMM a block, with N
+        # carried transposed: N^T = ((W U)^T conj(U)) o D conj(D)^T and
+        # P^H N P = (N^T conj(P))^T P. A block holds a multiple of 48 matrices:
+        # BLAS kernels tile a GEMM's rows by counts that divide 48, and round a
+        # row by its place in its tile (OpenBLAS's Haswell kernels, tiles of 6),
+        # so a bin's bits do not depend on where the blocks split the stack.
+        w, u = np.linalg.eigh(hermitize(self.gamma))
+        p = u.conj().T @ self.a
+        out, step = np.empty_like(weights), max(48, _BLOCK // self.dim // 48 * 48)
+        for lo in range(0, len(nus), step):
+            block = slice(lo, lo + step)
+            diag = 1.0 / (w - 2j * np.pi * nus[block, None])
+            nt = _times(_times(weights[block], u).swapaxes(-1, -2), u.conj())
+            nt *= diag[:, :, None] * diag.conj()[:, None, :]
+            out[block] = hermitize(_times(_times(nt, p.conj()).swapaxes(-1, -2), p))
+        return out
+
+
+def _times(x: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """``x[k] @ c`` for every slice of a stack, as one GEMM."""
+    x = np.ascontiguousarray(x)
+    return (x.reshape(-1, c.shape[0]) @ c).reshape(x.shape)
 
 
 class Tabulated(UniformGrid, FilterSpec):
@@ -288,8 +324,11 @@ def apply_filter(
     """Push a measure through a filter: congruence by ``psi`` at atoms and
     density bin midpoints.
 
-    Atoms, then bins, are evaluated and transformed 4096 / d at a time, so
-    the working memory beside the output is a few such blocks. The output is
+    Atoms, then bins, are transformed by ``filt._congruence`` 4096 / d at a
+    time, so the working memory beside the output is a few such blocks.
+    ``ExpOperator`` forms it from one eigendecomposition of ``gamma``, with no
+    LAPACK call per frequency, to rounding of the ``psi`` product; every other
+    variant evaluates ``psi``, bit for bit the same as one stack. The output is
     validated once, by ``DensityGrid`` and ``OperatorSpectralMeasure`` at
     ``TOL_PSD``, the tolerance the input passed; a failure (such as a
     congruence that overflows) names ``density bin j`` or ``atom i weight``.
@@ -307,19 +346,10 @@ def apply_filter(
         # |e^{2 pi i s nu}| = 1, so the congruence fixes every weight exactly;
         # returning the (immutable) measure keeps the invariance bit-exact.
         return mu
-    atoms, den = _congruence(filt, mu.nus, mu.weights), mu.density
+    atoms, den = filt._congruence(mu.nus, mu.weights), mu.density
     if den is not None:
-        den = DensityGrid(den.nu_min, den.nu_max, _congruence(filt, den.midpoints(), den.values))
+        den = DensityGrid(den.nu_min, den.nu_max, filt._congruence(den.midpoints(), den.values))
     return OperatorSpectralMeasure(dim=mu.dim, atoms=zip(mu.nus, atoms), density=den)
-
-
-def _congruence(filt: FilterSpec, nus: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    # psi^H W psi, hermitized, 4096 / d matrices at a time: bit for bit as one stack
-    out, step = np.empty_like(weights), max(1, _BLOCK // filt.dim)
-    for lo in range(0, len(nus), step):
-        psi, block = filt._psi(nus[lo : lo + step]), slice(lo, lo + step)
-        out[block] = hermitize(psi.conj().swapaxes(-1, -2) @ weights[block] @ psi)
-    return out
 
 
 def in_domain(mu, filt: FilterSpec) -> bool:

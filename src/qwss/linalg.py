@@ -45,6 +45,7 @@ from .errors import (
 
 TOL_HERM = 1e-12
 TOL_PSD = 1e-9
+_HUGE = np.finfo(float).max
 
 __all__ = [
     "TOL_HERM",
@@ -96,8 +97,9 @@ def hermitize(m) -> np.ndarray:
 
 def _scale(a: np.ndarray):
     # unit floor so tolerances never shrink below their absolute defaults;
-    # fmax keeps a NaN maximum at the floor, as the builtin max does
-    return np.fmax(1.0, np.abs(a).max(axis=(-2, -1), initial=0.0))
+    # fmax keeps a NaN maximum at the floor, as the builtin max does, and fmin
+    # a modulus that overflows at the largest double, so no tolerance is inf
+    return np.fmin(np.fmax(1.0, np.abs(a).max(axis=(-2, -1), initial=0.0)), _HUGE)
 
 
 def _finite_part(a: np.ndarray, h: np.ndarray):
@@ -122,9 +124,12 @@ def _rounding(d: int) -> float:
 
 
 def _factors(h: np.ndarray, shift) -> bool:
-    """True iff every slice of ``h + shift*I`` has a finite Cholesky factor."""
+    """True iff every slice of ``h + shift*I`` has a finite Cholesky factor.
+    Shifts ``h``, a stack of the caller's own, in place."""
+    diagonal = np.arange(h.shape[-1])
+    h[..., diagonal, diagonal] += np.asarray(shift)[..., None]
     try:
-        factor = np.linalg.cholesky(h + np.multiply.outer(shift, np.eye(h.shape[-1])))
+        factor = np.linalg.cholesky(h)
     except np.linalg.LinAlgError:
         return False
     return bool(np.isfinite(factor).all())
@@ -209,12 +214,18 @@ def validate_psd(
     callable (``i`` is a tuple when the batch has more than one axis).
     """
     a = _as_stack(m, name=name if isinstance(name, str) else "matrix")
-    h, s = hermitize(a), _scale(a)
-    hermitian = np.all(hermitian_defect(a) <= herm_tol * s)
+    # one contiguous a^H (never the caller's memory) gives hermitize(a) and
+    # hermitian_defect(a), bit for bit
+    adj = np.conjugate(a.swapaxes(-1, -2), order="C")
+    h, s = a + adj, _scale(a)
+    h /= 2.0
+    defect = np.abs(np.subtract(a, adj, out=adj)).max(axis=(-2, -1), initial=0.0)
+    hermitian = np.all(defect <= herm_tol * s)
+    del adj
     # c = tol*s/2 with tol >= 8*B(d) makes -c - B*(s + c) >= -tol*s
     if tol >= 8.0 * _rounding(a.shape[-1]) and hermitian and _factors(h, tol * s / 2):
         return a
-    h, unit = _finite_part(a, h)
+    h, unit = _finite_part(a, hermitize(a))  # h may hold the shift
     _raise_psd_failure(a, np.linalg.eigvalsh(h) * unit, tol, herm_tol, name)
     return a
 
@@ -231,7 +242,7 @@ def nearest_psd(m) -> np.ndarray:
     """
     a = hermitize(_as_stack(m))
     delta = 2.0 * _rounding(a.shape[-1]) * np.abs(a).max(axis=(-2, -1), initial=0.0)
-    if np.all(delta >= np.finfo(float).tiny) and _factors(a, -delta):
+    if np.all(delta >= np.finfo(float).tiny) and _factors(a.copy(), -delta):
         return a
     w, u = np.linalg.eigh(a)
     clipped = hermitize((u * np.clip(w, 0.0, None)[..., None, :]) @ _adjoint(u))

@@ -222,12 +222,17 @@ def welch_estimate(
             f"need at least 2 segments, got {count} (n={n}, segment={segment})", location="segment"
         )
     windows = np.lib.stride_tricks.sliding_window_view(traj.samples, segment, axis=0)
-    segs = windows[::hop][:count].swapaxes(1, 2)  # (count, segment, dim) view
-    step = max(1, _BLOCK // segment)  # segments per block; per frequency X^T @ conj(X)
+    segs = windows[::hop][:count]  # (count, dim, segment) view
+    d, step = traj.dim, max(1, _BLOCK // segment)  # segments per block
+    acc = np.zeros((d, d, segment), dtype=np.complex128)
     for lo in range(0, count, step):
-        spec = np.fft.fft(w[None, :, None] * segs[lo : lo + step], axis=1)
-        part = spec.transpose(1, 2, 0) @ spec.transpose(1, 0, 2).conj()
-        acc = acc + part if lo else part
+        spec = np.fft.fft(np.multiply(segs[lo : lo + step], w, order="C"))
+        conj = spec.conj()
+        for i, j in zip(*np.triu_indices(d)):  # entry (i, j): sum_s X_i conj(X_j)
+            acc[i, j] += (spec[:, i] * conj[:, j]).sum(axis=0)
+    lower = np.tril_indices(d, -1)
+    acc[lower] = acc.swapaxes(0, 1)[lower].conj()
+    acc = acc.transpose(2, 0, 1)
     acc /= count
     acc *= traj.dt / float(np.sum(w * w))
     acc = np.fft.fftshift(acc, axes=0)

@@ -603,10 +603,19 @@ def _read_rows(text, index_name: str, expected_header) -> tuple[float, np.ndarra
     return dt, data
 
 
+def _index(n: int, dt: float) -> np.ndarray:
+    """The index column ``m * dt``, refused where it overflows, as the reader would."""
+    _check_rows(n)
+    with np.errstate(over="ignore"):
+        axis = np.arange(n) * dt
+    if not np.isfinite(axis[-1]):
+        raise SchemaError(f"index column overflows: {n - 1} * dt is not finite", location="dt")
+    return axis
+
+
 def covariance_to_csv(table: CovarianceTable) -> str:
-    _check_rows(len(table.values))
     flat = table.values.reshape(len(table.values), table.dim**2)
-    return _write_rows(["tau"] + _matrix_header(table.dim), table.lags(), flat)
+    return _write_rows(["tau"] + _matrix_header(table.dim), _index(len(flat), table.dt), flat)
 
 
 def covariance_from_csv(text) -> CovarianceTable:
@@ -631,9 +640,7 @@ def density_to_csv(mu: OperatorSpectralMeasure) -> str:
 
 
 def trajectory_to_csv(traj: Trajectory) -> str:
-    _check_rows(traj.n)
-    times = np.arange(traj.n) * traj.dt
-    return _write_rows(["t"] + _vector_header(traj.dim), times, traj.samples)
+    return _write_rows(["t"] + _vector_header(traj.dim), _index(traj.n, traj.dt), traj.samples)
 
 
 def trajectory_from_csv(text) -> Trajectory:

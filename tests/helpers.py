@@ -79,15 +79,25 @@ def count_psd_checks(monkeypatch) -> list:
     return shapes
 
 
+def _umath():
+    try:
+        from numpy._core import _multiarray_umath as umath  # numpy >= 2
+    except ImportError:
+        from numpy.core import _multiarray_umath as umath  # numpy 1.x
+    return umath
+
+
+def cpu_has(feature: str) -> bool:
+    """Whether numpy found the CPU feature ``feature`` (such as ``"AVX2"``)."""
+    return bool(getattr(_umath(), "__cpu_features__", {}).get(feature))
+
+
 def numpy_build() -> str:
     """What bits depend on besides the code: numpy's BLAS build and the CPU
     features numpy dispatches on, plus any variable forcing either. Printed
     to the CI job summary (``python tests/helpers.py``) and named by every
     golden mismatch."""
-    try:
-        from numpy._core import _multiarray_umath as umath  # numpy >= 2
-    except ImportError:
-        from numpy.core import _multiarray_umath as umath  # numpy 1.x
+    umath = _umath()
     features = getattr(umath, "__cpu_features__", {})
     dispatch = [f for f in getattr(umath, "__cpu_dispatch__", ()) if features.get(f)]
     baseline = list(getattr(umath, "__cpu_baseline__", ()))

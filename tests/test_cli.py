@@ -8,6 +8,8 @@ commands wrap, and the demo pipeline is pinned by golden files.
 
 import hashlib
 import json
+import os
+import platform
 import subprocess
 import sys
 
@@ -38,7 +40,7 @@ from qwss import (
 from qwss import cli
 from qwss.cli import main
 
-from helpers import golden_mismatch, rel_frob
+from helpers import cpu_has, golden_mismatch, rel_frob
 
 from test_serialize import example_model, rich_measure
 
@@ -675,6 +677,25 @@ class TestDemo:
         for name in ("spectrum.json", "summary.json"):
             golden = (datadir / name).read_bytes()
             assert (out / name).read_bytes() == golden, golden_mismatch(name)
+
+    @pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"), reason="x86-64 kernels")
+    @pytest.mark.parametrize("coretype, needs", [("Haswell", "AVX2"), ("Prescott", "SSE3")])
+    def test_golden_files_under_other_blas_kernels(self, tmp_path, datadir, coretype, needs):
+        # OpenBLAS picks its kernels as the process starts, so each family
+        # runs in a child; no golden byte depends on which one it is
+        if not cpu_has(needs):
+            pytest.skip(f"the CPU lacks {needs}")
+        out = tmp_path / "demo"
+        proc = subprocess.run(
+            [sys.executable, "-m", "qwss", "demo", "ou", out, *map(str, DEMO_ARGS)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "OPENBLAS_CORETYPE": coretype},
+        )
+        assert proc.returncode == 0, proc.stderr
+        for name in ("spectrum.json", "summary.json"):
+            golden = (datadir / name).read_bytes()
+            assert (out / name).read_bytes() == golden, f"{coretype}: {golden_mismatch(name)}"
 
 
 class TestAllOrNothing:

@@ -136,6 +136,15 @@ class TestFilterValidation:
         with pytest.raises(NotPositiveDefiniteError):
             ExpOperator(gamma=np.diag([1.0, 0.0]), a=np.eye(2))
 
+    @pytest.mark.parametrize(
+        "gamma", [np.full((3, 3), 1.7e308), [[1.0, 1.7e308 * (1 + 1j)], [1.7e308 * (1 - 1j), 1.0]]]
+    )
+    def test_exp_operator_refuses_an_overflowing_hermitian_part(self, gamma):
+        # the Hermitian part holds inf, and Cholesky of it returns NaN without raising
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NotPositiveDefiniteError, match="^gamma must be positive definite$"):
+                ExpOperator(gamma=gamma, a=np.eye(len(gamma), dtype=complex))
+
     def test_exp_operator_needs_hermitian(self):
         with pytest.raises(NotPositiveDefiniteError):
             ExpOperator(gamma=np.array([[1.0, 1.0], [0.0, 1.0]]), a=np.eye(2))
@@ -182,6 +191,59 @@ class TestFilterValidation:
     def test_composition_dim_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             Composition(first=Shift(dim=1, s=1.0), second=Shift(dim=2, s=1.0))
+
+
+def psi_form(filt, nus, weights):
+    """``psi^H W psi``, hermitized, as one stack."""
+    psi = filt._psi(nus)
+    return hermitize(psi.conj().swapaxes(-1, -2) @ weights @ psi)
+
+
+def eigen_form(filt, nus, weights):
+    """``ExpOperator``'s ``psi^H W psi`` as one stack: with ``gamma = U diag(w)
+    U^H``, ``P = U^H a`` and ``D = 1 / (w - 2 pi i nu)``, ``P^H [(U^H W U) o
+    conj(D) D^T] P``, each product by a constant matrix a GEMM on the
+    ``(n d, d)`` reshape of the stack (a left product transposed).
+
+    The GEMMs take 48 matrices at a time. A GEMM that BLAS splits across
+    threads gets a row tile at each split, and OpenBLAS's Haswell kernels
+    round such a tile differently at d >= 4. GEMMs of 48 matrices are too
+    small to be split at this test's sizes, and their rows are whole tiles
+    of every kernel."""
+    w, u = np.linalg.eigh(hermitize(filt.gamma))
+    p = u.conj().T @ filt.a
+    d = len(w)
+
+    def times(x, c):
+        x = np.ascontiguousarray(x)
+        parts = [x[lo : lo + 48].reshape(-1, d) @ c for lo in range(0, len(x), 48)]
+        return np.concatenate(parts).reshape(x.shape)
+
+    r = 1.0 / (w - 2j * np.pi * nus[:, None])
+    mt = times(times(weights, u).swapaxes(-1, -2), u.conj())
+    mt *= r[:, :, None] * r.conj()[:, None, :]
+    return hermitize(times(times(mt, p.conj()).swapaxes(-1, -2), p))
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    st.integers(0, 10**6),
+    st.integers(1, 5),
+    st.integers(0, 4),
+    st.integers(1, 2),
+    st.integers(-2, 2),
+)
+def test_exp_congruence_matches_the_psi_product(seed, dim, atoms, blocks, edge):
+    # one or two stacks of about 4096 // dim bins, so the blocks' edges fall
+    # anywhere among the bins
+    rng = rng_for(seed)
+    bins = blocks * (4096 // dim) + edge
+    filt = ExpOperator(gamma=random_hpd(rng, dim), a=random_complex_matrix(rng, dim))
+    nus = rng.uniform(-3.0, 3.0, atoms + bins)
+    weights = np.stack([random_psd(rng, dim) for _ in range(atoms + bins)])
+    want = psi_form(filt, nus, weights)
+    got = filt._congruence(nus, weights)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 class TestApplyFilter:
@@ -327,8 +389,9 @@ class TestApplyFilter:
     @pytest.mark.parametrize("dim", [1, 2, 4])
     @pytest.mark.parametrize("variant", ["exp", "scalar", "derivative", "chain"])
     def test_blocks_equal_one_stack_bit_for_bit(self, dim, variant):
-        # 4096 / dim bins to a block: 3 atoms and 5000 bins make 2 blocks at
-        # dim 1, 3 at dim 2 and 5 at dim 4
+        # about 4096 / dim bins to a block: 3 atoms and 5000 bins make 2 blocks
+        # at dim 1, 3 at dim 2 and 5 at dim 4. ExpOperator takes its eigen
+        # form, the other variants the psi product
         rng = rng_for(39 + dim)
         mu = OperatorSpectralMeasure(
             dim=dim,
@@ -343,10 +406,10 @@ class TestApplyFilter:
             "derivative": Derivative(dim),
             "chain": Composition(Composition(exp, table), Derivative(dim)),
         }[variant]
-        nus = np.concatenate([mu.nus, mu.density.midpoints()])
-        psi = filt._psi(nus)
-        weights = np.concatenate([mu.weights, mu.density.values])
-        want = hermitize(psi.conj().swapaxes(-1, -2) @ weights @ psi)
+        one_stack = eigen_form if variant == "exp" else psi_form
+        want = np.concatenate(
+            [one_stack(filt, mu.nus, mu.weights), one_stack(filt, mu.density.midpoints(), mu.density.values)]
+        )
         got = apply_filter(mu, filt)
         assert got.weights.tobytes() == want[:3].tobytes()
         assert got.density.values.tobytes() == want[3:].tobytes()

@@ -113,6 +113,28 @@ class TestPsd:
                 psd_sqrt(x)
             assert exc.value.index == (1,)
 
+    def test_an_overflowing_modulus_keeps_the_tolerance_finite(self):
+        # |z| overflows though z's parts are finite; an inf scale made every
+        # tolerance inf and passed eigenvalues of both signs
+        z = 1.7e308 * (1 + 1j)
+        m = np.array([[0.0, z], [np.conj(z), 0.0]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert float(linalg._scale(m)) == np.finfo(float).max
+            with pytest.raises(NotPositiveSemidefiniteError, match="^matrix is not PSD"):
+                validate_psd(m)
+            assert is_psd(m) is False
+
+    @pytest.mark.parametrize("shape", [(1, 1), (5, 1, 1), (3, 2, 2)])
+    def test_validation_leaves_the_callers_array_alone(self, shape):
+        # at d = 1 the swapped view of a contiguous stack is contiguous too
+        x = np.ones(shape) + 1j * np.arange(1, 1 + np.prod(shape)).reshape(shape)
+        before = x.copy()
+        with pytest.raises(NotPositiveSemidefiniteError, match="not Hermitian"):
+            validate_psd(x)
+        assert _same_bits(x, before)
+        psd = np.ones(shape, dtype=complex)
+        assert validate_psd(psd) is psd and _same_bits(psd, np.ones(shape, dtype=complex))
+
 
 def is_psd_eigen(m, tol=linalg.TOL_PSD, herm_tol=None):
     """``is_psd`` as its own eigenvalue route, the code that the boolean form

@@ -484,12 +484,15 @@ class TestWelchEstimate:
     @pytest.mark.parametrize("dim", [1, 2, 3, 4])
     @pytest.mark.parametrize("n, segment", [(301, 16), (67, 4)])
     def test_window_view_matches_the_gather(self, n, segment, dim, overlap, taper):
+        # the entry-wise sums over segments round differently from the
+        # gather's per-frequency matmul, so agreement is to 1e-12 of the
+        # largest entry
         rng = rng_for(n + 10 * dim)
         x = rng.standard_normal((n, dim)) + 1j * rng.standard_normal((n, dim))
         tr = Trajectory(dt=0.1, samples=x)
-        got = welch_estimate(tr, segment=segment, overlap=overlap, taper=taper)
+        got = welch_estimate(tr, segment=segment, overlap=overlap, taper=taper).density.values
         want = welch_gathered(tr, segment, overlap, taper)
-        assert got.density.values.tobytes() == want.tobytes()
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     @pytest.mark.parametrize("dim", [1, 3])
     @pytest.mark.parametrize("segment, overlap", [(64, 0.5), (4, 0.5), (8192, 0.9)])

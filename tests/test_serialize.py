@@ -393,6 +393,12 @@ class TestCovarianceCsv:
         with pytest.raises(SchemaError):
             covariance_from_csv(text)
 
+    def test_writer_refuses_an_index_that_overflows(self):
+        # the row "inf,1.0,0.0" would be written, and the reader rejects it
+        with pytest.raises(SchemaError, match="^index column overflows") as exc:
+            covariance_to_csv(CovarianceTable(1e308, np.ones((3, 1, 1))))
+        assert exc.value.location == "dt"
+
     def test_rejects_uneven_time_grid(self):
         text = "tau,re_0,im_0\n0.0,1.0,0.0\n0.5,1.0,0.0\n1.25,1.0,0.0\n"
         text = text.replace("re_0,im_0", "re_0,im_0")
@@ -410,6 +416,11 @@ class TestTrajectoryCsv:
     def test_header_layout(self):
         traj = Trajectory(dt=1.0, samples=np.zeros((2, 2)))
         assert trajectory_to_csv(traj).splitlines()[0] == "t,re_0,im_0,re_1,im_1"
+
+    def test_writer_refuses_an_index_that_overflows(self):
+        with pytest.raises(SchemaError, match="^index column overflows") as exc:
+            trajectory_to_csv(Trajectory(dt=1e308, samples=np.ones((3, 1))))
+        assert exc.value.location == "dt"
 
 
 # CSV text with {i} for the index column and {h} for the entry columns, the
