@@ -46,8 +46,8 @@ from .errors import (
     QwssError,
 )
 from .linalg import (
+    _BLOCK,
     TOL_HERM,
-    _factors,
     _scale,
     as_complex_matrix,
     hermitian_defect,
@@ -56,7 +56,7 @@ from .linalg import (
     solve_lyapunov,
     validate_psd,
 )
-from .measure import _BLOCK, DensityGrid, OperatorSpectralMeasure, UniformGrid, _array, _Record
+from .measure import DensityGrid, OperatorSpectralMeasure, UniformGrid, _array, _Record
 
 __all__ = [
     "Shift",
@@ -184,7 +184,15 @@ class ExpOperator(FilterSpec):
             )
         if hermitian_defect(g) > TOL_HERM * float(_scale(g)):
             raise NotPositiveDefiniteError("gamma must be Hermitian")
-        if not _factors(hermitize(g), 0.0):  # also when the Hermitian part overflows
+        with np.errstate(over="ignore", invalid="ignore"):
+            h = hermitize(g)
+        if not np.isfinite(h).all():
+            raise QwssError("gamma + gamma^H overflows")
+        try:
+            positive = np.isfinite(np.linalg.cholesky(h)).all()
+        except np.linalg.LinAlgError:
+            positive = False
+        if not positive:
             raise NotPositiveDefiniteError("gamma must be positive definite")
         self._store(gamma=g, a=a)
 

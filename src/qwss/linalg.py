@@ -12,20 +12,30 @@ well-conditioned large matrices are not rejected for harmless rounding dust.
 Stacks: ``hermitian_defect``, ``hermitize``, ``validate_psd``, ``nearest_psd``
 and ``psd_sqrt`` take one ``(d, d)`` matrix or a ``(..., d, d)`` stack of
 them, and ``resolvent`` takes one frequency or an array of them. A stack is
-handled slice by slice inside numpy (one LAPACK or BLAS call per slice, no
-Python loop), and every slice comes out bit-identical to the single-matrix
-call on it. Tolerances scale per slice. A stack that fails a check raises for
-its first failing slice in C order, with the single-matrix message naming
-that slice and the slice's batch index in the error's ``index`` attribute.
+handled inside numpy, with no Python loop over its slices, and every slice
+comes out bit-identical to the single-matrix call on it. Tolerances scale per
+slice. A stack that fails a check raises for its first failing slice in C
+order, with the single-matrix message naming that slice and the slice's batch
+index in the error's ``index`` attribute.
 
-PSD certificate: ``validate_psd`` and ``nearest_psd`` first try one batched
-Cholesky factorization of the shifted Hermitian part ``H + c*I`` and return
-at once if every slice has a finite factor; other stacks take the eigenvalue
-route, the only one that builds errors. Let ``B(d) = 8*d*(d+1)*eps``. A
-factorization that completes is exact for ``A + dA`` with ``||dA||_2 <=
-d*g/(1-g)*max|A| <= B*max|A|/2``, ``g = gamma_{d+1}`` doubled for complex
-arithmetic (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd
-ed., Thm 10.3 and Sec. 3.6); ``eigvalsh``/``eigh`` (backward stable
+PSD certificate: ``validate_psd`` and ``nearest_psd`` first try a Cholesky
+factorization of each slice's shifted Hermitian part ``H + c*I`` and return
+at once if every factor is finite; other stacks take the eigenvalue route,
+the only one that builds errors. The stack is read ``_BLOCK // d`` matrices
+at a time into an entry-major copy of shape ``(d, d, k)``, and each slice's
+scale, Hermitian defect and ``H`` come from that block. A block of at least
+``_SWEEP * d**2`` matrices (so only ``d <= 6``) is factored by one
+right-looking sweep, a vector operation across the block per entry; smaller
+blocks, and so single matrices and every ``d > 6``, by LAPACK, one ``zpotrf``
+per matrix. Let ``B(d) = 8*d*(d+1)*eps``. A factorization that completes is
+exact for ``A + dA`` with ``||dA||_2 <= d*g/(1-g)*max|A| <= B*max|A|/2``,
+``g = gamma_{d+1}`` doubled for complex arithmetic (Higham, *Accuracy and
+Stability of Numerical Algorithms*, 2nd ed., Thm 10.3 and Sec. 3.6). The
+theorem bounds each computed entry through Lemma 8.4, which holds whatever
+the order in which ``a_ij - sum_k l_ik conj(l_jk)`` is accumulated, so it
+covers LAPACK's order and the sweep's alike; dividing by a pivot through its
+reciprocal, as LAPACK's ``zpotf2`` and the sweep do, adds one rounding that
+``gamma_{d+1}`` already holds. ``eigvalsh``/``eigh`` (backward stable
 ``zheevd``) move no eigenvalue by more than ``p(d)*u*d*max|H| <= B*max|H|/2``
 (Weyl, ``p(d) <= 8*(d+1)``). So a factor proves every computed eigenvalue
 ``>= -c - B*(max|H| + |c|)``. A non-finite entry shows in the factor.
@@ -33,6 +43,7 @@ ed., Thm 10.3 and Sec. 3.6); ``eigvalsh``/``eigh`` (backward stable
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
@@ -46,6 +57,7 @@ from .errors import (
 TOL_HERM = 1e-12
 TOL_PSD = 1e-9
 _HUGE = np.finfo(float).max
+_BLOCK = 4096  # rows of d-vectors, or bins, per block of working memory; bounds the peak
 
 __all__ = [
     "TOL_HERM",
@@ -82,24 +94,34 @@ def _adjoint(a: np.ndarray) -> np.ndarray:
     return a.conj().swapaxes(-1, -2)
 
 
+def _contiguous_adjoint(a: np.ndarray, axes=(-1, -2)) -> np.ndarray:
+    # a new C-ordered array, never the caller's memory: the sums with ``a``
+    # then run over contiguous operands, with the same bits as on the view
+    return np.conjugate(a.swapaxes(*axes), order="C")
+
+
 def hermitian_defect(m):
     """Max-abs entry of ``M - M.conj().T``: a float, or one per stack slice."""
     a = np.asarray(m, dtype=np.complex128)
-    defect = np.abs(a - _adjoint(a)).max(axis=(-2, -1), initial=0.0)
+    adj = _contiguous_adjoint(a)
+    defect = np.abs(np.subtract(a, adj, out=adj)).max(axis=(-2, -1), initial=0.0)
     return float(defect) if defect.ndim == 0 else defect
 
 
 def hermitize(m) -> np.ndarray:
     """Hermitian part ``(M + M.conj().T) / 2``, per slice for a stack."""
     a = np.asarray(m, dtype=np.complex128)
-    return (a + _adjoint(a)) / 2.0
+    h = _contiguous_adjoint(a)
+    np.add(a, h, out=h)
+    h /= 2.0
+    return h
 
 
-def _scale(a: np.ndarray):
+def _scale(a: np.ndarray, axes=(-2, -1)):
     # unit floor so tolerances never shrink below their absolute defaults;
     # fmax keeps a NaN maximum at the floor, as the builtin max does, and fmin
     # a modulus that overflows at the largest double, so no tolerance is inf
-    return np.fmin(np.fmax(1.0, np.abs(a).max(axis=(-2, -1), initial=0.0)), _HUGE)
+    return np.fmin(np.fmax(1.0, np.abs(a).max(axis=axes, initial=0.0)), _HUGE)
 
 
 def _finite_part(a: np.ndarray, h: np.ndarray):
@@ -123,16 +145,51 @@ def _rounding(d: int) -> float:
     return 8.0 * d * (d + 1) * np.finfo(float).eps
 
 
+# Blocks of at least _SWEEP * d**2 matrices are factored by the sweep, smaller
+# ones by LAPACK, so only d <= 6 is ever swept. validate_psd on PSD stacks,
+# sweep against LAPACK, best of 9 x 20 calls in us (one BLAS thread, 2-core
+# x86_64 VM): d=1, 16 matrices 28/26 and 64 28/29; d=2, 64 37/34 and 128
+# 69/68; d=4, 128 85/76, 256 111/121 and 1024 449/553; d=6, 576 384/537;
+# full blocks at d=7 (585) 979/973 and d=8 (512) 1161/1213; one 4x4 58/28.
+_SWEEP = 16
+
+
+def _entry_major(a: np.ndarray):
+    """Copies of the stack ``a``, ``_BLOCK // d`` matrices at a time, each of
+    shape ``(d, d, k)``: entry ``(i, j)`` of its ``k`` matrices is one
+    contiguous vector."""
+    d = a.shape[-1]
+    flat = a.reshape(math.prod(a.shape[:-2]), d, d)  # reshape(-1, 0, 0) raises
+    step = _BLOCK // max(d, 1)
+    for lo in range(0, len(flat), step):
+        yield flat[lo : lo + step].transpose(1, 2, 0).copy()
+
+
 def _factors(h: np.ndarray, shift) -> bool:
-    """True iff every slice of ``h + shift*I`` has a finite Cholesky factor.
-    Shifts ``h``, a stack of the caller's own, in place."""
-    diagonal = np.arange(h.shape[-1])
-    h[..., diagonal, diagonal] += np.asarray(shift)[..., None]
-    try:
-        factor = np.linalg.cholesky(h)
-    except np.linalg.LinAlgError:
-        return False
-    return bool(np.isfinite(factor).all())
+    """True iff every matrix of ``h + shift*I`` has a Cholesky factor with
+    finite entries and positive pivots, ``h`` an entry-major block of
+    Hermitian matrices (``_entry_major``) that the caller owns. Shifts and
+    factors ``h`` in place."""
+    d, k = h.shape[0], h.shape[-1]
+    h.reshape(d * d, k)[:: d + 1] += shift  # the diagonal
+    if k < _SWEEP * d * d:
+        try:
+            factor = np.linalg.cholesky(h.transpose(2, 0, 1))
+        except np.linalg.LinAlgError:
+            return False
+        return bool(np.isfinite(factor).all())
+    # right-looking, one vector operation per entry across the block; a
+    # non-finite entry L_ij reaches pivot i as -|L_ij|^2 or NaN, so finite
+    # positive pivots prove the whole factor finite (a NaN fails p > 0, but
+    # +inf passes it)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(d):
+            p = h[j, j].real
+            if not (p.min() > 0.0 and p.max() < np.inf):
+                return False
+            col = h[j + 1 :, j] * (1.0 / np.sqrt(p))
+            h[j + 1 :, j + 1 :] -= col[:, None] * col.conj()
+    return True
 
 
 def _first(mask: np.ndarray) -> tuple[int, ...] | None:
@@ -214,18 +271,20 @@ def validate_psd(
     callable (``i`` is a tuple when the batch has more than one axis).
     """
     a = _as_stack(m, name=name if isinstance(name, str) else "matrix")
-    # one contiguous a^H (never the caller's memory) gives hermitize(a) and
-    # hermitian_defect(a), bit for bit
-    adj = np.conjugate(a.swapaxes(-1, -2), order="C")
-    h, s = a + adj, _scale(a)
-    h /= 2.0
-    defect = np.abs(np.subtract(a, adj, out=adj)).max(axis=(-2, -1), initial=0.0)
-    hermitian = np.all(defect <= herm_tol * s)
-    del adj
     # c = tol*s/2 with tol >= 8*B(d) makes -c - B*(s + c) >= -tol*s
-    if tol >= 8.0 * _rounding(a.shape[-1]) and hermitian and _factors(h, tol * s / 2):
-        return a
-    h, unit = _finite_part(a, hermitize(a))  # h may hold the shift
+    if tol >= 8.0 * _rounding(a.shape[-1]):
+        for t in _entry_major(a):
+            adj = _contiguous_adjoint(t, (0, 1))
+            s = _scale(t, (0, 1))
+            defect = np.abs(t - adj).max(axis=(0, 1), initial=0.0)
+            t += adj
+            t *= 0.5  # the Hermitian part, exactly
+            # a defect of at most the largest double also proves t finite
+            if not (np.all(defect <= np.fmin(herm_tol * s, _HUGE)) and _factors(t, tol * s / 2)):
+                break
+        else:
+            return a
+    h, unit = _finite_part(a, hermitize(a))
     _raise_psd_failure(a, np.linalg.eigvalsh(h) * unit, tol, herm_tol, name)
     return a
 
@@ -241,8 +300,11 @@ def nearest_psd(m) -> np.ndarray:
     ``>= delta*(1 - B/2) - B*max|H| >= 0`` (module docstring).
     """
     a = hermitize(_as_stack(m))
-    delta = 2.0 * _rounding(a.shape[-1]) * np.abs(a).max(axis=(-2, -1), initial=0.0)
-    if np.all(delta >= np.finfo(float).tiny) and _factors(a.copy(), -delta):
+    for t in _entry_major(a):
+        delta = 2.0 * _rounding(a.shape[-1]) * np.abs(t).max(axis=(0, 1), initial=0.0)
+        if not (np.all(delta >= np.finfo(float).tiny) and _factors(t, -delta)):
+            break
+    else:
         return a
     w, u = np.linalg.eigh(a)
     clipped = hermitize((u * np.clip(w, 0.0, None)[..., None, :]) @ _adjoint(u))

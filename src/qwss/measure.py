@@ -53,7 +53,6 @@ __all__ = [
 ]
 
 _ATOM_MERGE_RTOL = 1e-12
-_BLOCK = 4096  # rows of d-vectors, or bins, per block of working memory; bounds the peak
 
 
 class _Record:
@@ -418,18 +417,17 @@ def covariance_from_spectrum(
         # once its length is at least bins + lags
         chirp = _chirp(dt * wdt, max(bins, lags + 1))
         size = _fft_length(bins + lags)
-        chirped = np.zeros((size, mu.dim * mu.dim), dtype=np.complex128)
-        chirped[:bins] = chirp[:bins, None] * den.values.reshape(bins, -1)
+        # one row per matrix entry, so every transform runs along memory
+        chirped = np.zeros((mu.dim * mu.dim, size), dtype=np.complex128)
+        chirped[:, :bins] = chirp[:bins] * den.values.reshape(bins, -1).T
         kernel = np.zeros(size, dtype=np.complex128)
         kernel[: lags + 1] = chirp[: lags + 1].conj()
         kernel[size - bins + 1 :] = chirp[1:bins][::-1].conj()
-        sums = np.fft.ifft(
-            np.fft.fft(chirped, axis=0) * np.fft.fft(kernel)[:, None], axis=0
-        )[: lags + 1]
+        sums = np.fft.ifft(np.fft.fft(chirped) * np.fft.fft(kernel))[:, : lags + 1]
         c0 = den.nu_min + 0.5 * wdt
         factor = wdt * np.sinc(taus * wdt) * np.exp(2j * np.pi * taus * c0)
         factor *= chirp[: lags + 1]
-        vals += (factor[:, None] * sums).reshape(vals.shape)
+        vals += (factor * sums).T.reshape(vals.shape)
     vals[0] = hermitize(vals[0])
     return CovarianceTable(dt=dt, values=vals)
 
@@ -471,11 +469,11 @@ def spectrum_from_covariance(
     w = 1.0 - np.abs(j) / (m + 1) if window == "bartlett" else np.ones(2 * m + 1)
     w = np.where(j % 2, -w, w)  # the (-1)**j of the half-band grid offset
     d = table.dim
-    signed = (w[:, None, None] * table.two_sided()).reshape(2 * m + 1, d * d)
-    folded = np.zeros((bins, d * d), dtype=np.complex128)
-    folded[: m + 1] = signed[m:]
-    folded[bins - m :] += signed[:m]
-    raw = dt * np.fft.fft(folded, axis=0).reshape(bins, d, d)
+    signed = (w[:, None, None] * table.two_sided()).reshape(2 * m + 1, d * d).T
+    folded = np.zeros((d * d, bins), dtype=np.complex128)  # one row per entry
+    folded[:, : m + 1] = signed[:, m:]
+    folded[:, bins - m :] += signed[:, :m]
+    raw = dt * np.fft.fft(folded).T.reshape(bins, d, d)
     density = DensityGrid(
         nu_min=-1.0 / (2.0 * dt), nu_max=1.0 / (2.0 * dt), values=nearest_psd(raw)
     )

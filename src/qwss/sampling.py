@@ -35,9 +35,9 @@ import numpy as np
 
 from .errors import EVEN, OVERLAP, POSITIVE, POWER_OF_TWO, SEED, integer
 from .errors import AliasingError, QwssError
-from .linalg import hermitize, nearest_psd, psd_sqrt
+from .linalg import _BLOCK, hermitize, nearest_psd, psd_sqrt
 from .measure import CovarianceTable, DensityGrid, OperatorSpectralMeasure
-from .measure import _BLOCK, _array, _fft_length, _Record
+from .measure import _array, _fft_length, _Record
 
 __all__ = ["Trajectory", "synthesize", "lag_covariance", "welch_estimate"]
 
@@ -161,7 +161,9 @@ def lag_covariance(traj: Trajectory, lags: int) -> CovarianceTable:
         rows = traj.samples[lo * b : (lo + span) * b]
         if len(rows) < span * b:
             rows = np.pad(rows, ((0, span * b - len(rows)), (0, 0)))
-        spec = np.fft.fft(rows.reshape(span, b, d).transpose(0, 2, 1), n=2 * b)
+        spec = np.zeros((span, d, 2 * b), dtype=np.complex128)  # zero-padded to 2b
+        spec[..., :b] = rows.reshape(span, b, d).transpose(0, 2, 1)
+        spec = np.fft.fft(spec)
         pair = spec[:g].copy()  # A_j + (-1)^k A_{j+1}: a shift by b in a 2b FFT
         pair[: span - 1, :, 0::2] += spec[1:, :, 0::2]
         pair[: span - 1, :, 1::2] -= spec[1:, :, 1::2]

@@ -7,7 +7,7 @@ import sys
 
 import numpy as np
 
-from qwss.linalg import validate_psd
+from qwss import linalg
 
 
 def rng_for(seed: int) -> np.random.Generator:
@@ -57,25 +57,26 @@ def rel_frob(got, want) -> float:
 
 def count_psd_checks(monkeypatch) -> list:
     """Record, from now on, the shape of the stack behind every PSD decision
-    of ``validate_psd``: its first ``numpy.linalg.cholesky`` (certificate) or
-    ``numpy.linalg.eigvalsh`` (eigenvalue route) call. A certificate that
-    fails and the eigenvalue route after it are one decision."""
+    of ``validate_psd``: its first call of the certificate,
+    ``qwss.linalg._factors``, or of the eigenvalue route's
+    ``numpy.linalg.eigvalsh``. A certificate that fails and the eigenvalue
+    route after it are one decision."""
     shapes, decided = [], []
 
     def counting(fn):
-        def call(a, *args, **kwargs):
+        def call(*args, **kwargs):
             frame = sys._getframe(1)
-            while frame is not None and frame.f_code is not validate_psd.__code__:
+            while frame is not None and frame.f_code is not linalg.validate_psd.__code__:
                 frame = frame.f_back
             if frame is not None and not any(frame is f for f in decided):
                 decided.append(frame)
-                shapes.append(np.shape(a))
-            return fn(a, *args, **kwargs)
+                shapes.append(frame.f_locals["a"].shape)
+            return fn(*args, **kwargs)
 
         return call
 
-    for name in ("cholesky", "eigvalsh"):
-        monkeypatch.setattr(np.linalg, name, counting(getattr(np.linalg, name)))
+    monkeypatch.setattr(linalg, "_factors", counting(linalg._factors))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting(np.linalg.eigvalsh))
     return shapes
 
 

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +29,7 @@ from qwss.errors import (
     FilterDomainError,
     NotPositiveDefiniteError,
     NotPositiveSemidefiniteError,
+    QwssError,
 )
 from qwss.filters import (
     Composition,
@@ -137,13 +139,24 @@ class TestFilterValidation:
             ExpOperator(gamma=np.diag([1.0, 0.0]), a=np.eye(2))
 
     @pytest.mark.parametrize(
-        "gamma", [np.full((3, 3), 1.7e308), [[1.0, 1.7e308 * (1 + 1j)], [1.7e308 * (1 - 1j), 1.0]]]
+        "gamma",
+        [
+            np.full((3, 3), 1.7e308),
+            [[1.0, 1.7e308 * (1 + 1j)], [1.7e308 * (1 - 1j), 1.0]],
+            1.7e308 * np.eye(2),  # positive definite
+        ],
     )
     def test_exp_operator_refuses_an_overflowing_hermitian_part(self, gamma):
-        # the Hermitian part holds inf, and Cholesky of it returns NaN without raising
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NotPositiveDefiniteError, match="^gamma must be positive definite$"):
+        # gamma + gamma^H holds inf, so no factor of it decides definiteness
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(QwssError, match=r"^gamma \+ gamma\^H overflows$"):
                 ExpOperator(gamma=gamma, a=np.eye(len(gamma), dtype=complex))
+
+    def test_exp_operator_accepts_a_huge_gamma_whose_hermitian_part_is_finite(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert ExpOperator(gamma=8.9e307 * np.eye(2), a=np.eye(2)).dim == 2
 
     def test_exp_operator_needs_hermitian(self):
         with pytest.raises(NotPositiveDefiniteError):

@@ -393,11 +393,17 @@ class TestStacks:
 def validate_psd_reference(m, tol=linalg.TOL_PSD, herm_tol=linalg.TOL_HERM, name="matrix"):
     a = np.ascontiguousarray(m, dtype=np.complex128)
     adjoint = a.conj().swapaxes(-1, -2)
-    s = np.fmax(1.0, np.abs(a).max(axis=(-2, -1), initial=0.0))
+    s = np.fmin(np.fmax(1.0, np.abs(a).max(axis=(-2, -1), initial=0.0)), np.finfo(float).max)
     defect = np.abs(a - adjoint).max(axis=(-2, -1), initial=0.0)
     not_finite = ~np.isfinite(a).all(axis=(-2, -1))
     h = np.where(not_finite[..., None, None], 0.0, (a + adjoint) / 2.0)
-    lo = np.linalg.eigvalsh(h).min(axis=-1, initial=0.0)
+    # where a + a^H overflows, the Hermitian part of a / r, r the largest
+    # real or imaginary part, and its eigenvalues times r
+    over = ~np.isfinite(h).all(axis=(-2, -1))
+    r = np.where(over, np.fmax(1.0, np.abs(a.view(np.float64)).max(axis=(-2, -1), initial=0.0)), 1.0)
+    b = a / r[..., None, None]
+    h = np.where(over[..., None, None], (b + b.conj().swapaxes(-1, -2)) / 2.0, h)
+    lo = (np.linalg.eigvalsh(h) * r[..., None]).min(axis=-1, initial=0.0)
     not_herm = defect > herm_tol * s
     bad = not_finite | not_herm | (lo < -tol * s)
     if not bad.any():
@@ -507,6 +513,59 @@ class TestPsdCertificate:
                 )
             assert _full_outcome(nearest_psd, x) == _full_outcome(nearest_psd_reference, x)
 
+    @settings(deadline=None, max_examples=150)
+    @given(
+        st.integers(0, 6),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(["count", "count", "edge"]),
+        st.lists(st.sampled_from(["nan", "inf", "overflow", "nonherm", "below"]), max_size=2),
+        st.sampled_from([linalg.TOL_PSD, 1e-6, 0.0]),
+        st.sampled_from(["stack", "single", "batch"]),
+    )
+    def test_sweep_matches_eigenvalue_reference(self, d, seed, size, faults, tol, layout):
+        # from no matrices to just past two blocks, on both sides of the
+        # sweep's threshold, lowest eigenvalues within +-1.1*tol*s of zero
+        rng = rng_for(seed)
+        block = linalg._BLOCK // max(d, 1)
+        if size == "edge":
+            threshold = linalg._SWEEP * d * d
+            count = int(rng.choice([1, 2, max(threshold - 1, 0), threshold, block, block + 1, 2 * block + 1]))
+        else:
+            count = int(rng.integers(0, 2 * block + 3))
+        x = np.zeros((count, d, d), dtype=complex)
+        if d and count:
+            q, _ = np.linalg.qr(rng.standard_normal((count, d, d)) + 1j * rng.standard_normal((count, d, d)))
+            w = rng.uniform(0.0, 1.0, (count, d)) * 10.0 ** rng.uniform(-3.0, 3.0, (count, 1))
+            w[:, 0] = 0.0
+            x = (q * w[:, None, :]) @ q.conj().swapaxes(-1, -2)
+            s = np.fmax(1.0, np.abs(x).max(axis=(-2, -1)))
+            lowest = rng.uniform(-1.1, 1.1, count) * tol * s
+            x += lowest[:, None, None] * q[:, :, :1] * q[:, :, :1].conj().swapaxes(-1, -2)
+        for fault in faults if d and count else ():
+            i, j, k = int(rng.integers(count)), int(rng.integers(d)), int(rng.integers(d))
+            if fault in ("nan", "inf"):
+                bad = np.nan if fault == "nan" else rng.choice([np.inf, -np.inf])
+                x[i, j, k] = complex(0.0, bad) if rng.integers(2) else complex(bad, 0.0)
+            elif fault == "overflow":  # a Hermitian pair whose modulus overflows
+                x[i, j, k] = 1.7e308 * (1 + 1j) if j != k else 1.7e308
+                x[i, k, j] = np.conj(x[i, j, k])
+            elif fault == "nonherm":
+                x[i, j, k] += 1e-6j * (1.0 + np.abs(x[i]).max())
+            else:
+                x[i] -= 2.0 * tol * (1.0 + np.abs(x[i]).max()) * np.eye(d)
+        if layout == "single" and count:
+            x = x[int(rng.integers(count))]
+        elif layout == "batch":
+            x = x.reshape((2, count // 2, d, d) if count % 2 == 0 else (1, count, d, d))
+        before = x.copy()
+        with np.errstate(all="ignore"):
+            for args in ((x,), (x, tol), (x, tol, 1e-9), (x, tol, 2.0)):
+                assert _full_outcome(validate_psd, *args, name="slice") == _full_outcome(
+                    validate_psd_reference, *args, name="slice"
+                )
+            assert _full_outcome(nearest_psd, x) == _full_outcome(nearest_psd_reference, x)
+        assert _same_bits(x, before)
+
     def test_psd_stack_is_decided_by_cholesky_alone(self, monkeypatch):
         x = np.stack([random_psd(rng_for(i), 4) for i in range(8)])
         monkeypatch.setattr(np.linalg, "eigvalsh", None)
@@ -518,12 +577,16 @@ class TestPsdCertificate:
     def test_tol_below_rounding_bound_skips_the_certificate(self, monkeypatch, d):
         bound = 8.0 * linalg._rounding(d)
         x = random_psd(rng_for(d), d)
-        monkeypatch.setattr(np.linalg, "cholesky", None)
+        monkeypatch.setattr(linalg, "_factors", None)
         validate_psd(x, tol=0.99 * bound)
         with pytest.raises(TypeError):  # a tol at the bound does try it
             validate_psd(x, tol=bound)
 
     def test_nan_factor_is_no_certificate(self):
-        # OpenBLAS's Cholesky may run through a NaN pivot without an error
-        x = np.array([[np.nan, 0.0], [0.0, 1.0]], dtype=complex)
-        assert not linalg._factors(x, 1e-9)
+        # OpenBLAS's Cholesky may run through a NaN pivot without an error,
+        # and the sweep's test p > 0 fails a NaN pivot but passes +inf
+        for k in (1, 4 * linalg._SWEEP):  # LAPACK's side of d = 2, then the sweep's
+            for bad in (np.nan, np.inf):
+                x = np.zeros((2, 2, k), dtype=complex)
+                x[0, 0], x[1, 1] = bad, 1.0
+                assert not linalg._factors(x, 1e-9)
