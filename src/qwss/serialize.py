@@ -4,10 +4,12 @@ Conventions shared by every format:
 
 - frequencies are cycles per unit time in all files
 - every complex field is a stack of matrices (one matrix, or ``(..., d, d)``
-  for density values, multipliers, kernel blocks and factors), and one stack
-  codec handles them all: ``_enc`` writes row-major nested arrays with
-  ``[re, im]`` as the last axis, and ``_as_stack`` reads them back, naming a
-  bad entry by its JSON path (``density.values[3]``, ``blocks[1][2]``)
+  for density values, multipliers, kernel blocks and factors), written as
+  row-major nested arrays with ``[re, im]`` as the last axis: ``_dumps``
+  fills each from one ``%r`` template of ``json.dumps``' indent-2 layout.
+  ``_as_stack`` reads a stack of finite floats as one checked array and
+  walks any other entry by entry: only the walk names a bad entry, by its
+  JSON path (``density.values[3]``, ``blocks[1][2]``)
 - JSON documents carry a ``"kind"`` discriminator, reject unknown keys, and
   are emitted with a fixed key order and shortest round-trip float formatting,
   so serializing equal objects yields byte-identical output
@@ -37,6 +39,7 @@ from __future__ import annotations
 import csv
 import errno
 import io
+import itertools
 import json
 import math
 import os
@@ -98,16 +101,42 @@ def _interleave(a: np.ndarray) -> np.ndarray:
     return np.stack((a.real, a.imag), -1)
 
 
-def _enc(a: np.ndarray) -> list:
-    return _interleave(a).tolist()
+def _layout(shape: tuple, indent: int) -> str:
+    """The ``%r`` template of a nested list of ``shape`` as ``json.dumps``
+    lays it out with ``indent=2``, opened on a line indented ``indent`` spaces."""
+    t = "%r"
+    for depth in reversed(range(len(shape))):
+        pad = "\n" + " " * (indent + 2 * depth)
+        t = f"[{pad}  " + f",{pad}  ".join([t] * shape[depth]) + f"{pad}]" if shape[depth] else "[]"
+    return t
 
 
-def _dumps(doc: dict) -> bytes:
+def _dumps(doc: dict, stacks: list) -> bytes:
+    """``doc`` as indent-2 JSON, each marker ``"\\0k"`` that ``_write`` left for
+    a stack filled in from ``stacks[k]``, one template per shape and indent.
+    ``json.dumps`` writes the NUL as ``\\u0000``, which no key or ``kind``
+    holds; the fill is a loop over the text, so only ``json.dumps`` nests."""
     try:
         text = json.dumps(doc, indent=2, allow_nan=False)
     except RecursionError:
         raise SchemaError("cannot write JSON: nested too deeply") from None
-    return (text + "\n").encode("utf-8")
+    head, *tails = text.split('"\\u0000')
+    out, layouts = [head], {}
+    for tail in tails:
+        k, rest = tail.split('"', 1)
+        shape, floats = stacks[int(k)]
+        line = out[-1][out[-1].rfind("\n") + 1:]
+        key = shape, len(line) - len(line.lstrip(" "))
+        if key not in layouts:
+            layouts[key] = _layout(*key)
+        out += (layouts[key] % tuple(floats), rest)
+    out.append("\n")
+    return "".join(out).encode("utf-8")
+
+
+def _json(codec, v) -> bytes:
+    stacks = []
+    return _dumps(_write(codec, v, stacks=stacks), stacks)
 
 
 def _text(data) -> str:
@@ -181,9 +210,24 @@ def _as_stack(v, loc: str, shape: tuple) -> np.ndarray:
     """Decode nested ``[re, im]`` arrays at JSON path ``loc`` to a complex stack.
 
     ``shape`` gives the size of each axis; a ``None`` size is free for the
-    first entry and taken from it for the rest. Entries of a leading axis are
-    located as ``loc[i]``; a matrix (the last two axes) is checked as a whole
-    at its own path, and with 0 expected rows it may be ``[]``.
+    first entry and taken from it for the rest. A stack of that shape with
+    only finite ``float`` leaves is read as one array (its axes end at an
+    empty list, so none is empty); anything else is walked by
+    ``_walk_stack``, which names the bad entry.
+    """
+    a = np.array(v, dtype=object)
+    if a.ndim == len(shape) + 1 and all(w in (None, n) for n, w in zip(a.shape, (*shape, 2))):
+        if set(map(type, a.ravel().tolist())) == {float}:
+            x = a.astype(np.float64)
+            if np.isfinite(x).all():
+                return x.view(np.complex128).reshape(a.shape[:-1])  # -0.0 kept
+    return _walk_stack(v, loc, shape)
+
+
+def _walk_stack(v, loc: str, shape: tuple) -> np.ndarray:
+    """``_as_stack`` entry by entry. Entries of a leading axis are located as
+    ``loc[i]``; a matrix (the last two axes) is checked as a whole at its own
+    path, and with 0 expected rows it may be ``[]``.
     """
     if len(shape) > 2:
         v = _as_list(v, loc)
@@ -191,9 +235,9 @@ def _as_stack(v, loc: str, shape: tuple) -> np.ndarray:
             raise SchemaError(
                 f"expected {shape[0]} entries, got {len(v)}", location=loc
             )
-        first = _as_stack(v[0], f"{loc}[0]", shape[1:])
+        first = _walk_stack(v[0], f"{loc}[0]", shape[1:])
         rest = [
-            _as_stack(e, f"{loc}[{i}]", first.shape) for i, e in enumerate(v[1:], 1)
+            _walk_stack(e, f"{loc}[{i}]", first.shape) for i, e in enumerate(v[1:], 1)
         ]
         return np.stack([first] + rest)
     rows, cols = shape
@@ -299,20 +343,23 @@ def _read(codec, v, loc: str | None = None, env=()):
     return _as_bool(v, loc) if codec is bool else _as_int(v, loc, codec)
 
 
-def _write(codec, v, loc: str | None = None, env=(), rows: bool = False):
+def _write(codec, v, loc: str | None = None, env=(), rows: bool = False, stacks=None):
     """``v`` as JSON, checked as ``_read`` checks it; with ``rows``, a column
-    that holds a field of every object of a list. A stack goes out in one
-    ``_enc``, checked for its shape (no free axis empty) and finite numbers."""
+    that holds a field of every object of a list. A stack is checked for its
+    shape (no free axis empty) and finite numbers; with a list ``stacks``, it
+    goes there as ``(shape, floats)`` and out as the marker ``"\\0k"``, its
+    index, for ``_dumps`` to fill. ``env`` holds stacks as arrays."""
     if isinstance(codec, _Object):
         doc, env = dict(codec.head), dict(env)
         for key, inner, get, optional in codec.fields:
             x = get(v)
             if x is not None or not optional:
-                doc[key] = env[key] = _write(inner, x, _at(loc, key), env)
+                doc[key] = _write(inner, x, _at(loc, key), env, stacks=stacks)
+                env[key] = x if isinstance(inner, _Stack) else doc[key]
         return doc
     if isinstance(codec, list):
         fields = codec[0].fields
-        columns = [_write(c, get(v), loc, env, rows=True) for _, c, get, _ in fields]
+        columns = [_write(c, get(v), loc, env, True, stacks) for _, c, get, _ in fields]
         keys = [key for key, _, _, _ in fields]
         return [dict(zip(keys, row)) for row in zip(*columns)]
     if isinstance(codec, _Stack):
@@ -326,7 +373,14 @@ def _write(codec, v, loc: str | None = None, env=(), rows: bool = False):
             raise SchemaError(msg, location=loc)
         if not np.isfinite(v).all():
             raise SchemaError("number must be finite", location=loc)
-        return _enc(v)
+        a = _interleave(v)
+        if stacks is None:
+            return a.tolist()
+        shape, marks = a.shape[rows:], []
+        for floats in a.reshape(len(a) if rows else 1, math.prod(shape)).tolist():
+            marks.append(f"\0{len(stacks)}")
+            stacks.append((shape, floats))
+        return marks if rows else marks[0]
     if rows:
         return [_write(codec, x, loc, env) for x in v.tolist()]
     return _read(codec, codec(v) if codec in (float, bool) else int(v), loc, env)
@@ -435,16 +489,16 @@ _FILTER_DOCS = {
 
 
 def serialize_measure(mu: OperatorSpectralMeasure) -> bytes:
-    return _dumps(_write(_MEASURE, mu))
+    return _json(_MEASURE, mu)
 
 
 def deserialize_measure(data) -> OperatorSpectralMeasure:
     return _read(_MEASURE, _loads(data))
 
 
-def filter_to_document(filt: FilterSpec) -> dict:
+def filter_to_document(filt: FilterSpec, stacks=None) -> dict:
     if isinstance(filt, Composition):  # post-order on an explicit stack, any depth
-        return filt._fold(filter_to_document, lambda first, second: {
+        return filt._fold(lambda f: filter_to_document(f, stacks), lambda first, second: {
             "kind": "filter", "variant": "composition", "first": first, "second": second
         })
     if isinstance(filt, ScalarConvolution):
@@ -454,7 +508,7 @@ def filter_to_document(filt: FilterSpec) -> dict:
         )
     for variant, cls in _FILTERS.items():
         if isinstance(filt, cls):
-            return _write(_FILTER_DOCS[variant], filt)
+            return _write(_FILTER_DOCS[variant], filt, stacks=stacks)
     raise SchemaError(f"not a filter: {type(filt).__name__}")
 
 
@@ -486,7 +540,8 @@ def filter_from_document(doc: dict, loc: str | None = None) -> FilterSpec:
 
 
 def serialize_filter(filt: FilterSpec) -> bytes:
-    return _dumps(filter_to_document(filt))
+    stacks = []
+    return _dumps(filter_to_document(filt, stacks), stacks)
 
 
 def deserialize_filter(data) -> FilterSpec:
@@ -494,7 +549,7 @@ def deserialize_filter(data) -> FilterSpec:
 
 
 def serialize_model(model: QuantumModel) -> bytes:
-    return _dumps(_write(_MODEL, model))
+    return _json(_MODEL, model)
 
 
 def deserialize_model(data) -> QuantumModel:
@@ -502,7 +557,7 @@ def deserialize_model(data) -> QuantumModel:
 
 
 def serialize_kernel(blocks: np.ndarray) -> bytes:
-    return _dumps(_write(_KERNEL, np.ascontiguousarray(blocks, dtype=np.complex128)))
+    return _json(_KERNEL, np.ascontiguousarray(blocks, dtype=np.complex128))
 
 
 def deserialize_kernel(data) -> np.ndarray:
@@ -510,7 +565,7 @@ def deserialize_kernel(data) -> np.ndarray:
 
 
 def serialize_factorization(fact: KolmogorovFactorization) -> bytes:
-    return _dumps(_write(_FACTORIZATION, fact))
+    return _json(_FACTORIZATION, fact)
 
 
 def deserialize_factorization(data) -> KolmogorovFactorization:
@@ -518,7 +573,7 @@ def deserialize_factorization(data) -> KolmogorovFactorization:
 
 
 def serialize_verdict(verdict: KernelVerdict) -> bytes:
-    return _dumps(_write(_VERDICT, verdict))
+    return _json(_VERDICT, verdict)
 
 
 def deserialize_verdict(data) -> KernelVerdict:
@@ -547,12 +602,15 @@ def _check_rows(n: int) -> None:
 
 
 def _write_rows(header: list[str], axis: np.ndarray, flat: np.ndarray) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    n = flat.shape[0]
-    writer.writerows(np.column_stack((axis, _interleave(flat).reshape(n, -1))).tolist())
-    return buf.getvalue()
+    """The header, then one line per row of ``axis`` and ``flat``, each field
+    its ``repr``, formatted in blocks of 4096 rows through one template."""
+    table = np.column_stack((axis, _interleave(flat).reshape(len(flat), -1)))
+    line = ",".join(["%r"] * table.shape[1]) + "\n"
+    out = [",".join(header) + "\n"]
+    for start in range(0, len(table), 4096):
+        block = table[start:start + 4096]
+        out.append(line * len(block) % tuple(block.ravel().tolist()))
+    return "".join(out)
 
 
 def _read_rows(text, index_name: str, expected_header) -> tuple[float, np.ndarray]:
@@ -578,20 +636,26 @@ def _read_rows(text, index_name: str, expected_header) -> tuple[float, np.ndarra
         raise SchemaError("header does not match the format", location="header")
     body = rows[1:]
     _check_rows(len(body))
-    entries = ncols // 2
-    data = np.empty((len(body), entries), dtype=np.complex128)
-    axis = np.empty(len(body))
-    for k, row in enumerate(body):
-        if len(row) != len(header):
-            raise SchemaError(f"row {k} has {len(row)} fields, expected {len(header)}")
+    table = None
+    if all(len(row) == len(header) for row in body):  # all fields in one pass
         try:
-            nums = [float(x) for x in row]
+            fields = map(float, itertools.chain.from_iterable(body))
+            table = np.fromiter(fields, np.float64, len(body) * len(header)).reshape(len(body), -1)
         except ValueError:
-            raise SchemaError(f"row {k} holds a non-numeric field") from None
-        if not all(math.isfinite(x) for x in nums):
-            raise SchemaError(f"row {k} holds a non-finite value")
-        axis[k] = nums[0]
-        data[k] = np.array(nums[1:]).view(np.complex128)  # re, im as written: -0.0 too
+            pass
+    if table is None or not np.isfinite(table).all():  # the first bad row
+        table = np.empty((len(body), len(header)))
+        for k, row in enumerate(body):
+            if len(row) != len(header):
+                raise SchemaError(f"row {k} has {len(row)} fields, expected {len(header)}")
+            try:
+                table[k] = [float(x) for x in row]
+            except ValueError:
+                raise SchemaError(f"row {k} holds a non-numeric field") from None
+            if not np.isfinite(table[k]).all():
+                raise SchemaError(f"row {k} holds a non-finite value")
+    axis = table[:, 0]
+    data = table[:, 1:].copy().view(np.complex128)  # re, im as written: -0.0 too
     if abs(axis[0]) > 1e-12 * max(1.0, abs(axis[-1])):
         raise SchemaError(f"index must start at 0, got {axis[0]}")
     dt = axis[1] - axis[0]

@@ -8,6 +8,7 @@ get the same treatment.
 
 import copy
 import csv
+import dataclasses
 import functools
 import io
 import json
@@ -1117,6 +1118,117 @@ class TestStackEncoderMatchesReference:
         assert density_to_csv(mu) == want
 
 
+# Entries that format unlike typical floats: a signed zero, the smallest
+# subnormal, the largest float, the first integer-valued float repr writes
+# with an exponent, and a float with no short binary form.
+SPECIALS = (-0.0, 5e-324, 1.7976931348623157e308, 1e16, 0.1)
+
+
+def _with_specials(z, rng):
+    """``z`` (complex, any shape) with each special as a real and as an
+    imaginary part of random entries."""
+    z = np.array(z, dtype=np.complex128)
+    parts = z.reshape(-1).view(np.float64)
+    spots = rng.choice(parts.size, size=4 * len(SPECIALS), replace=False)
+    parts[spots] = np.tile(SPECIALS, 4)
+    return z
+
+
+def _diagonal_specials(d):
+    """PSD ``d x d`` matrices, one per special, that hold it on the diagonal
+    and ``-0.0`` imaginary parts below it."""
+    out = np.zeros((len(SPECIALS), d, d), dtype=np.complex128)
+    out[:, range(d), range(d)] = np.abs(np.array(SPECIALS))[:, None]
+    out[:, 0, 0] = SPECIALS  # -0.0 itself as a weight is PSD
+    below = np.tril_indices(d, -1)
+    out[:, below[0], below[1]] = complex(0.0, -0.0)
+    return out
+
+
+class TestCodecsAtRealSizes:
+    """The writers match the reference byte for byte at the sizes the CLI
+    writes, and the readers give back every bit."""
+
+    def test_spectrum_16384_bins_dim_1(self):
+        rng = rng_for(71)
+        values = rng.uniform(0.0, 2.0, (16384, 1, 1)) + 0j
+        values[rng.choice(16384, len(SPECIALS), replace=False)] = _diagonal_specials(1)
+        values[::7] = values[::7].real + complex(0.0, -0.0)
+        mu = OperatorSpectralMeasure(1, density=DensityGrid(-1e16, 0.1, values))
+        data = serialize_measure(mu)
+        assert data == ref_dumps(ref_measure_doc(mu))
+        assert _same_value(deserialize_measure(data), mu)
+
+    def test_measure_4096_bins_dim_4_with_atoms(self):
+        rng = rng_for(72)
+        values = np.stack([random_psd(rng, 4) for _ in range(4096)])
+        values[rng.choice(4096, len(SPECIALS), replace=False)] = _diagonal_specials(4)
+        weights = np.concatenate([_diagonal_specials(4), [random_psd(rng, 4)]])
+        nus = (-0.0, 5e-324, 1.7976931348623157e308, 1e16, 0.1, -2.5)
+        mu = OperatorSpectralMeasure(
+            4, atoms=tuple(zip(nus, weights)), density=DensityGrid(-50.0, 50.0, values)
+        )
+        data = serialize_measure(mu)
+        assert data == ref_dumps(ref_measure_doc(mu))
+        assert _same_value(deserialize_measure(data), mu)
+
+    def test_kernel_48_points_dim_4(self):
+        rng = rng_for(73)
+        blocks = _with_specials(rng.standard_normal((48, 48, 4, 4)), rng)
+        data = serialize_kernel(blocks)
+        assert data == ref_dumps(ref_kernel_doc(blocks))
+        assert _same_value(deserialize_kernel(data), blocks)
+
+    def test_model_56_modes(self):
+        rng = rng_for(74)
+        units = [(i, j) for i in range(8) for j in range(8) if i != j]
+        ops = _with_specials(
+            rng.standard_normal((56, 2, 2)) + 1j * rng.standard_normal((56, 2, 2)), rng
+        )
+        nus = np.linspace(-8.0, 8.0, 56)
+        nus[:4] = (5e-324, 1e16, 0.1, 1.7976931348623157e308)
+        modes = []
+        for k, (i, j) in enumerate(units):
+            env = np.zeros((8, 8))
+            env[i, j] = 1.0
+            modes.append(Mode(nu=nus[k], system_op=ops[k], environment_op=env))
+        model = QuantumModel(2, 8, np.eye(8) / 8, modes)
+        data = serialize_model(model)
+        assert data == ref_dumps(ref_model_doc(model))
+        assert _same_value(deserialize_model(data), model)
+
+    def test_rank_0_factorization(self):
+        fact = KolmogorovFactorization(rank=0, factors=np.zeros((48, 0, 4)))
+        data = serialize_factorization(fact)
+        assert data == ref_dumps(ref_factorization_doc(fact))
+        assert _same_value(deserialize_factorization(data), fact)
+
+    def test_trajectory_csv_16384_rows_dim_2(self):
+        rng = rng_for(75)
+        samples = _with_specials(
+            rng.standard_normal((2**14, 2)) + 1j * rng.standard_normal((2**14, 2)), rng
+        )
+        traj = Trajectory(dt=0.1, samples=samples)
+        text = trajectory_to_csv(traj)
+        assert text == ref_write_rows(
+            ["t"] + ser._vector_header(2), np.arange(2**14) * 0.1, samples
+        )
+        assert _same_value(trajectory_from_csv(text), traj)
+
+    def test_covariance_csv(self):
+        rng = rng_for(76)
+        values = _with_specials(
+            rng.standard_normal((257, 2, 2)) + 1j * rng.standard_normal((257, 2, 2)), rng
+        )
+        values[0] = random_psd(rng, 2)
+        table = CovarianceTable(dt=0.05, values=values)
+        text = covariance_to_csv(table)
+        assert text == ref_write_rows(
+            ["tau"] + ser._matrix_header(2), np.arange(257) * 0.05, values.reshape(257, 4)
+        )
+        assert _same_value(covariance_from_csv(text), table)
+
+
 # --- differential decoding -------------------------------------------------------
 
 
@@ -1133,7 +1245,7 @@ def _paths(node, path=()):
         yield from _paths(child, path + (key,))
 
 
-REPLACEMENTS = (True, "x", None, {}, [1.0], math.nan, HUGE)
+REPLACEMENTS = (True, "x", "1", 1, None, {}, [1.0], -0.0, math.nan, math.inf, HUGE)
 
 
 def _mutants(doc):
@@ -1168,10 +1280,16 @@ def _outcome(decode, doc):
 
 
 def _same_value(a, b):
-    if isinstance(a, KolmogorovFactorization):
-        return a.rank == b.rank and _same_value(a.factors, b.factors)
+    """Equal, arrays by shape, dtype and bytes (so ``-0.0`` is not ``0.0``),
+    records and filters field by field."""
     if isinstance(a, np.ndarray):
-        return a.shape == b.shape and bool(np.array_equal(a, b))
+        return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    if dataclasses.is_dataclass(a):
+        return type(a) is type(b) and all(
+            _same_value(getattr(a, f.name), getattr(b, f.name))
+            for f in dataclasses.fields(a)
+            if f.compare
+        )
     return a == b
 
 
@@ -1289,6 +1407,123 @@ class TestStackDecoderMatchesReference:
         assert mismatches == []
 
 
+def ref_read_rows(text, index_name, expected_header):
+    """The CSV body reader that converted and checked row by row."""
+    rows = list(csv.reader(io.StringIO(ser._text(text))))
+    rows = [r for r in rows if r]
+    if not rows:
+        raise SchemaError("empty CSV")
+    header = rows[0]
+    if not header or header[0] != index_name:
+        raise SchemaError(
+            f"first column must be {index_name!r}, got {header[:1]}", location="header"
+        )
+    ncols = len(header) - 1
+    if ncols <= 0 or ncols % 2 != 0:
+        raise SchemaError("need re/im column pairs after the index", location="header")
+    expected = expected_header(ncols // 2)
+    if expected is None or header != [index_name] + expected:
+        raise SchemaError("header does not match the format", location="header")
+    body = rows[1:]
+    ser._check_rows(len(body))
+    entries = ncols // 2
+    data = np.empty((len(body), entries), dtype=np.complex128)
+    axis = np.empty(len(body))
+    for k, row in enumerate(body):
+        if len(row) != len(header):
+            raise SchemaError(f"row {k} has {len(row)} fields, expected {len(header)}")
+        try:
+            nums = [float(x) for x in row]
+        except ValueError:
+            raise SchemaError(f"row {k} holds a non-numeric field") from None
+        if not all(math.isfinite(x) for x in nums):
+            raise SchemaError(f"row {k} holds a non-finite value")
+        axis[k] = nums[0]
+        data[k] = np.array(nums[1:]).view(np.complex128)
+    if abs(axis[0]) > 1e-12 * max(1.0, abs(axis[-1])):
+        raise SchemaError(f"index must start at 0, got {axis[0]}")
+    dt = axis[1] - axis[0]
+    if dt <= 0:
+        raise SchemaError(f"index must increase, got step {dt}")
+    ideal = np.arange(len(body)) * dt
+    if np.abs(axis - ideal).max() > 1e-9 * max(1.0, abs(axis[-1])):
+        raise SchemaError("index column must be uniformly spaced from 0")
+    return dt, data
+
+
+def ref_covariance_from_csv(text):
+    def expected(entries):
+        d = math.isqrt(entries)
+        return ser._matrix_header(d) if d * d == entries else None
+
+    dt, data = ref_read_rows(text, "tau", expected)
+    d = math.isqrt(data.shape[1])
+    return CovarianceTable(dt=dt, values=data.reshape(data.shape[0], d, d))
+
+
+def ref_trajectory_from_csv(text):
+    dt, data = ref_read_rows(text, "t", ser._vector_header)
+    return Trajectory(dt=dt, samples=data)
+
+
+# fields float() reads (" 1.0", "1_0", a quoted "2.5") or rejects, as
+# non-numeric ("", a quoted "1,0") or non-finite ("nan", "inf", "1e400")
+CSV_FIELDS = (" 1.0", "1_0", "nan", "inf", "1e400", "", '"2.5"', '"1,0"')
+
+
+def _csv_mutants(text):
+    """``text`` with one field of one line replaced by each of
+    ``CSV_FIELDS``, one line short of a field or one field long, or a blank
+    line inserted before or after one line; and with two data rows bad, one
+    non-finite and one short, in either order."""
+    lines = text.splitlines(keepends=True)
+    split = [line[:-1].split(",") for line in lines]
+
+    def with_fields(edits):  # {line index: its new fields}
+        return "".join(
+            ",".join(edits[i]) + "\n" if i in edits else line for i, line in enumerate(lines)
+        )
+
+    for i, fields in enumerate(split):
+        edits = [fields[:j] + [f] + fields[j + 1:] for j in range(len(fields)) for f in CSV_FIELDS]
+        for new in edits + [fields[:-1], fields + ["0.0"]]:
+            yield with_fields({i: new})
+        yield "".join(lines[:i] + ["\n"] + lines[i:])
+        for j in range(1, len(lines)):
+            if 0 < i != j:
+                yield with_fields({i: fields[:-1] + ["nan"], j: split[j][:-1]})
+    yield text + "\n"
+
+
+class TestCsvReaderMatchesReference:
+    @pytest.mark.parametrize(
+        "text, reference, reader",
+        [
+            (
+                covariance_to_csv(CovarianceTable(0.25, np.stack([B2, SY, -0.5 * B2]))),
+                ref_covariance_from_csv,
+                covariance_from_csv,
+            ),
+            (
+                trajectory_to_csv(Trajectory(0.1, [[1.5, -0.0j], [0.1, 1e16], [-2j, 5e-324]])),
+                ref_trajectory_from_csv,
+                trajectory_from_csv,
+            ),
+        ],
+        ids=["covariance", "trajectory"],
+    )
+    def test_mutated_tables(self, text, reference, reader):
+        mismatches, count = [], 0
+        for mutant in _csv_mutants(text):
+            count += 1
+            ref, new = _outcome(reference, mutant), _outcome(reader, mutant)
+            same = _same_value(ref[1], new[1]) if ref[0] == new[0] == "ok" else ref == new
+            if not same:
+                mismatches.append((mutant, ref, new))
+        assert count > 100
+        assert mismatches == []
+
+
 # --- writers refuse what readers reject -------------------------------------------
 
 
@@ -1313,7 +1548,7 @@ VERDICT = (serialize_verdict, deserialize_verdict, ref_verdict_doc)
 # construction (tests/test_api.py), so the refusals here are of raw kernels
 # and verdicts
 EDGE_OBJECTS = {
-    "kernel-one-point": (*KERNEL, np.ones((1, 1, 1, 1)), None),
+    "kernel-one-point": (*KERNEL, np.ones((1, 1, 1, 1), dtype=complex), None),
     "kernel-no-points": (*KERNEL, np.zeros((0, 0, 2, 2)), "blocks"),
     "kernel-0x0-blocks": (*KERNEL, np.zeros((1, 1, 0, 0)), "dim"),
     "kernel-nan": (*KERNEL, np.full((2, 2, 1, 1), np.nan), "blocks"),
