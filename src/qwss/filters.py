@@ -33,7 +33,6 @@ M gamma = s``, which ``ou_covariance`` returns whether or not ``gamma`` and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -105,38 +104,34 @@ def _scalar(h: np.ndarray, d: int) -> np.ndarray:
     return h[:, None, None] * np.eye(d, dtype=np.complex128)
 
 
-@dataclass(frozen=True)
 class Shift(FilterSpec):
     """Time shift ``x_t -> x_{t+s}``; ``s`` must be finite."""
 
-    dim: int
-    s: float
+    __hash__ = _Record._hash
 
-    def __post_init__(self):
-        self._store(dim=SIZE.index(self.dim, "dim"))
-        if not math.isfinite(float(self.s)):
-            raise QwssError(f"shift s must be finite, got {self.s}")
-        self._store(s=float(self.s))
+    def __init__(self, dim: int, s: float):
+        d = SIZE.index(dim, "dim")
+        if not math.isfinite(float(s)):
+            raise QwssError(f"shift s must be finite, got {s}")
+        self._store(dim=d, s=float(s))
 
     def _psi(self, nus):
         return _scalar(np.exp(2j * np.pi * self.s * nus), self.dim)
 
 
-@dataclass(frozen=True)
 class Derivative(FilterSpec):
     """Time derivative ``x_t -> dx_t/dt``."""
 
-    dim: int
     bounded = False
+    __hash__ = _Record._hash
 
-    def __post_init__(self):
-        self._store(dim=SIZE.index(self.dim, "dim"))
+    def __init__(self, dim: int):
+        self._store(dim=SIZE.index(dim, "dim"))
 
     def _psi(self, nus):
         return _scalar(2j * np.pi * nus, self.dim)
 
 
-@dataclass(frozen=True)
 class ScalarConvolution(FilterSpec):
     """Convolution with a scalar kernel given by its transfer function.
 
@@ -146,13 +141,13 @@ class ScalarConvolution(FilterSpec):
     evaluated, naming the frequency.
     """
 
-    dim: int
-    hhat: Callable[[float], complex]
+    __hash__ = _Record._hash
 
-    def __post_init__(self):
-        self._store(dim=SIZE.index(self.dim, "dim"))
-        if not callable(self.hhat):
+    def __init__(self, dim: int, hhat: Callable[[float], complex]):
+        d = SIZE.index(dim, "dim")
+        if not callable(hhat):
             raise TypeError("hhat must be callable")
+        self._store(dim=d, hhat=hhat)
 
     def _psi(self, nus):
         h = np.array([complex(self.hhat(x)) for x in nus.tolist()], dtype=np.complex128)
@@ -163,7 +158,6 @@ class ScalarConvolution(FilterSpec):
         return _scalar(h, self.dim)
 
 
-@dataclass(frozen=True, eq=False)
 class ExpOperator(FilterSpec):
     """Convolution with the decaying matrix kernel ``exp(-gamma t) a``.
 
@@ -171,21 +165,18 @@ class ExpOperator(FilterSpec):
     same shape.
     """
 
-    gamma: np.ndarray
-    a: np.ndarray
     decays = True
 
-    def __post_init__(self):
-        g = _array(self.gamma, "d d", "gamma", "gamma holds a non-finite entry")
-        a = _array(self.a, "d d", "a", "a holds a non-finite entry")
+    def __init__(self, gamma, a):
+        g = _array(gamma, "d d", "gamma", "gamma holds a non-finite entry")
+        a = _array(a, "d d", "a", "a holds a non-finite entry")
         if g.shape != a.shape:
             raise DimensionMismatchError(
                 f"gamma {g.shape} and a {a.shape} must have equal shapes"
             )
         if hermitian_defect(g) > TOL_HERM * float(_scale(g)):
             raise NotPositiveDefiniteError("gamma must be Hermitian")
-        with np.errstate(over="ignore", invalid="ignore"):
-            h = hermitize(g)
+        h = hermitize(g)
         if not np.isfinite(h).all():
             raise QwssError("gamma + gamma^H overflows")
         try:
@@ -250,21 +241,17 @@ class Tabulated(UniformGrid, FilterSpec):
         return self.values[j]
 
 
-@dataclass(frozen=True)
 class Composition(FilterSpec):
     """Apply ``first``, then ``second``; characteristic is their product."""
 
-    first: FilterSpec
-    second: FilterSpec
-
-    def __post_init__(self):
-        if self.first.dim != self.second.dim:
+    def __init__(self, first: FilterSpec, second: FilterSpec):
+        if first.dim != second.dim:
             raise DimensionMismatchError(
-                f"composed filter dims differ: {self.first.dim} vs {self.second.dim}"
+                f"composed filter dims differ: {first.dim} vs {second.dim}"
             )
-        bounded = self.first.bounded and self.second.bounded
-        decays = bounded and (self.first.decays or self.second.decays)
-        self._store(dim=self.first.dim, bounded=bounded, decays=decays)
+        bounded = first.bounded and second.bounded
+        decays = bounded and (first.decays or second.decays)
+        self._store(first=first, second=second, dim=first.dim, bounded=bounded, decays=decays)
 
     def _fold(self, leaf, join):
         # leaf(f) at each factor, join(first, second) at each node (marked by
@@ -302,7 +289,6 @@ class Composition(FilterSpec):
         return len(a) == len(b) and all(x is y or x == y for x, y in zip(a, b))
 
 
-@dataclass(frozen=True, eq=False)
 class UnboundedWhiteNoise(_Record):
     """Symbolic flat spectrum of intensity ``s`` on the whole line.
 
@@ -310,10 +296,8 @@ class UnboundedWhiteNoise(_Record):
     finite band (see ``white_noise``).
     """
 
-    intensity: np.ndarray
-
-    def __post_init__(self):
-        s = validate_psd(self.intensity, name="white noise intensity")
+    def __init__(self, intensity):
+        s = validate_psd(intensity, name="white noise intensity")
         self._store(intensity=s.copy())  # validate_psd may return the caller's array
 
     @property

@@ -52,6 +52,7 @@ from .errors import (
     DimensionMismatchError,
     NotPositiveDefiniteError,
     NotPositiveSemidefiniteError,
+    QwssError,
 )
 
 TOL_HERM = 1e-12
@@ -112,8 +113,9 @@ def hermitize(m) -> np.ndarray:
     """Hermitian part ``(M + M.conj().T) / 2``, per slice for a stack."""
     a = np.asarray(m, dtype=np.complex128)
     h = _contiguous_adjoint(a)
-    np.add(a, h, out=h)
-    h /= 2.0
+    with np.errstate(over="ignore", invalid="ignore"):  # callers test h for inf
+        np.add(a, h, out=h)
+        h /= 2.0
     return h
 
 
@@ -138,6 +140,26 @@ def _finite_part(a: np.ndarray, h: np.ndarray):
     s = np.fmax(1.0, np.abs(z.view(np.float64)).max(axis=(-2, -1), initial=0.0))
     unit = hermitize(z / s[..., None, None])
     return np.where(finite[..., None, None], h, unit), np.where(finite, 1.0, s)[..., None]
+
+
+def _eigh(h: np.ndarray):
+    """``np.linalg.eigh(h)``. Where LAPACK does not converge on a finite
+    ``h`` (as on some of widely spread entries), it runs once more on each
+    slice divided by the power of two at or above its largest real or
+    imaginary part: the same eigenproblem, scaled exactly, with the
+    eigenvalues scaled back."""
+    try:
+        return np.linalg.eigh(h)
+    except np.linalg.LinAlgError:
+        if not np.isfinite(h).all():
+            raise
+    top = np.fmax(np.abs(h.real), np.abs(h.imag)).max(axis=(-2, -1), initial=0.0)
+    unit = np.ldexp(1.0, np.frexp(top)[1])
+    try:
+        w, u = np.linalg.eigh(h / unit[..., None, None])
+    except np.linalg.LinAlgError:
+        raise QwssError("eigenvalues did not converge") from None
+    return w * unit[..., None], u
 
 
 def _rounding(d: int) -> float:
@@ -277,8 +299,9 @@ def validate_psd(
             adj = _contiguous_adjoint(t, (0, 1))
             s = _scale(t, (0, 1))
             defect = np.abs(t - adj).max(axis=(0, 1), initial=0.0)
-            t += adj
-            t *= 0.5  # the Hermitian part, exactly
+            with np.errstate(over="ignore", invalid="ignore"):  # _factors fails an inf
+                t += adj
+                t *= 0.5  # the Hermitian part, exactly
             # a defect of at most the largest double also proves t finite
             if not (np.all(defect <= np.fmin(herm_tol * s, _HUGE)) and _factors(t, tol * s / 2)):
                 break
@@ -306,7 +329,7 @@ def nearest_psd(m) -> np.ndarray:
             break
     else:
         return a
-    w, u = np.linalg.eigh(a)
+    w, u = _eigh(a)
     clipped = hermitize((u * np.clip(w, 0.0, None)[..., None, :]) @ _adjoint(u))
     keep = np.all(w[..., :1] >= 0.0, axis=-1)  # w ascends: w[..., 0] is lowest
     return np.where(keep[..., None, None], a, clipped)
@@ -319,7 +342,7 @@ def psd_sqrt(m, tol: float = TOL_PSD) -> np.ndarray:
     raises NotPositiveSemidefiniteError.
     """
     a = _as_stack(m)
-    w, u = np.linalg.eigh(hermitize(a))
+    w, u = _eigh(hermitize(a))
     _raise_psd_failure(a, w, tol, tol, "psd_sqrt input")
     w = np.sqrt(np.clip(w, 0.0, None))
     return hermitize((u * w[..., None, :]) @ _adjoint(u))

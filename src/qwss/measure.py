@@ -15,7 +15,6 @@ time, never angular.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -56,19 +55,23 @@ _ATOM_MERGE_RTOL = 1e-12
 
 
 class _Record:
-    """Base of the value types that hold arrays, each a frozen dataclass.
+    """Base of the value types: frozen, compared and printed by their fields.
 
     Every stack of matrices or vectors a record keeps is read by ``_array``,
     the one shape rule: its named axes (``"bins d d"``), each at least 1
     (``rank`` at least 0), and finite entries where the record asks. So no
     record is empty or of dimension 0, and every record can be written.
-    A constructor builds its own copy of every array it keeps and hands it
-    to ``_store``, which sets each field once and write-locks the arrays in
-    place, so a record never locks or aliases its caller's array. Records
-    are equal when they are of one type and every field with
-    ``compare=True`` is equal, arrays by value; defining ``__eq__`` makes
-    them unhashable.
+    A constructor checks its arguments, builds its own copy of every array
+    it keeps and hands all of it to ``_store`` once, which sets each value
+    and write-locks the arrays in place, so a record never locks or aliases
+    its caller's array. Its fields are the public names ``_store`` set, in
+    that order; no name can be set or deleted after. Records are equal when
+    they are of one type and every field not in ``_uncompared`` is equal,
+    arrays by value. Defining ``__eq__`` makes them unhashable; a record
+    that holds no array sets ``__hash__ = _Record._hash``, its fields' tuple.
     """
+
+    _uncompared = ()
 
     def _store(self, **values) -> None:
         for name, value in values.items():
@@ -76,15 +79,31 @@ class _Record:
                 value.setflags(write=False)
             object.__setattr__(self, name, value)
 
+    def _fields(self) -> dict:
+        return {k: v for k, v in vars(self).items() if not k.startswith("_")}
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
             return NotImplemented
-        for f in fields(self):
-            if f.compare:
-                a, b = getattr(self, f.name), getattr(other, f.name)
+        for name, a in self._fields().items():
+            if name not in self._uncompared:
+                b = getattr(other, name)
                 if not (np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b):
                     return False
         return True
+
+    def _hash(self) -> int:
+        return hash(tuple(self._fields().values()))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={v!r}" for k, v in self._fields().items())
+        return f"{type(self).__name__}({fields})"
 
 
 def _array(value, axes: str, what: str, finite: str | None = None, copy: bool = True):
@@ -110,7 +129,6 @@ def _array(value, axes: str, what: str, finite: str | None = None, copy: bool = 
     return a
 
 
-@dataclass(frozen=True, eq=False)
 class UniformGrid(_Record):
     """A ``(bins, d, d)`` matrix stack on ``bins`` equal cells of ``[nu_min, nu_max]``.
 
@@ -120,14 +138,11 @@ class UniformGrid(_Record):
     are never equal to each other (``_Record``).
     """
 
-    nu_min: float
-    nu_max: float
-    values: np.ndarray  # (bins, d, d) complex128
     _finite = None  # the message of a non-finite value, where a subclass refuses one
 
-    def __post_init__(self):
-        v = _array(self.values, "bins d d", f"{type(self).__name__} values", self._finite)
-        lo, hi = float(self.nu_min), float(self.nu_max)
+    def __init__(self, nu_min: float, nu_max: float, values):
+        v = _array(values, "bins d d", f"{type(self).__name__} values", self._finite)
+        lo, hi = float(nu_min), float(nu_max)
         if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
             raise QwssError(f"need finite nu_min < nu_max, got [{lo}, {hi}]")
         self._store(nu_min=lo, nu_max=hi, values=v)
@@ -172,12 +187,11 @@ class UniformGrid(_Record):
 class DensityGrid(UniformGrid):
     """Piecewise-constant PSD-matrix density on a uniform frequency grid."""
 
-    def __post_init__(self):
-        super().__post_init__()
+    def __init__(self, nu_min: float, nu_max: float, values):
+        super().__init__(nu_min, nu_max, values)
         validate_psd(self.values, name="density bin")
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class OperatorSpectralMeasure(_Record):
     """Finite-mass operator-valued spectral measure: atoms plus a density.
 
@@ -187,11 +201,6 @@ class OperatorSpectralMeasure(_Record):
     property derives the ``(nu, weights[k])`` pairs in that order, views of
     the stacks.
     """
-
-    dim: int
-    nus: np.ndarray
-    weights: np.ndarray
-    density: DensityGrid | None
 
     def __init__(self, dim: int, atoms=(), density: DensityGrid | None = None):
         d = SIZE.index(dim, "dim")
@@ -244,7 +253,6 @@ class OperatorSpectralMeasure(_Record):
         )
 
 
-@dataclass(frozen=True, eq=False)
 class CovarianceTable(_Record):
     """Uniform-lag covariance table, stored two-sided.
 
@@ -252,14 +260,11 @@ class CovarianceTable(_Record):
     stack ``C(-m*dt) .. C(m*dt)``, built once by ``C(-tau) = C(tau)^H``.
     """
 
-    dt: float
-    values: np.ndarray  # (m+1, d, d) complex128
-
-    def __post_init__(self):
+    def __init__(self, dt: float, values):
         # read, not copied: the two-sided stack below is the record's own
-        v = _array(self.values, "m+1 d d", "covariance values",
+        v = _array(values, "m+1 d d", "covariance values",
                    "covariance values must be finite", copy=False)
-        dt = POSITIVE.check(float(self.dt), "dt")
+        dt = POSITIVE.check(float(dt), "dt")
         validate_psd(v[0], name="C(0)")
         stack = np.concatenate([v[1:][::-1].conj().transpose(0, 2, 1), v], axis=0)
         self._store(dt=dt, values=stack[len(v) - 1 :], _two_sided=stack)
@@ -293,14 +298,14 @@ class CovarianceTable(_Record):
         )
 
 
-@dataclass(frozen=True)
-class KernelVerdict:
-    """Outcome of a PSD kernel check over a finite set of sample times."""
+class KernelVerdict(_Record):
+    """Outcome of a PSD kernel check over a finite set of sample times;
+    ``witness`` is the minimum eigenvalue of the block Gram matrix."""
 
-    passed: bool
-    witness: float  # minimum eigenvalue of the block Gram matrix
-    points: int
-    dim: int
+    __hash__ = _Record._hash
+
+    def __init__(self, passed: bool, witness: float, points: int, dim: int):
+        self._store(passed=passed, witness=witness, points=points, dim=dim)
 
 
 def total_mass(mu: OperatorSpectralMeasure) -> np.ndarray:

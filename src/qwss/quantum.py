@@ -24,7 +24,6 @@ independent of t; the matching spectral measure is purely atomic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -32,7 +31,7 @@ import numpy as np
 from .errors import POSITIVE, SIZE, integer
 from .errors import DimensionMismatchError, NotPositiveSemidefiniteError, QwssError
 from .linalg import TOL_PSD, as_complex_matrix, hermitian_defect, hermitize, validate_psd
-from .linalg import _finite_part
+from .linalg import _eigh, _finite_part
 from .measure import OperatorSpectralMeasure, _array, _block_gram, _gram_blocks, _Record
 
 __all__ = [
@@ -92,26 +91,20 @@ def conditional_expectation(z, env_state, dim_system: int | None = None) -> np.n
     return np.einsum("ce,aebc->ab", rho, a.reshape(dh, dk, dh, dk))
 
 
-@dataclass(frozen=True, eq=False)
 class Mode(_Record):
     """One harmonic: frequency, system factor, environment factor."""
 
-    nu: float
-    system_op: np.ndarray
-    environment_op: np.ndarray
-
-    def __post_init__(self):
-        m = _array(self.system_op, "dim_system dim_system", "system_op",
+    def __init__(self, nu: float, system_op, environment_op):
+        m = _array(system_op, "dim_system dim_system", "system_op",
                    "system_op holds a non-finite entry")
-        d = _array(self.environment_op, "dim_environment dim_environment", "environment_op",
+        d = _array(environment_op, "dim_environment dim_environment", "environment_op",
                    "environment_op holds a non-finite entry")
-        nu = float(self.nu)
+        nu = float(nu)
         if not np.isfinite(nu):
             raise QwssError(f"mode frequency must be finite, got {nu}")
         self._store(nu=nu, system_op=m, environment_op=d)
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class QuantumModel(_Record):
     """Finite-harmonic stationary process with validated mode structure.
 
@@ -124,21 +117,14 @@ class QuantumModel(_Record):
     The modes are stored once, as stacks in mode order, write-locked like
     every ``_Record`` array: ``nus`` ``(K,)``, ``system_ops`` ``(K, dh, dh)``
     and ``environment_ops`` ``(K, dk, dk)``, which every model operation
-    reads. The ``modes`` property rebuilds the ``Mode`` objects on access.
+    reads. The ``modes`` property rebuilds the ``Mode`` objects on access,
+    and ``mode_weights`` holds ``s_k = tr[rho D_k^H D_k]`` per mode.
 
     The factors are checked as one ``(modes, dk, dk)`` stack: one batched
     trace for the means, one for the second moments (the mode weights), and
     one Gram matmul for every off-diagonal pair. The first failure is
     reported in per-mode order: centering by mode, then pairs row-major.
     """
-
-    dim_system: int
-    dim_environment: int
-    env_state: np.ndarray
-    nus: np.ndarray
-    system_ops: np.ndarray
-    environment_ops: np.ndarray
-    mode_weights: tuple[float, ...]  # s_k = tr[rho D_k^H D_k] per mode
 
     def __init__(self, dim_system: int, dim_environment: int, env_state, modes):
         dh = SIZE.index(dim_system, "dim_system")
@@ -286,7 +272,6 @@ def model_spectral_measure(model: QuantumModel) -> OperatorSpectralMeasure:
     return OperatorSpectralMeasure(dim=model.dim_system, atoms=zip(model.nus, weights))
 
 
-@dataclass(frozen=True, eq=False)
 class KolmogorovFactorization(_Record):
     """Minimal factorization ``K[i,j] = V_i^H V_j`` of a PSD block kernel.
 
@@ -294,16 +279,13 @@ class KolmogorovFactorization(_Record):
     numerical rank of the stacked Gram matrix.
     """
 
-    rank: int
-    factors: np.ndarray  # (n, rank, d)
-
-    def __post_init__(self):
-        f = _array(self.factors, "n rank d", "factors")
-        if f.shape[1] != int(self.rank):
+    def __init__(self, rank: int, factors):
+        f = _array(factors, "n rank d", "factors")
+        if f.shape[1] != int(rank):
             raise DimensionMismatchError(
                 f"factors must have shape (n, rank, d), got {f.shape}"
             )
-        self._store(rank=int(self.rank), factors=f)
+        self._store(rank=int(rank), factors=f)
 
     @property
     def points(self) -> int:
@@ -346,7 +328,7 @@ def kolmogorov_decompose(blocks, tol: float = TOL_PSD) -> KolmogorovFactorizatio
             "block kernel is not Hermitian-symmetric: K[j,i] != K[i,j]^H"
         )
     h, unit = _finite_part(gram, hermitize(gram))
-    w, u = np.linalg.eigh(h)
+    w, u = _eigh(h)
     w = w * unit
     lo = float(w.min())
     if lo < -tol * scale:

@@ -29,8 +29,6 @@ line at counter ``k * 2**128``) are not reproduced.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .errors import EVEN, OVERLAP, POSITIVE, POWER_OF_TWO, SEED, integer
@@ -44,7 +42,6 @@ __all__ = ["Trajectory", "synthesize", "lag_covariance", "welch_estimate"]
 _BAND_EDGE_RTOL = 1e-12
 
 
-@dataclass(frozen=True, eq=False)
 class Trajectory(_Record):
     """Uniformly sampled complex vector time series.
 
@@ -52,14 +49,12 @@ class Trajectory(_Record):
     metadata only: equality skips it, and it does not survive file round trips.
     """
 
-    dt: float
-    samples: np.ndarray  # (n, dim) complex128
-    seed: int | None = field(default=None, compare=False)
+    _uncompared = ("seed",)
 
-    def __post_init__(self):
-        s = _array(self.samples, "n dim", "samples", "trajectory samples must be finite")
-        dt = POSITIVE.check(float(self.dt), "dt")
-        self._store(dt=dt, samples=s)
+    def __init__(self, dt: float, samples, seed: int | None = None):
+        s = _array(samples, "n dim", "samples", "trajectory samples must be finite")
+        dt = POSITIVE.check(float(dt), "dt")
+        self._store(dt=dt, samples=s, seed=seed)
 
     @property
     def n(self) -> int:

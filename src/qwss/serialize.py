@@ -21,7 +21,8 @@ Conventions shared by every format:
   f64, time-major)
 
 Each kind of JSON document is declared once, as a table of fields in key
-order (``_MEASURE``, ..., one per filter variant in ``_FILTER_DOCS``): a key,
+order (``_MEASURE``, ..., and one ``_Object`` per filter variant, ``_SHIFT``
+to ``_COMPOSITION``, whose keys are its constructor's parameters): a key,
 a codec (``float``, ``bool``, a range from ``errors``, a ``_Stack`` with a
 shape rule, an ``_Object``, or ``[_Object]``, a list of them) and where the
 writer takes the value from. ``_read`` and ``_write`` walk any table; the
@@ -44,7 +45,6 @@ import json
 import math
 import os
 import struct
-from dataclasses import fields
 from operator import attrgetter
 from typing import Callable, NamedTuple
 
@@ -461,30 +461,25 @@ _VERDICT = _Object(
     kind="kernel_verdict",
 )
 
-_FILTERS = {
-    "shift": Shift,
-    "derivative": Derivative,
-    "exp_operator": ExpOperator,
-    "tabulated": Tabulated,
-    "composition": Composition,
-}
-# a filter document holds its variant's dataclass fields, in field order
-_FILTER_KEYS = {v: tuple(f.name for f in fields(c)) for v, c in _FILTERS.items()}
-# the codec of each field but a composition's, whose factors the walks in
-# filter_to_document and filter_from_document handle
-_FILTER_CODECS = {
-    "dim": SIZE,
-    "s": float,
-    "gamma": _Stack(lambda env, v: (None, None)),
-    "a": _Stack(lambda env, v: (len(env["gamma"]), len(env["gamma"]))),
-    "nu_min": float,
-    "nu_max": float,
-    "values": _Multipliers(lambda env, v: (None, None, None), "need at least one bin"),
-}
+# a filter document holds its variant's constructor parameters, in order
+_SHIFT = _Object(("dim", SIZE), ("s", float), build=Shift, kind="filter", variant="shift")
+_DERIVATIVE = _Object(("dim", SIZE), build=Derivative, kind="filter", variant="derivative")
+_EXP_OPERATOR = _Object(
+    ("gamma", _Stack(lambda env, v: (None, None))),
+    ("a", _Stack(lambda env, v: (len(env["gamma"]), len(env["gamma"])))),
+    build=ExpOperator, kind="filter", variant="exp_operator",
+)
+_TABULATED = _Object(
+    ("nu_min", float),
+    ("nu_max", float),
+    ("values", _Multipliers(lambda env, v: (None, None, None), "need at least one bin")),
+    build=Tabulated, kind="filter", variant="tabulated",
+)
+_COMPOSITION = _Object(  # no codecs: the filter walks below handle the factors
+    ("first", None), ("second", None), build=Composition, kind="filter", variant="composition"
+)
 _FILTER_DOCS = {
-    v: _Object(*((key, _FILTER_CODECS.get(key)) for key in keys), build=_FILTERS[v],
-               kind="filter", variant=v)
-    for v, keys in _FILTER_KEYS.items()
+    t.head["variant"]: t for t in (_SHIFT, _DERIVATIVE, _EXP_OPERATOR, _TABULATED, _COMPOSITION)
 }
 
 
@@ -506,9 +501,9 @@ def filter_to_document(filt: FilterSpec, stacks=None) -> dict:
             "scalar convolution filters hold an arbitrary callable "
             "and cannot be serialized; tabulate the response instead"
         )
-    for variant, cls in _FILTERS.items():
-        if isinstance(filt, cls):
-            return _write(_FILTER_DOCS[variant], filt, stacks=stacks)
+    for table in _FILTER_DOCS.values():
+        if isinstance(filt, table.build):
+            return _write(table, filt, stacks=stacks)
     raise SchemaError(f"not a filter: {type(filt).__name__}")
 
 
@@ -527,14 +522,14 @@ def filter_from_document(doc: dict, loc: str | None = None) -> FilterSpec:
         if "variant" not in doc:
             raise SchemaError("missing key 'variant'", location=loc)
         variant = doc["variant"]
-        if not isinstance(variant, str) or variant not in _FILTER_KEYS:
+        if not isinstance(variant, str) or variant not in _FILTER_DOCS:
             raise SchemaError(
                 f"unknown filter variant {variant!r}", location=_at(loc, "variant")
             )
         if variant != "composition":
             done.append(_read(_FILTER_DOCS[variant], doc, loc))
             continue
-        _check(_FILTER_DOCS[variant], doc, loc)
+        _check(_COMPOSITION, doc, loc)
         stack += [None, *((doc[key], _at(loc, key)) for key in ("second", "first"))]
     return done[0]
 

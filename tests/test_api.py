@@ -5,9 +5,10 @@ every array-holding value type follows the one ``_Record`` rule, and any
 array either builds an object its codec writes back or is refused."""
 
 import ast
-import dataclasses
+import copy
 import importlib
 import math
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -20,16 +21,20 @@ from hypothesis.extra.numpy import arrays
 
 import qwss
 from qwss import (
+    Composition,
     CovarianceTable,
     Derivative,
     DensityGrid,
     ExpOperator,
+    KernelVerdict,
     KolmogorovFactorization,
     Mode,
     OperatorSpectralMeasure,
     QuantumModel,
     QwssError,
+    ScalarConvolution,
     SchemaError,
+    Shift,
     Tabulated,
     Trajectory,
     UnboundedWhiteNoise,
@@ -62,6 +67,7 @@ from qwss import (
     white_noise,
 )
 from qwss import errors
+from qwss.filters import FilterSpec
 from qwss.measure import _Record
 
 MODULES = ("errors", "filters", "linalg", "measure", "quantum", "sampling", "serialize")
@@ -117,13 +123,23 @@ def test_every_raise_is_a_package_error_or_a_type_error():
         if isinstance(obj, type) and issubclass(obj, errors.QwssError)
     } | {"TypeError", "OSError", "IsADirectoryError"}
     raised = []
+
+    def visit(node, file, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            if isinstance(child, ast.Raise) and child.exc is not None:
+                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+                raised.append((file, scope, child.lineno, ast.unparse(exc)))
+            visit(child, file, inner)
+
     for path in sorted(Path(qwss.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Raise) and node.exc is not None:
-                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
-                raised.append((path.name, node.lineno, ast.unparse(exc)))
+        visit(ast.parse(path.read_text()), path.name, "")
     assert len(raised) > 100
-    assert [r for r in raised if r[2] not in allowed] == []
+    # and a record's refusal to set or delete a name, as frozen dataclasses raise it
+    frozen = [("measure.py", f"_Record.{m}", "AttributeError") for m in ("__setattr__", "__delattr__")]
+    assert [(f, s, e) for f, s, _, e in raised if e not in allowed] == frozen
 
 
 MU = white_noise([[1.0]], band=1.0, bins=4)
@@ -289,9 +305,10 @@ def test_every_array_record_is_listed():
             yield sub
             yield from subclasses(sub)
 
+    # the unhashable records that compare by _Record's rule; FilterSpec is abstract
     own_eq = {
         c for c in subclasses(_Record)
-        if dataclasses.is_dataclass(c) and c.__eq__ is _Record.__eq__
+        if c.__eq__ is _Record.__eq__ and c.__hash__ is None and c is not FilterSpec
     }
     assert own_eq == set(RECORDS)
 
@@ -343,6 +360,108 @@ def test_only_record_store_sets_fields_and_locks_arrays():
         # replaces the recursive dataclass __eq__ of a filter tree, no array record
         ("filters.py", "Composition.__eq__", "def"),
     }
+
+
+# --- what the generated dataclass code did, kept by _Record --------------------
+
+
+# each record built by keyword, equal to its RECORDS build from the same inputs
+BY_KEYWORD = {
+    UniformGrid: lambda v: UniformGrid(nu_min=-1.0, nu_max=1.0, values=v),
+    DensityGrid: lambda v: DensityGrid(nu_min=-1.0, nu_max=1.0, values=v),
+    Tabulated: lambda v: Tabulated(nu_min=-1.0, nu_max=1.0, values=v),
+    OperatorSpectralMeasure: lambda w, v: OperatorSpectralMeasure(
+        dim=1, atoms=[(0.5, w)], density=DensityGrid(nu_min=-1.0, nu_max=1.0, values=v)
+    ),
+    CovarianceTable: lambda v: CovarianceTable(dt=0.1, values=v),
+    Mode: lambda m, d: Mode(nu=0.5, system_op=m, environment_op=d),
+    QuantumModel: lambda rho, d: QuantumModel(
+        dim_system=1, dim_environment=2, env_state=rho,
+        modes=[Mode(nu=0.5, system_op=[[1.0]], environment_op=d)],
+    ),
+    KolmogorovFactorization: lambda f: KolmogorovFactorization(rank=1, factors=f),
+    Trajectory: lambda x: Trajectory(dt=0.1, samples=x, seed=3),
+    ExpOperator: lambda g, a: ExpOperator(gamma=g, a=a),
+    UnboundedWhiteNoise: lambda s: UnboundedWhiteNoise(intensity=s),
+}
+
+
+@pytest.mark.parametrize("kind", RECORDS, ids=lambda kind: kind.__name__)
+def test_records_build_by_keyword_and_survive_pickle_and_copy(kind):
+    make, build = RECORDS[kind]
+    record = BY_KEYWORD[kind](*make())
+    assert record == build(*make())
+    with pytest.raises(TypeError, match=f"^unhashable type: '{kind.__name__}'$"):
+        hash(record)
+    for again in (pickle.loads(pickle.dumps(record)), copy.copy(record)):
+        assert type(again) is kind and again is not record
+        assert again == record and repr(again) == repr(record)
+
+
+def test_records_print_as_the_generated_repr():
+    d = np.diag([1.0, -1.0])
+    assert repr(Shift(2, 0.25)) == "Shift(dim=2, s=0.25)"
+    assert repr(Derivative(dim=1)) == "Derivative(dim=1)"
+    assert repr(ExpOperator([[2.0]], [[1.0]])) == (
+        "ExpOperator(gamma=array([[2.+0.j]]), a=array([[1.+0.j]]))"
+    )
+    assert repr(UnboundedWhiteNoise([[1.0]])) == "UnboundedWhiteNoise(intensity=array([[1.+0.j]]))"
+    assert repr(Mode(0.5, [[1.0]], d)) == (
+        "Mode(nu=0.5, system_op=array([[1.+0.j]]), environment_op=array([[ 1.+0.j,  0.+0.j],\n"
+        "       [ 0.+0.j, -1.+0.j]]))"
+    )
+    assert repr(QuantumModel(1, 2, np.eye(2) / 2, [Mode(0.5, [[1.0]], d)])) == (
+        "QuantumModel(dim_system=1, dim_environment=2, env_state=array([[0.5+0.j, 0. +0.j],\n"
+        "       [0. +0.j, 0.5+0.j]]), nus=array([0.5]), system_ops=array([[[1.+0.j]]]), "
+        "environment_ops=array([[[ 1.+0.j,  0.+0.j],\n"
+        "        [ 0.+0.j, -1.+0.j]]]), mode_weights=(1.0,))"
+    )
+    assert repr(KolmogorovFactorization(1, [[[1.0]], [[2.0]]])) == (
+        "KolmogorovFactorization(rank=1, factors=array([[[1.+0.j]],\n\n       [[2.+0.j]]]))"
+    )
+    assert repr(KernelVerdict(True, -0.5, 3, 2)) == (
+        "KernelVerdict(passed=True, witness=-0.5, points=3, dim=2)"
+    )
+    assert repr(ScalarConvolution(1, abs)) == "ScalarConvolution(dim=1, hhat=<built-in function abs>)"
+
+
+def test_records_without_arrays_hash_as_the_tuple_of_their_fields():
+    pairs = [
+        (Shift(2, 0.25), Shift(dim=2, s=0.25), (2, 0.25)),
+        (Derivative(1), Derivative(dim=1), (1,)),
+        (ScalarConvolution(1, abs), ScalarConvolution(dim=1, hhat=abs), (1, abs)),
+        (KernelVerdict(True, -0.5, 3, 2),
+         KernelVerdict(passed=True, witness=-0.5, points=3, dim=2), (True, -0.5, 3, 2)),
+    ]
+    for a, b, fields in pairs:
+        assert a == b and a is not b
+        assert hash(a) == hash(b) == hash(fields)
+    assert Shift(2, 0.25) != Shift(2, 0.5) and KernelVerdict(True, 0.0, 1, 1) != (True, 0.0, 1, 1)
+
+
+# a record of each value type that holds no array, beside those of RECORDS
+PLAIN = [
+    Shift(1, 0.5),
+    Derivative(1),
+    ScalarConvolution(1, abs),
+    Composition(Shift(1, 0.5), Derivative(1)),
+    KernelVerdict(True, 0.0, 1, 1),
+]
+
+
+@pytest.mark.parametrize(
+    "record", [build(*make()) for make, build in RECORDS.values()] + PLAIN,
+    ids=lambda record: type(record).__name__,
+)
+def test_records_refuse_assignment_and_deletion(record):
+    # subclasses such as DensityGrid and Tabulated too, for any name
+    name = next(iter(vars(record)))  # the first field
+    for target in (name, "extra"):
+        with pytest.raises(AttributeError, match=f"^cannot assign to field '{target}'$"):
+            setattr(record, target, 1)
+        with pytest.raises(AttributeError, match=f"^cannot delete field '{target}'$"):
+            delattr(record, target)
+    assert name in vars(record) and "extra" not in vars(record)
 
 
 # --- the library boundary: any array builds a writable object or is refused ---

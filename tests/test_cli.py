@@ -970,6 +970,12 @@ class TestConsoleScript:
         proc = subprocess.run([sys.executable, "-c", check], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
 
+    def test_imports_leave_out_dataclasses(self):
+        # every CLI child would pay for its import; the records need none
+        check = "import sys, qwss.cli\nassert 'dataclasses' not in sys.modules\n"
+        proc = subprocess.run([sys.executable, "-c", check], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
     def test_entry_point_runs(self):
         proc = subprocess.run(
             [sys.executable, "-m", "qwss", "--help"], capture_output=True, text=True

@@ -590,3 +590,55 @@ class TestPsdCertificate:
                 x = np.zeros((2, 2, k), dtype=complex)
                 x[0, 0], x[1, 1] = bad, 1.0
                 assert not linalg._factors(x, 1e-9)
+
+
+# a 3 x 3 kernel of 2 x 2 blocks whose Gram matrix spans 2**-7 to 3.7e255:
+# LAPACK's zheevd does not converge on it under OpenBLAS's SkylakeX and
+# Haswell kernels, and does on it divided by 2**849
+SPREAD = np.full((3, 3, 2, 2), 2.0**-7, dtype=np.complex128)
+SPREAD[0, 0][1, 1] = 3.7464482702623978e255
+SPREAD[0, 1][0, 0] = 398065711671996.06j
+SPREAD[1, 0][1, 0] = 1j
+
+
+class TestEighRetry:
+    def test_spread_kernel_factors_and_its_gram_projects(self):
+        scale = 3.7464482702623978e255
+        fact = qwss.kolmogorov_decompose(SPREAD)
+        gram = hermitize(SPREAD.transpose(0, 2, 1, 3).reshape(6, 6))
+        near = nearest_psd(gram)
+        root = psd_sqrt(gram)
+        for m in (fact.reconstruction().transpose(0, 2, 1, 3).reshape(6, 6), near, root @ root):
+            assert np.isfinite(m).all()
+            assert np.abs(m - gram).max() <= 1e-9 * scale
+        assert fact.rank == 1  # eigenvalues above tol * lambda_max: only the largest
+        assert np.abs(near - near.conj().T).max() == 0.0
+
+    def test_retry_divides_each_slice_by_a_power_of_two(self, monkeypatch):
+        eigh, seen = np.linalg.eigh, []
+
+        def unconverged_above_one(h):
+            seen.append(float(np.abs(h).max()))
+            if seen[-1] > 1.0:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return eigh(h)
+
+        h = np.array([np.diag([3.0, -12.0]), np.diag([0.25, 0.5]), np.zeros((2, 2))], complex)
+        want = [np.diag([3.0, -12.0]) / 16, np.diag([0.25, 0.5]) * 2, np.zeros((2, 2))]
+        monkeypatch.setattr(np.linalg, "eigh", unconverged_above_one)
+        w, u = linalg._eigh(h)
+        assert seen == [12.0, 0.75]
+        assert np.array_equal(w, [[-12.0, 3.0], [0.25, 0.5], [0.0, 0.0]])
+        assert np.array_equal(u, eigh(np.array(want, complex))[1])
+
+    def test_a_second_failure_is_a_package_error_and_non_finite_input_is_not_retried(
+        self, monkeypatch
+    ):
+        def unconverged(h):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", unconverged)
+        with pytest.raises(qwss.QwssError, match="^eigenvalues did not converge$"):
+            linalg._eigh(np.eye(2, dtype=complex))
+        with pytest.raises(np.linalg.LinAlgError):
+            linalg._eigh(np.diag([np.nan, 1.0]).astype(complex))

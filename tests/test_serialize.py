@@ -8,8 +8,8 @@ get the same treatment.
 
 import copy
 import csv
-import dataclasses
 import functools
+import inspect
 import io
 import json
 import math
@@ -63,6 +63,7 @@ from qwss import (
 )
 from qwss import serialize as ser
 from qwss.errors import COUNT, SIZE
+from qwss.measure import _Record
 from qwss.cli import main
 from qwss.serialize import density_to_csv, write_files
 
@@ -264,6 +265,20 @@ class TestFilterDocuments:
         with pytest.raises(SchemaError) as exc:
             deserialize_filter(json.dumps(doc).encode())
         assert exc.value.location == "second.variant"
+
+    def test_each_table_keys_its_constructor_parameters_in_order(self):
+        builds = {}
+        for variant, table in ser._FILTER_DOCS.items():
+            assert table.head == {"kind": "filter", "variant": variant}
+            keys = [key for key, _, _, _ in table.fields]
+            assert keys == list(inspect.signature(table.build).parameters) == list(
+                REF_FILTER_KEYS[variant]
+            )
+            builds[variant] = table.build
+        assert builds == {
+            "shift": Shift, "derivative": Derivative, "exp_operator": ExpOperator,
+            "tabulated": Tabulated, "composition": Composition,
+        }
 
 
 class TestModelDocuments:
@@ -799,17 +814,27 @@ def ref_measure_from_document(doc):
     )
 
 
+# the keys of each filter document after "kind" and "variant", in order
+REF_FILTER_KEYS = {
+    "shift": ("dim", "s"),
+    "derivative": ("dim",),
+    "exp_operator": ("gamma", "a"),
+    "tabulated": ("nu_min", "nu_max", "values"),
+    "composition": ("first", "second"),
+}
+
+
 def ref_filter_from_document(doc, loc=None):
     prefix = f"{loc}." if loc else ""
     doc = ser._as_object(doc, loc or "filter")
     if "variant" not in doc:
         raise SchemaError("missing key 'variant'", location=loc)
     variant = doc["variant"]
-    if variant not in ser._FILTER_KEYS:
+    if variant not in REF_FILTER_KEYS:
         raise SchemaError(
             f"unknown filter variant {variant!r}", location=f"{prefix}variant"
         )
-    required = ser._FILTER_KEYS[variant]
+    required = REF_FILTER_KEYS[variant]
     ser._check_keys(doc, ("kind", "variant") + required, (), loc)
     ser._check_kind(doc, "filter")
     if variant == "shift":
@@ -1284,11 +1309,11 @@ def _same_value(a, b):
     records and filters field by field."""
     if isinstance(a, np.ndarray):
         return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
-    if dataclasses.is_dataclass(a):
+    if isinstance(a, _Record):
         return type(a) is type(b) and all(
-            _same_value(getattr(a, f.name), getattr(b, f.name))
-            for f in dataclasses.fields(a)
-            if f.compare
+            _same_value(x, getattr(b, name))
+            for name, x in a._fields().items()
+            if name not in a._uncompared
         )
     return a == b
 
