@@ -12,6 +12,9 @@ The range of each scalar argument (``POSITIVE`` for a time step, ``SEED``,
 arguments are checked against it: out of range is a ``QwssError`` located at
 the argument's name, worded alike. A wrong type (a float or ``bool``
 count) stays a ``TypeError``.
+
+Beside them, each tolerance of the package's checks is declared once, with what
+it bounds and its scale: a relative one bounds an error by ``tol * max(1, scale)``.
 """
 
 import operator
@@ -131,3 +134,15 @@ SIZE = _Range(lambda m: m >= 1, ">= 1")
 POWER_OF_TWO = _Range(lambda m: m >= 1 and m & (m - 1) == 0, "a power of two")
 EVEN = _Range(lambda m: m >= 2 and m % 2 == 0, "even and >= 2")
 SEED = _Range(lambda s: 0 <= s < 2**128, "in [0, 2**128)")
+
+TOL_HERM = 1e-12  # max |M - M^H| of a matrix taken as Hermitian; scale max |M|
+TOL_PSD = 1e-9  # how far below 0 an eigenvalue of a PSD matrix may fall; scale max |M|
+TOL_KERNEL_HERM = 1e-9  # max |K - K^H| of a block kernel's Gram matrix; scale max |K|
+TOL_LAG = 1e-9  # a kernel lag's distance from a table's grid, in steps; scale |tau/dt|
+TOL_SAME_NU = 1e-12  # add_scaled's same frequency, of atoms or band edges; scale max |nu|
+TOL_BAND_EDGE = 1e-12  # a density edge past Nyquist that synthesize admits; as a share of Nyquist
+TOL_BIN = 1e-15  # cumulative's slack in counting whole bins; absolute, in bins
+MODEL_TOL = 1e-12  # modes' centering, orthogonality and independence; scale max |D|, or products
+TOL_UNIT_TRACE = 1e-9  # |tr rho - 1| of an environment state; absolute
+TOL_CSV_ORIGIN = 1e-12  # a CSV index column's first value; scale |last index|
+TOL_CSV_STEP = 1e-9  # a CSV index column's distance from m * step; scale |last index|

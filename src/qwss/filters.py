@@ -46,8 +46,7 @@ from .errors import (
 )
 from .linalg import (
     _BLOCK,
-    TOL_HERM,
-    _scale,
+    _herm_bound,
     as_complex_matrix,
     hermitian_defect,
     hermitize,
@@ -174,7 +173,7 @@ class ExpOperator(FilterSpec):
             raise DimensionMismatchError(
                 f"gamma {g.shape} and a {a.shape} must have equal shapes"
             )
-        if hermitian_defect(g) > TOL_HERM * float(_scale(g)):
+        if hermitian_defect(g) > _herm_bound(g):
             raise NotPositiveDefiniteError("gamma must be Hermitian")
         h = hermitize(g)
         if not np.isfinite(h).all():

@@ -1,13 +1,9 @@
 """Dense complex matrix primitives used everywhere else.
 
-Matrices are plain ``numpy.ndarray`` objects with dtype complex128. Two
-module-wide default tolerances govern validation:
-
-* ``TOL_HERM = 1e-12``: max-abs of ``M - M.conj().T`` for Hermiticity checks.
-* ``TOL_PSD = 1e-9``: eigenvalue floor for positive semidefiniteness.
-
-Both are scaled by the magnitude of the matrix once it exceeds unit scale, so
-well-conditioned large matrices are not rejected for harmless rounding dust.
+Matrices are plain ``numpy.ndarray`` objects with dtype complex128. The
+default tolerances of validation, ``TOL_HERM`` (the Hermitian defect) and
+``TOL_PSD`` (the eigenvalue floor), are entries of the table in ``errors``,
+and scale with the matrix's largest entry once it exceeds 1.
 
 Stacks: ``hermitian_defect``, ``hermitize``, ``validate_psd``, ``nearest_psd``
 and ``psd_sqrt`` take one ``(d, d)`` matrix or a ``(..., d, d)`` stack of
@@ -48,6 +44,7 @@ from typing import Callable
 
 import numpy as np
 
+from .errors import TOL_HERM, TOL_PSD
 from .errors import (
     DimensionMismatchError,
     NotPositiveDefiniteError,
@@ -55,8 +52,6 @@ from .errors import (
     QwssError,
 )
 
-TOL_HERM = 1e-12
-TOL_PSD = 1e-9
 _HUGE = np.finfo(float).max
 _BLOCK = 4096  # rows of d-vectors, or bins, per block of working memory; bounds the peak
 
@@ -105,7 +100,8 @@ def hermitian_defect(m):
     """Max-abs entry of ``M - M.conj().T``: a float, or one per stack slice."""
     a = np.asarray(m, dtype=np.complex128)
     adj = _contiguous_adjoint(a)
-    defect = np.abs(np.subtract(a, adj, out=adj)).max(axis=(-2, -1), initial=0.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf is NaN, tested after
+        defect = np.abs(np.subtract(a, adj, out=adj)).max(axis=(-2, -1), initial=0.0)
     return float(defect) if defect.ndim == 0 else defect
 
 
@@ -126,20 +122,8 @@ def _scale(a: np.ndarray, axes=(-2, -1)):
     return np.fmin(np.fmax(1.0, np.abs(a).max(axis=axes, initial=0.0)), _HUGE)
 
 
-def _finite_part(a: np.ndarray, h: np.ndarray):
-    """``h``, the Hermitian part of ``a``, made finite for LAPACK, and the
-    factor of each slice's eigenvalues: 1, or the largest real or imaginary
-    part ``s`` of a slice whose ``h`` holds a NaN or inf, because ``a`` does
-    (the checks report such a slice as non-finite, whatever its eigenvalues)
-    or because ``a + a^H`` overflowed. Such a slice becomes the Hermitian part
-    of ``a / s``, each non-finite entry of ``a`` read as 0."""
-    finite = np.isfinite(h).all(axis=(-2, -1))
-    if finite.all():
-        return h, 1.0
-    z = np.where(np.isfinite(a), a, 0.0)
-    s = np.fmax(1.0, np.abs(z.view(np.float64)).max(axis=(-2, -1), initial=0.0))
-    unit = hermitize(z / s[..., None, None])
-    return np.where(finite[..., None, None], h, unit), np.where(finite, 1.0, s)[..., None]
+def _herm_bound(a: np.ndarray) -> float:
+    return TOL_HERM * float(_scale(a))  # the largest defect of a that TOL_HERM admits
 
 
 def _eigh(h: np.ndarray):
@@ -160,6 +144,23 @@ def _eigh(h: np.ndarray):
     except np.linalg.LinAlgError:
         raise QwssError("eigenvalues did not converge") from None
     return w * unit[..., None], u
+
+
+def _spectrum(a: np.ndarray, vectors: bool = False):
+    """Eigenvalues of each slice's Hermitian part, with eigenvectors (``_eigh``) if
+    ``vectors``. A slice whose part is not finite (``a`` is not, which the checks
+    report whatever the eigenvalues, or ``a + a^H`` overflows) is solved divided
+    by ``s``, its largest real or imaginary part (non-finite ones 0), then times ``s``."""
+    h, unit = hermitize(a), 1.0
+    finite = np.isfinite(h).all(axis=(-2, -1))
+    if not finite.all():
+        z = np.where(np.isfinite(a), a, 0.0)
+        s = np.fmax(1.0, np.abs(z.view(np.float64)).max(axis=(-2, -1), initial=0.0))
+        h = np.where(finite[..., None, None], h, hermitize(z / s[..., None, None]))
+        unit = np.where(finite, 1.0, s)[..., None]
+    w, u = _eigh(h) if vectors else (np.linalg.eigvalsh(h), None)
+    with np.errstate(over="ignore"):  # an eigenvalue past the largest double is inf
+        return (w * unit, u) if vectors else w * unit
 
 
 def _rounding(d: int) -> float:
@@ -193,18 +194,18 @@ def _factors(h: np.ndarray, shift) -> bool:
     Hermitian matrices (``_entry_major``) that the caller owns. Shifts and
     factors ``h`` in place."""
     d, k = h.shape[0], h.shape[-1]
-    h.reshape(d * d, k)[:: d + 1] += shift  # the diagonal
-    if k < _SWEEP * d * d:
-        try:
-            factor = np.linalg.cholesky(h.transpose(2, 0, 1))
-        except np.linalg.LinAlgError:
-            return False
-        return bool(np.isfinite(factor).all())
-    # right-looking, one vector operation per entry across the block; a
-    # non-finite entry L_ij reaches pivot i as -|L_ij|^2 or NaN, so finite
-    # positive pivots prove the whole factor finite (a NaN fails p > 0, but
-    # +inf passes it)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite entry fails below
+        h.reshape(d * d, k)[:: d + 1] += shift  # the diagonal
+        if k < _SWEEP * d * d:
+            try:
+                factor = np.linalg.cholesky(h.transpose(2, 0, 1))
+            except np.linalg.LinAlgError:
+                return False
+            return bool(np.isfinite(factor).all())
+        # right-looking, one vector operation per entry across the block; a
+        # non-finite entry L_ij reaches pivot i as -|L_ij|^2 or NaN, so finite
+        # positive pivots prove the whole factor finite (a NaN fails p > 0, but
+        # +inf passes it)
         for j in range(d):
             p = h[j, j].real
             if not (p.min() > 0.0 and p.max() < np.inf):
@@ -298,8 +299,8 @@ def validate_psd(
         for t in _entry_major(a):
             adj = _contiguous_adjoint(t, (0, 1))
             s = _scale(t, (0, 1))
-            defect = np.abs(t - adj).max(axis=(0, 1), initial=0.0)
             with np.errstate(over="ignore", invalid="ignore"):  # _factors fails an inf
+                defect = np.abs(t - adj).max(axis=(0, 1), initial=0.0)
                 t += adj
                 t *= 0.5  # the Hermitian part, exactly
             # a defect of at most the largest double also proves t finite
@@ -307,8 +308,7 @@ def validate_psd(
                 break
         else:
             return a
-    h, unit = _finite_part(a, hermitize(a))
-    _raise_psd_failure(a, np.linalg.eigvalsh(h) * unit, tol, herm_tol, name)
+    _raise_psd_failure(a, _spectrum(a), tol, herm_tol, name)
     return a
 
 
@@ -356,7 +356,7 @@ def resolvent(gamma, nu) -> np.ndarray:
     Singular only if Gamma itself is singular and nu == 0.
     """
     g = as_complex_matrix(gamma, name="gamma")
-    if hermitian_defect(g) > TOL_HERM * float(_scale(g)):
+    if hermitian_defect(g) > _herm_bound(g):
         raise NotPositiveDefiniteError("resolvent requires Hermitian gamma")
     nus = np.asarray(nu, dtype=float)
     d = g.shape[0]
@@ -387,7 +387,7 @@ def solve_lyapunov(gamma, s) -> np.ndarray:
         raise DimensionMismatchError(
             f"gamma {g.shape} and s {rhs.shape} must have equal shapes"
         )
-    if hermitian_defect(g) > TOL_HERM * float(_scale(g)):
+    if hermitian_defect(g) > _herm_bound(g):
         raise NotPositiveDefiniteError("solve_lyapunov requires Hermitian gamma")
     w, u = np.linalg.eigh(hermitize(g))
     if w.min(initial=np.inf) <= 0.0:
@@ -396,6 +396,6 @@ def solve_lyapunov(gamma, s) -> np.ndarray:
         )
     rotated = u.conj().T @ rhs @ u
     m = u @ (rotated / (w[:, None] + w[None, :])) @ u.conj().T
-    if hermitian_defect(rhs) <= TOL_HERM * float(_scale(rhs)):
+    if hermitian_defect(rhs) <= _herm_bound(rhs):
         m = hermitize(m)
     return m

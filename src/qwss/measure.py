@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import COUNT, POSITIVE, SIZE, integer
+from .errors import COUNT, POSITIVE, SIZE, TOL_BIN, TOL_KERNEL_HERM, TOL_LAG, TOL_SAME_NU, integer
 from .errors import (
     DimensionMismatchError,
     NotPositiveSemidefiniteError,
@@ -28,7 +28,7 @@ from .errors import (
 )
 from .linalg import (
     TOL_PSD,
-    _finite_part,
+    _spectrum,
     as_complex_matrix,
     hermitian_defect,
     hermitize,
@@ -50,8 +50,6 @@ __all__ = [
     "check_psd_kernel",
     "add_scaled",
 ]
-
-_ATOM_MERGE_RTOL = 1e-12
 
 
 class _Record:
@@ -329,7 +327,7 @@ def cumulative(mu: OperatorSpectralMeasure, nu: float) -> np.ndarray:
     den = mu.density
     if den is not None and nu > den.nu_min:
         covered = min(nu, den.nu_max) - den.nu_min
-        full = int(np.floor(covered / den.width + 1e-15))
+        full = int(np.floor(covered / den.width + TOL_BIN))
         full = min(full, den.bins)
         if full:
             out += den.values[:full].sum(axis=0) * den.width
@@ -497,7 +495,7 @@ def _kernel_blocks(cov, times: Sequence[float]) -> np.ndarray:
     if isinstance(cov, CovarianceTable):
         ratio = lags / cov.dt
         m = np.rint(ratio)
-        off_grid = ~(np.abs(ratio - m) <= 1e-9 * np.maximum(1.0, np.abs(ratio)))
+        off_grid = ~(np.abs(ratio - m) <= TOL_LAG * np.maximum(1.0, np.abs(ratio)))
         top = cov.max_lag_index
         bad = np.argwhere(off_grid | (np.abs(m) > top))
         if bad.size:
@@ -531,23 +529,26 @@ def _kernel_blocks(cov, times: Sequence[float]) -> np.ndarray:
     return stack[rows]
 
 
-def _block_gram(blocks: np.ndarray) -> tuple[np.ndarray, float]:
+def _block_gram(blocks: np.ndarray, tol: float, asymmetric: str) -> tuple[np.ndarray, float]:
     """Gram matrix of ``(n, n, d, d)`` blocks, ``K[i,j][a,b]`` at ``(i*d+a, j*d+b)``,
-    and its scale ``max(1, max|K|)``; raises if empty or at the first non-finite block."""
+    and its scale ``max(1, max|K|)``; raises if empty, at the first non-finite
+    block, or ``asymmetric`` if its Hermitian defect exceeds ``tol * scale``."""
     n, _, d, _ = blocks.shape
     if n * d == 0:
         raise DimensionMismatchError(f"block kernel is empty: blocks of shape {blocks.shape}")
     gram = blocks.transpose(0, 2, 1, 3).reshape(n * d, n * d)
-    top = float(np.abs(gram).max())
-    if not np.isfinite(top):  # an entry is NaN or inf, or its modulus overflows
+    scale = float(np.maximum(np.abs(gram).max(), 1.0))  # a NaN stays NaN
+    if not np.isfinite(scale):  # an entry is NaN or inf, or its modulus overflows
         bad = np.argwhere(~np.isfinite(blocks).all(axis=(2, 3)))
         if bad.size:
             i, j = bad[0].tolist()
             raise NotPositiveSemidefiniteError(
                 f"block kernel holds a non-finite entry in block ({i}, {j})"
             )
-        top = np.finfo(float).max
-    return gram, max(1.0, top)
+        scale = np.finfo(float).max
+    if hermitian_defect(gram) > tol * scale:
+        raise NotPositiveSemidefiniteError(asymmetric)
+    return gram, scale
 
 
 def _gram_blocks(gram: np.ndarray, n: int, d: int) -> np.ndarray:
@@ -568,13 +569,9 @@ def check_psd_kernel(cov, times: Sequence[float], tol: float = TOL_PSD) -> Kerne
     """
     POSITIVE.check(tol, "tol")
     blocks = _kernel_blocks(cov, times)
-    gram, scale = _block_gram(blocks)
-    if hermitian_defect(gram) > 1e-9 * scale:
-        raise NotPositiveSemidefiniteError(
-            "kernel is not Hermitian-symmetric: C(-tau) != C(tau)^H beyond tolerance"
-        )
-    h, unit = _finite_part(gram, hermitize(gram))
-    lo = float((np.linalg.eigvalsh(h) * unit).min())
+    asymmetric = "kernel is not Hermitian-symmetric: C(-tau) != C(tau)^H beyond tolerance"
+    gram, scale = _block_gram(blocks, TOL_KERNEL_HERM, asymmetric)
+    lo = float(_spectrum(gram).min())
     passed, n, d = bool(lo >= -tol * scale), len(blocks), blocks.shape[-1]
     return KernelVerdict(passed=passed, witness=lo, points=n, dim=d)
 
@@ -588,7 +585,7 @@ def add_scaled(
     """Spectral measure of ``alpha*X + beta*Y`` for orthogonal processes:
     ``|alpha|^2 * mu1 + |beta|^2 * mu2``. Orthogonality is the caller's claim.
 
-    Coincident atoms (equal frequency within 1e-12 relative) merge by weight
+    Coincident atoms (equal frequency within ``TOL_SAME_NU``) merge by weight
     addition. Densities must share an identical band and bin counts related by
     an integer factor; the coarser grid is split exactly onto the finer one.
     """
@@ -615,8 +612,8 @@ def add_scaled(
     else:
         span = max(abs(d1.nu_min), abs(d1.nu_max), 1.0)
         if (
-            abs(d1.nu_min - d2.nu_min) > 1e-12 * span
-            or abs(d1.nu_max - d2.nu_max) > 1e-12 * span
+            abs(d1.nu_min - d2.nu_min) > TOL_SAME_NU * span
+            or abs(d1.nu_max - d2.nu_max) > TOL_SAME_NU * span
         ):
             raise QwssError(
                 f"density bands differ: [{d1.nu_min}, {d1.nu_max}] vs "
@@ -636,13 +633,13 @@ def add_scaled(
 
 def _merge_starts(nus: np.ndarray) -> np.ndarray:
     """First index of each merge group of the ascending ``nus``: an atom joins
-    the current group if it is within ``_ATOM_MERGE_RTOL`` of the group's
+    the current group if it is within ``TOL_SAME_NU`` of the group's
     first frequency. Gaps that wide between neighbours start groups; each
     round then starts one at the earliest atom too far from its group's first."""
 
     def far(first, nu):
         scale = np.maximum(1.0, np.maximum(np.abs(nu), np.abs(first)))
-        return np.abs(nu - first) > _ATOM_MERGE_RTOL * scale
+        return np.abs(nu - first) > TOL_SAME_NU * scale
 
     start = np.ones(len(nus), dtype=bool)
     start[1:] = far(nus[:-1], nus[1:])

@@ -28,10 +28,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import POSITIVE, SIZE, integer
+from .errors import MODEL_TOL, POSITIVE, SIZE, TOL_UNIT_TRACE, integer
 from .errors import DimensionMismatchError, NotPositiveSemidefiniteError, QwssError
-from .linalg import TOL_PSD, as_complex_matrix, hermitian_defect, hermitize, validate_psd
-from .linalg import _eigh, _finite_part
+from .linalg import TOL_PSD, _spectrum, as_complex_matrix, hermitize, validate_psd
 from .measure import OperatorSpectralMeasure, _array, _block_gram, _gram_blocks, _Record
 
 __all__ = [
@@ -48,8 +47,6 @@ __all__ = [
     "kolmogorov_decompose",
 ]
 
-MODEL_TOL = 1e-12
-
 
 def partial_trace_environment(z, dim_system: int, dim_environment: int) -> np.ndarray:
     """Partial trace over the environment factor of H tensor K."""
@@ -65,7 +62,7 @@ def partial_trace_environment(z, dim_system: int, dim_environment: int) -> np.nd
 def _unit_trace(rho: np.ndarray) -> np.ndarray:
     """``rho``, checked to have unit trace as a density matrix must."""
     tr = float(np.trace(rho).real)
-    if abs(tr - 1.0) > 1e-9:
+    if abs(tr - 1.0) > TOL_UNIT_TRACE:
         raise QwssError(f"environment state must have unit trace, got {tr}")
     return rho
 
@@ -211,7 +208,7 @@ class QuantumModel(_Record):
 
 
 def orthogonalize_environment_ops(
-    env_state, ops: Sequence, tol: float = 1e-12
+    env_state, ops: Sequence, tol: float = MODEL_TOL
 ) -> list[np.ndarray]:
     """Center and Gram-Schmidt raw environment operators under ``tr[rho . ]``.
 
@@ -313,7 +310,8 @@ def kolmogorov_decompose(blocks, tol: float = TOL_PSD) -> KolmogorovFactorizatio
     ``tol`` (witness eigenvalue reported otherwise). Eigenvalues above
     ``tol * lambda_max`` are kept, so the rank is minimal at that threshold
     and the factorization is unique up to a unitary on the rank space.
-    ``tol`` must be a positive finite number; a NaN or inf block raises.
+    ``tol`` must be a positive finite number; a NaN or inf block raises, and
+    so does a kernel whose largest eigenvalue overflows.
     """
     POSITIVE.check(tol, "tol")
     k = np.ascontiguousarray(blocks, dtype=np.complex128)
@@ -322,20 +320,17 @@ def kolmogorov_decompose(blocks, tol: float = TOL_PSD) -> KolmogorovFactorizatio
             f"blocks must have shape (n, n, d, d), got {k.shape}"
         )
     n, _, d, _ = k.shape
-    gram, scale = _block_gram(k)
-    if hermitian_defect(gram) > tol * scale:
-        raise NotPositiveSemidefiniteError(
-            "block kernel is not Hermitian-symmetric: K[j,i] != K[i,j]^H"
-        )
-    h, unit = _finite_part(gram, hermitize(gram))
-    w, u = _eigh(h)
-    w = w * unit
+    asymmetric = "block kernel is not Hermitian-symmetric: K[j,i] != K[i,j]^H"
+    gram, scale = _block_gram(k, tol, asymmetric)
+    w, u = _spectrum(gram, vectors=True)
     lo = float(w.min())
     if lo < -tol * scale:
         raise NotPositiveSemidefiniteError(
             f"block kernel is not PSD: min eigenvalue = {lo:.6e}", witness=lo
         )
     wmax = float(w.max(initial=0.0))
+    if wmax == np.inf:
+        raise QwssError("block kernel is too large to factor: its largest eigenvalue overflows")
     keep = np.where(w > tol * max(wmax, 0.0))[0][::-1]  # descending
     v = np.sqrt(w[keep])[:, None] * u[:, keep].conj().T  # (rank, n*d)
     factors = v.reshape(len(keep), n, d).transpose(1, 0, 2)

@@ -31,15 +31,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import EVEN, OVERLAP, POSITIVE, POWER_OF_TWO, SEED, integer
+from .errors import EVEN, OVERLAP, POSITIVE, POWER_OF_TWO, SEED, TOL_BAND_EDGE, integer
 from .errors import AliasingError, QwssError
 from .linalg import _BLOCK, hermitize, nearest_psd, psd_sqrt
 from .measure import CovarianceTable, DensityGrid, OperatorSpectralMeasure
 from .measure import _array, _fft_length, _Record
 
 __all__ = ["Trajectory", "synthesize", "lag_covariance", "welch_estimate"]
-
-_BAND_EDGE_RTOL = 1e-12
 
 
 class Trajectory(_Record):
@@ -103,7 +101,7 @@ def synthesize(
         )
     den = mu.density
     if den is not None:
-        edge = nyquist * (1.0 + _BAND_EDGE_RTOL)
+        edge = nyquist * (1.0 + TOL_BAND_EDGE)
         if den.nu_min < -edge or den.nu_max > edge:
             raise AliasingError(
                 f"density band [{den.nu_min}, {den.nu_max}] exceeds the "

@@ -50,7 +50,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import COUNT, POSITIVE, SIZE, NotPositiveSemidefiniteError, SchemaError
+from .errors import COUNT, POSITIVE, SIZE, TOL_CSV_ORIGIN, TOL_CSV_STEP
+from .errors import NotPositiveSemidefiniteError, SchemaError
 from .filters import (
     Composition,
     Derivative,
@@ -651,13 +652,13 @@ def _read_rows(text, index_name: str, expected_header) -> tuple[float, np.ndarra
                 raise SchemaError(f"row {k} holds a non-finite value")
     axis = table[:, 0]
     data = table[:, 1:].copy().view(np.complex128)  # re, im as written: -0.0 too
-    if abs(axis[0]) > 1e-12 * max(1.0, abs(axis[-1])):
+    if abs(axis[0]) > TOL_CSV_ORIGIN * max(1.0, abs(axis[-1])):
         raise SchemaError(f"index must start at 0, got {axis[0]}")
     dt = axis[1] - axis[0]
     if dt <= 0:
         raise SchemaError(f"index must increase, got step {dt}")
     ideal = np.arange(len(body)) * dt
-    if np.abs(axis - ideal).max() > 1e-9 * max(1.0, abs(axis[-1])):
+    if np.abs(axis - ideal).max() > TOL_CSV_STEP * max(1.0, abs(axis[-1])):
         raise SchemaError("index column must be uniformly spaced from 0")
     return dt, data
 

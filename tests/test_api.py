@@ -11,6 +11,7 @@ import math
 import pickle
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +30,7 @@ from qwss import (
     KernelVerdict,
     KolmogorovFactorization,
     Mode,
+    NotPositiveSemidefiniteError,
     OperatorSpectralMeasure,
     QuantumModel,
     QwssError,
@@ -51,7 +53,9 @@ from qwss import (
     deserialize_model,
     kolmogorov_decompose,
     lag_covariance,
+    nearest_psd,
     partial_trace_environment,
+    psd_sqrt,
     serialize_factorization,
     serialize_filter,
     serialize_kernel,
@@ -69,6 +73,8 @@ from qwss import (
 from qwss import errors
 from qwss.filters import FilterSpec
 from qwss.measure import _Record
+
+from helpers import outcome
 
 MODULES = ("errors", "filters", "linalg", "measure", "quantum", "sampling", "serialize")
 
@@ -140,6 +146,35 @@ def test_every_raise_is_a_package_error_or_a_type_error():
     # and a record's refusal to set or delete a name, as frozen dataclasses raise it
     frozen = [("measure.py", f"_Record.{m}", "AttributeError") for m in ("__setattr__", "__delattr__")]
     assert [(f, s, e) for f, s, _, e in raised if e not in allowed] == frozen
+
+
+def test_every_tolerance_is_declared_once_in_the_table():
+    # the table is errors.py's module-level names bound to a float literal, each
+    # on one line that says what it bounds; no other literal below 1e-6 may
+    # decide a check, and every entry is read
+    table, small, read = {}, [], set()
+    for path in sorted(Path(qwss.__file__).parent.glob("*.py")):
+        source = path.read_text()
+        tree = ast.parse(source)
+        declared = set()
+        if path.name == "errors.py":
+            for node in tree.body:
+                if isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant):
+                    if isinstance(node.value.value, float):
+                        table[node.targets[0].id] = source.splitlines()[node.lineno - 1]
+                        declared.add(node.value)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+                if 0 < abs(node.value) < 1e-6 and node not in declared:
+                    small.append((path.name, node.lineno, node.value))
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    assert {"TOL_HERM", "TOL_PSD", "MODEL_TOL"} <= set(table)
+    assert [name for name, line in table.items() if "  # " not in line] == []
+    assert small == []
+    assert sorted(set(table) - read) == []
 
 
 MU = white_noise([[1.0]], band=1.0, bins=4)
@@ -532,3 +567,46 @@ def test_any_array_builds_a_writable_object_or_is_refused(case, data):
         except SchemaError:  # as a 1-lag table in CSV: no time step to write
             return
         assert write(read(written)) == written
+
+
+HUGE = 1.7e308
+NOT_PSD = NotPositiveSemidefiniteError
+# each ends as it does with warnings ignored: a refusal, or the same bits; the
+# kernel whose largest eigenvalue overflows is refused (it once factored at rank 0)
+QUIET = {
+    "DensityGrid-inf": (lambda: DensityGrid(0.0, 1.0, [[[math.inf]]]),
+                        NOT_PSD, "density bin 0 holds a non-finite entry"),
+    "atom-inf": (lambda: OperatorSpectralMeasure(1, [(0.0, [[math.inf]])]),
+                 NOT_PSD, "atom 0 weight holds a non-finite entry"),
+    "white_noise-inf": (lambda: white_noise([[math.inf]], band=1.0),
+                        NOT_PSD, "white noise intensity holds a non-finite entry"),
+    "QuantumModel-inf": (lambda: QuantumModel(1, 1, [[math.inf]], []),
+                         NOT_PSD, "environment state holds a non-finite entry"),
+    "psd_sqrt-inf": (lambda: psd_sqrt([[math.inf, 0], [0, 1]]),
+                     NOT_PSD, "psd_sqrt input holds a non-finite entry"),
+    "nearest_psd-inf": (lambda: nearest_psd([[math.inf, 0], [0, 1]]), None, None),
+    "DensityGrid-huge": (lambda: DensityGrid(0.0, 1.0, [[[HUGE, HUGE], [HUGE, HUGE]]]),
+                         None, None),
+    "check_psd_kernel-huge": (lambda: check_psd_kernel(lambda t: [[HUGE]], [0.0, 1.0]),
+                              None, None),
+    "kolmogorov_decompose-huge": (
+        lambda: kolmogorov_decompose(np.full((2, 2, 1, 1), HUGE)), QwssError,
+        "block kernel is too large to factor: its largest eigenvalue overflows",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", QUIET)
+def test_psd_checks_warn_on_no_inf_or_overflowing_entry(case):
+    call, error, message = QUIET[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        quiet = outcome(call)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        loud = outcome(call)
+    if error is not None:
+        assert loud == quiet == (error, message)
+    else:
+        assert loud[0] == quiet[0] == "ok"
+        assert pickle.dumps(loud[1]) == pickle.dumps(quiet[1])  # bit for bit

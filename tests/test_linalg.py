@@ -552,7 +552,8 @@ class TestPsdCertificate:
             elif fault == "nonherm":
                 x[i, j, k] += 1e-6j * (1.0 + np.abs(x[i]).max())
             else:
-                x[i] -= 2.0 * tol * (1.0 + np.abs(x[i]).max()) * np.eye(d)
+                with np.errstate(invalid="ignore"):  # after an inf: inf * 0, inf - inf
+                    x[i] -= 2.0 * tol * (1.0 + np.abs(x[i]).max()) * np.eye(d)
         if layout == "single" and count:
             x = x[int(rng.integers(count))]
         elif layout == "batch":

@@ -729,6 +729,20 @@ class TestKolmogorov:
         with pytest.raises(ValueError, match="tol must be a positive finite number"):
             kolmogorov_decompose(np.ones((2, 2, 1, 1)), tol=tol)
 
+    @pytest.mark.parametrize("shape", [(2, 2, 1, 1), (2, 2, 2, 2)])
+    @pytest.mark.parametrize("top", [1e154, 4e307, 8.9e307, 1.7e308])
+    def test_huge_kernel_factors_or_is_refused(self, shape, top):
+        # never an empty factor of a non-zero kernel: the all-1.7e308 (2, 2, 1, 1)
+        # kernel's largest eigenvalue, 3.4e308, overflows
+        blocks = np.full(shape, top, dtype=complex)
+        try:
+            fact = kolmogorov_decompose(blocks)
+        except QwssError as exc:
+            assert "largest eigenvalue overflows" in str(exc)
+            return
+        assert fact.rank == 1
+        assert np.abs(fact.reconstruction() - blocks).max() <= 1e-9 * top
+
     def test_zero_kernel_has_rank_zero(self):
         fact = kolmogorov_decompose(np.zeros((3, 3, 2, 2)))
         assert fact.rank == 0
