@@ -28,6 +28,10 @@ or written. A malformed value (``--n 1e3``, ``--window foo``, a config
 or config keys and missing parameters, positionals or subcommands are
 ``schema`` errors. Constraints that tie a parameter to another one or to
 the input (``segment <= n``, ``lags < n/2``) are checked by the library.
+Each call builds the parser of the one subcommand that ``argv`` names, and
+of all nine for ``-h``, no subcommand or an unknown one: argparse hands the
+named subcommand every later string, so the result, help and errors are
+those of the parser of all nine.
 
 Every failure prints one JSON object ``{"error": {"code", "message",
 "location"}}`` to stderr and exits 1; ``-h`` exits 0. ``checkpsd`` exits 0
@@ -441,13 +445,13 @@ class _Parser(argparse.ArgumentParser):
         raise SchemaError(message)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The parser of ``_COMMANDS``; flags stay text until ``_resolve``."""
-    parser = _Parser(
-        prog="qwss", description="Operator-valued stationary process toolkit"
-    )
+def build_parser(argv=()) -> argparse.ArgumentParser:
+    """The parser of ``_COMMANDS``, or of the one subcommand that ``argv``
+    starts with; flags stay text until ``_resolve``."""
+    parser = _Parser(prog="qwss", description="Operator-valued stationary process toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (summary, params) in _COMMANDS.items():
+    chosen = {n: c for n, c in _COMMANDS.items() if n.split()[0] in argv[:1]}
+    for name, (summary, params) in (chosen or _COMMANDS).items():
         if name == "demo ou":
             demo = sub.add_parser("demo", help="end-to-end demonstration pipelines")
             demo_sub = demo.add_subparsers(dest="demo", required=True)
@@ -467,8 +471,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(argv).parse_args(argv)
         _resolve(args)
         # stderr carries only the JSON error: a NaN or inf that overflow
         # leaves behind fails validation, so numpy's warnings add nothing

@@ -78,6 +78,15 @@ def as_complex_matrix(m, name: str = "matrix") -> np.ndarray:
     return a
 
 
+def _finite_matrix(m, name: str) -> np.ndarray:
+    """``as_complex_matrix(m, name)``, refusing a non-finite entry, which
+    would pass the Hermitian test as NaN does any comparison."""
+    a = as_complex_matrix(m, name=name)
+    if not np.isfinite(a.view(np.float64)).all():
+        raise QwssError(f"{name} holds a non-finite entry")
+    return a
+
+
 def _as_stack(m, name: str = "matrix") -> np.ndarray:
     """Return ``m`` as a C-contiguous complex128 matrix or stack of them."""
     a = np.ascontiguousarray(m, dtype=np.complex128)
@@ -355,7 +364,7 @@ def resolvent(gamma, nu) -> np.ndarray:
     shape ``nu.shape + (d, d)``. Frequencies are cycles, never angular.
     Singular only if Gamma itself is singular and nu == 0.
     """
-    g = as_complex_matrix(gamma, name="gamma")
+    g = _finite_matrix(gamma, "gamma")
     if hermitian_defect(g) > _herm_bound(g):
         raise NotPositiveDefiniteError("resolvent requires Hermitian gamma")
     nus = np.asarray(nu, dtype=float)
@@ -381,8 +390,8 @@ def solve_lyapunov(gamma, s) -> np.ndarray:
     eigenvalue sums, and rotates back. For PSD ``S`` the solution
     ``M = integral_0^inf exp(-Gamma u) S exp(-Gamma u) du`` is PSD.
     """
-    g = as_complex_matrix(gamma, name="gamma")
-    rhs = as_complex_matrix(s, name="s")
+    g = _finite_matrix(gamma, "gamma")
+    rhs = _finite_matrix(s, "s")
     if g.shape != rhs.shape:
         raise DimensionMismatchError(
             f"gamma {g.shape} and s {rhs.shape} must have equal shapes"

@@ -56,11 +56,13 @@ from qwss import (
     nearest_psd,
     partial_trace_environment,
     psd_sqrt,
+    resolvent,
     serialize_factorization,
     serialize_filter,
     serialize_kernel,
     serialize_measure,
     serialize_model,
+    solve_lyapunov,
     spectrum_from_covariance,
     synthesize,
     trajectory_from_binary,
@@ -92,33 +94,54 @@ def test_every_name_is_the_module_object():
             assert getattr(qwss, name) is getattr(module, name), (m, name)
 
 
-def test_import_loads_the_seven_modules_and_their_imports_only():
-    # Import what the seven modules import, then qwss: the package itself
-    # must add its own modules and nothing else (no cli, no scipy).
-    pkg = Path(qwss.__file__).parent
-    deps = set()
-    for m in MODULES:
-        for node in ast.walk(ast.parse((pkg / f"{m}.py").read_text())):
-            if isinstance(node, ast.Import):
-                deps.update(alias.name for alias in node.names)
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                deps.add(node.module)
-    code = (
-        "import importlib, sys\n"
-        f"for name in {sorted(deps)!r}:\n"
-        "    importlib.import_module(name)\n"
-        "before = set(sys.modules)\n"
-        "import qwss\n"
-        "print(' '.join(sorted(set(sys.modules) - before)))\n"
-    )
+def _child(code):
+    """The lines that ``code`` prints in a fresh interpreter."""
     proc = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
         text=True,
-        cwd=pkg.parent,
+        cwd=Path(qwss.__file__).parent.parent,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["qwss"] + [f"qwss.{m}" for m in MODULES]
+    return proc.stdout.splitlines()
+
+
+def test_import_loads_nothing_until_a_name_is_used():
+    # `import qwss` adds the package alone, so no numpy. After what the seven
+    # modules import (and the lookup's importlib), one public name adds the
+    # seven modules and nothing else (no cli, no scipy).
+    deps = {"importlib"}
+    for m in MODULES:
+        for node in ast.walk(ast.parse((Path(qwss.__file__).parent / f"{m}.py").read_text())):
+            if isinstance(node, ast.Import):
+                deps.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                deps.add(node.module)
+    lazy, loaded = _child(
+        "import importlib, sys\n"
+        "before = set(sys.modules)\n"
+        "import qwss\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+        f"for name in {sorted(deps)!r}:\n"
+        "    importlib.import_module(name)\n"
+        "before = set(sys.modules)\n"
+        "qwss.DensityGrid\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+    )
+    assert lazy.split() == ["qwss"]
+    assert loaded.split() == [f"qwss.{m}" for m in MODULES]
+
+
+def test_star_import_and_dir_list_every_public_name_on_first_use():
+    # each in a fresh interpreter, so that it is the lookup which loads
+    names = [n for m in MODULES for n in importlib.import_module(f"qwss.{m}").__all__]
+    names.append("__version__")
+    (star,) = _child(
+        "ns = {}\nexec('from qwss import *', ns)\ndel ns['__builtins__']\nprint(sorted(ns))"
+    )
+    assert eval(star) == sorted(names) and len(names) == 81
+    (listed,) = _child("import qwss\nprint(dir(qwss))")
+    assert set(names) | set(MODULES) <= set(eval(listed))
 
 
 def test_every_raise_is_a_package_error_or_a_type_error():
@@ -143,9 +166,12 @@ def test_every_raise_is_a_package_error_or_a_type_error():
     for path in sorted(Path(qwss.__file__).parent.glob("*.py")):
         visit(ast.parse(path.read_text()), path.name, "")
     assert len(raised) > 100
+    # and PEP 562's refusal of a name the package lacks, which `from qwss import
+    # cli` needs in order to fall back to importing the submodule
+    lazy = [("__init__.py", "__getattr__", "AttributeError")]
     # and a record's refusal to set or delete a name, as frozen dataclasses raise it
     frozen = [("measure.py", f"_Record.{m}", "AttributeError") for m in ("__setattr__", "__delattr__")]
-    assert [(f, s, e) for f, s, _, e in raised if e not in allowed] == frozen
+    assert [(f, s, e) for f, s, _, e in raised if e not in allowed] == lazy + frozen
 
 
 def test_every_tolerance_is_declared_once_in_the_table():
@@ -593,6 +619,17 @@ QUIET = {
         lambda: kolmogorov_decompose(np.full((2, 2, 1, 1), HUGE)), QwssError,
         "block kernel is too large to factor: its largest eigenvalue overflows",
     ),
+    # a NaN Hermitian defect passes any bound, so finiteness is tested first
+    "resolvent-inf": (lambda: resolvent([[math.inf]], 0.3),
+                      QwssError, "gamma holds a non-finite entry"),
+    "resolvent-nan": (lambda: resolvent([[math.nan]], 0.3),
+                      QwssError, "gamma holds a non-finite entry"),
+    "solve_lyapunov-inf": (lambda: solve_lyapunov([[math.inf]], [[1.0]]),
+                           QwssError, "gamma holds a non-finite entry"),
+    "solve_lyapunov-nan": (lambda: solve_lyapunov([[math.nan]], [[1.0]]),
+                           QwssError, "gamma holds a non-finite entry"),
+    "solve_lyapunov-s-nan": (lambda: solve_lyapunov([[1.0]], [[math.nan]]),
+                             QwssError, "s holds a non-finite entry"),
 }
 
 

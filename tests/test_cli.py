@@ -6,15 +6,21 @@ console script. File outputs are checked against the library functions the
 commands wrap, and the demo pipeline is pinned by golden files.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import platform
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qwss import (
     CovarianceTable,
@@ -37,7 +43,7 @@ from qwss import (
     trajectory_to_binary,
     white_noise,
 )
-from qwss import cli
+from qwss import SchemaError, cli
 from qwss.cli import main
 
 from helpers import cpu_has, golden_mismatch, rel_frob
@@ -951,6 +957,86 @@ class TestUsageContract:
         assert "usage:" in capsys.readouterr().out
 
 
+# The fuzzed command lines: every subcommand and some that are not one, any
+# flag of any subcommand (so unknown ones too), repeated or without its value,
+# malformed values, input paths that do not exist and "-h" anywhere.
+_FLAGS = sorted({f"--{p.name}" for _, ps in cli._COMMANDS.values() for p in ps if not p.positional})
+_VALUES = ("nan", "1e400", "0x10", "1_000", "", "-1", "0", "0.5", "2", "64", "hann", "0,0.25")
+_PATHS = ("in.json", "in.csv", "out.json", "t.qwss", "missing/o.csv", "", "nan")
+_rarely = st.sampled_from((False, False, False, True))
+
+
+@st.composite
+def command_lines(draw):
+    name = draw(st.sampled_from([*cli._COMMANDS, "nope", "ou", None]))
+    head = [] if name is None else name.split()
+    if name == "demo ou" and draw(_rarely):
+        head[1] = "xx"
+    params = cli._COMMANDS.get(name, ("", ()))[1]
+    count = sum(p.positional for p in params)
+    if draw(_rarely):  # missing or extra positionals
+        count = draw(st.integers(0, 4))
+    pieces = [[p] for p in draw(st.lists(st.sampled_from(_PATHS), min_size=count, max_size=count))]
+    own = [f"--{p.name}" for p in params if not p.positional]
+    flags = [*_FLAGS, "--config", "--bogus"] if not own or draw(_rarely) else own
+    for flag in draw(st.lists(st.sampled_from(flags), max_size=5)):
+        value = draw(st.sampled_from([*_VALUES, *_PATHS, None]))
+        pieces.append([flag] if value is None else [flag, value])
+    argv = head + [a for piece in draw(st.permutations(pieces)) for a in piece]
+    if draw(_rarely):
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(["-h", "--help"])))
+    return argv
+
+
+def _outcome(call):
+    """What ``call()`` returned or raised, with its stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = ("returned", call())
+        except SchemaError as exc:
+            result = ("schema", str(exc))
+        except SystemExit as exc:
+            result = ("exit", exc.code)
+    return result, out.getvalue(), err.getvalue()
+
+
+class TestFuzzedCommandLines:
+    """``main`` builds only the subcommand that ``argv`` names. On any command
+    line that parser gives what the parser of all nine gives, and the usage
+    contract holds: exit 0, or 1 with one JSON error line and no stdout, 2
+    only from ``checkpsd``, and no output or temp file once a command fails."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(argv=command_lines())
+    def test_one_subparser_parses_as_all_nine_and_main_keeps_the_contract(self, argv):
+        def parse(parser):
+            (kind, value), out, err = _outcome(lambda: parser.parse_args(argv))
+            return (kind, vars(value) if kind == "returned" else value), out, err
+
+        assert parse(cli.build_parser(argv)) == parse(cli.build_parser())
+        cwd = os.getcwd()
+        with tempfile.TemporaryDirectory() as tmp:
+            os.chdir(tmp)
+            try:
+                (kind, status), out, err = _outcome(lambda: main(argv))
+            finally:
+                os.chdir(cwd)
+            files = [p for p in Path(tmp).rglob("*") if p.is_file()]
+            temps = list(Path(tmp).rglob(".tmp-*~"))
+        assert kind in ("returned", "exit") and status in (0, 1, 2)
+        assert temps == []
+        if status == 1:
+            assert out == "" and len(err.splitlines()) == 1, (out, err)
+            doc = json.loads(err)
+            assert set(doc) == {"error"} and set(doc["error"]) == {"code", "message", "location"}
+            assert files == []
+        else:
+            assert err == ""
+            assert status == 0 or argv[0] == "checkpsd"
+            assert kind == "exit" or argv[:2] == ["demo", "ou"] or files == []
+
+
 @pytest.fixture
 def datadir():
     import pathlib
@@ -964,6 +1050,7 @@ class TestConsoleScript:
             "import sys\n"
             "for name in ('qwss', 'qwss.cli'):\n"
             "    __import__(name)\n"
+            "    sys.modules['qwss'].DensityGrid  # the seven modules, not the package alone\n"
             "    loaded = [m for m in ('secrets', '_hashlib') if m in sys.modules]\n"
             "    assert not loaded, (name, loaded)\n"
         )
