@@ -360,14 +360,17 @@ def psd_sqrt(m, tol: float = TOL_PSD) -> np.ndarray:
 def resolvent(gamma, nu) -> np.ndarray:
     """``(Gamma - 2*pi*i*nu*I)^{-1}`` for Hermitian positive definite Gamma.
 
-    ``nu`` is a frequency or an array of them; an array gives a stack of
-    shape ``nu.shape + (d, d)``. Frequencies are cycles, never angular.
-    Singular only if Gamma itself is singular and nu == 0.
+    ``nu`` is a frequency or an array of them, each with ``2*pi*nu`` finite;
+    an array gives a stack of shape ``nu.shape + (d, d)``. Frequencies are
+    cycles, never angular. Singular only if Gamma is singular and nu == 0.
     """
     g = _finite_matrix(gamma, "gamma")
     if hermitian_defect(g) > _herm_bound(g):
         raise NotPositiveDefiniteError("resolvent requires Hermitian gamma")
     nus = np.asarray(nu, dtype=float)
+    bad = nus[~(np.abs(nus) <= _HUGE / (2 * np.pi))]  # NaN, +-inf, 2*pi*nu overflowing
+    if bad.size:
+        raise QwssError(f"nu must be a frequency with 2*pi*nu finite, got {bad[0]}", location="nu")
     d = g.shape[0]
     shifted = g - np.asarray(2j * np.pi * nus)[..., None, None] * np.eye(d)
     try:

@@ -265,7 +265,7 @@ class CovarianceTable(_Record):
         dt = POSITIVE.check(float(dt), "dt")
         validate_psd(v[0], name="C(0)")
         stack = np.concatenate([v[1:][::-1].conj().transpose(0, 2, 1), v], axis=0)
-        self._store(dt=dt, values=stack[len(v) - 1 :], _two_sided=stack)
+        self._store(dt=dt, values=stack[len(v) - 1 :], _two_sided=stack, _top=len(v) - 1)
 
     @property
     def dim(self) -> int:
@@ -273,14 +273,13 @@ class CovarianceTable(_Record):
 
     @property
     def max_lag_index(self) -> int:
-        return self.values.shape[0] - 1
+        return self._top
 
     def at_index(self, m: int) -> np.ndarray:
         """C(m*dt) for any integer m with |m| <= max_lag_index, a read-only view."""
-        top = self.max_lag_index
-        if abs(m) > top:
-            raise OffGridLagError(f"lag index {m} outside table range +-{top}")
-        return self._two_sided[m + top]
+        if abs(m) > self._top:
+            raise OffGridLagError(f"lag index {m} outside table range +-{self._top}")
+        return self._two_sided[m + self._top]
 
     def lags(self) -> np.ndarray:
         return np.arange(self.values.shape[0]) * self.dt

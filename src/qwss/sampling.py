@@ -139,11 +139,11 @@ def lag_covariance(traj: Trajectory, lags: int) -> CovarianceTable:
     correlations: with blocks of ``b >= lags`` samples and ``A_j`` the
     length-``2b`` spectrum of block ``j``, ``(A_j + (-1)^k A_{j+1}) A_j^H`` is
     summed per frequency ``k`` over groups of blocks (at least 8 and 4096
-    samples); one ifft per entry reads lags ``0..lags``. Cost O(n d log b + n
+    samples), one product per matrix row, each entry summed block by block in
+    order; one ifft per entry reads lags ``0..lags``. Cost O(n d log b + n
     d^2), in memory that does not grow with ``n``. The zero lag is hermitized.
     """
-    lags = integer(lags, "lags")
-    n = traj.n
+    lags, n = integer(lags, "lags"), traj.n
     if lags < 0 or 2 * lags >= n:
         raise QwssError(f"lags must satisfy 0 <= lags < n/2, got {lags} with n={n}", location="lags")
     d, b = traj.dim, _fft_length(max(lags, 1))
@@ -161,8 +161,8 @@ def lag_covariance(traj: Trajectory, lags: int) -> CovarianceTable:
         pair[: span - 1, :, 0::2] += spec[1:, :, 0::2]
         pair[: span - 1, :, 1::2] -= spec[1:, :, 1::2]
         conj = np.conjugate(spec[:g], out=spec[:g])  # A_j^H, in place: spec is spent
-        for i, j in np.ndindex(d, d):  # entry (i, j): sum_t x_{t+m,i} conj(x_{t,j})
-            acc[i, j] += (pair[:, i] * conj[:, j]).sum(axis=0)
+        for i in range(d):  # row i: entry (i, j) sums x_{t+m,i} conj(x_{t,j}) over t
+            acc[i] += (pair[:, i, None] * conj).sum(axis=0)
         del spec, pair, conj  # before the next group's spectra
     vals = np.fft.ifft(acc)[..., : lags + 1].transpose(2, 0, 1)  # one ifft per entry
     vals /= (n - np.arange(lags + 1))[:, None, None]
@@ -201,11 +201,11 @@ def welch_estimate(
     density-only measure with ``segment`` bins covering one Nyquist band;
     bin ``i`` has its left edge at the DFT frequency it estimates. Each bin
     is projected to the nearest PSD matrix (the average of outer products is
-    already PSD, so this only clears rounding dust). Working memory is one
-    block of 4096 rows of segment spectra, whatever ``n`` and ``overlap``.
+    already PSD, so this only clears rounding dust). Segment spectra are
+    summed in blocks of 4096 rows, one product per matrix row from the
+    diagonal, so working memory is one block, whatever ``n`` and ``overlap``.
     """
-    segment = EVEN.index(segment, "segment")
-    n = traj.n
+    segment, n = EVEN.index(segment, "segment"), traj.n
     if segment > n:
         raise QwssError(f"segment must be in [2, n], got {segment} with n={n}", location="segment")
     overlap = OVERLAP.check(float(overlap), "overlap")
@@ -223,14 +223,12 @@ def welch_estimate(
     for lo in range(0, count, step):
         spec = np.fft.fft(np.multiply(segs[lo : lo + step], w, order="C"))
         conj = spec.conj()
-        for i, j in zip(*np.triu_indices(d)):  # entry (i, j): sum_s X_i conj(X_j)
-            acc[i, j] += (spec[:, i] * conj[:, j]).sum(axis=0)
-    lower = np.tril_indices(d, -1)
+        for i in range(d):  # row i from the diagonal: entry (i, j) sums X_i conj(X_j)
+            acc[i, i:] += (spec[:, i, None] * conj[:, i:]).sum(axis=0)
+    lower = np.tril_indices(d, -1)  # entries j < i, by conjugation
     acc[lower] = acc.swapaxes(0, 1)[lower].conj()
-    acc = acc.transpose(2, 0, 1)
-    acc /= count
+    acc = acc.transpose(2, 0, 1) / count
     acc *= traj.dt / float(np.sum(w * w))
-    acc = np.fft.fftshift(acc, axes=0)
     nyquist = 1.0 / (2.0 * traj.dt)
-    density = DensityGrid(nu_min=-nyquist, nu_max=nyquist, values=nearest_psd(acc))
+    density = DensityGrid(-nyquist, nyquist, nearest_psd(np.fft.fftshift(acc, axes=0)))
     return OperatorSpectralMeasure(dim=traj.dim, atoms=(), density=density)

@@ -630,6 +630,13 @@ QUIET = {
                            QwssError, "gamma holds a non-finite entry"),
     "solve_lyapunov-s-nan": (lambda: solve_lyapunov([[1.0]], [[math.nan]]),
                              QwssError, "s holds a non-finite entry"),
+    # 2*pi*nu is refused before it is formed: 2*pi*1e308 overflows
+    "resolvent-nu-nan": (lambda: resolvent([[1.0]], math.nan), QwssError,
+                         "nu must be a frequency with 2*pi*nu finite, got nan"),
+    "resolvent-nu-inf": (lambda: resolvent([[1.0]], [0.5, math.inf]), QwssError,
+                         "nu must be a frequency with 2*pi*nu finite, got inf"),
+    "resolvent-nu-huge": (lambda: resolvent([[1.0]], 1e308), QwssError,
+                          "nu must be a frequency with 2*pi*nu finite, got 1e+308"),
 }
 
 

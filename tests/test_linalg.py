@@ -191,10 +191,14 @@ class TestIsPsdIsValidatePsd:
 class TestMatrixExp:
     def test_importing_qwss_does_not_import_scipy(self):
         # the runtime needs numpy alone: scipy is a test dependency, used
-        # only as an independent reference
+        # only as an independent reference. Names load on first use, so the
+        # child uses one and imports the CLI, which loads every module
         src = str(Path(qwss.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        code = "import sys, qwss; print('scipy' in sys.modules)"
+        code = (
+            "import sys, qwss; qwss.DensityGrid; import qwss.cli; "
+            "print('qwss.filters' in sys.modules, 'scipy' in sys.modules)"
+        )
         proc = subprocess.run(
             [sys.executable, "-c", code],
             capture_output=True,
@@ -202,7 +206,7 @@ class TestMatrixExp:
             env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        assert proc.stdout.split() == ["True", "False"]
 
 
 class TestResolvent:
@@ -224,6 +228,12 @@ class TestResolvent:
     def test_singular_at_zero(self):
         with pytest.raises(NotPositiveDefiniteError):
             resolvent(np.zeros((1, 1)), 0.0)
+
+    @pytest.mark.parametrize("nu", [np.nan, np.inf, -np.inf, 1e308, [0.1, -1e308]])
+    def test_rejects_nu_whose_angular_frequency_is_not_finite(self, nu):
+        with pytest.raises(qwss.QwssError, match=r"^nu must be a frequency with 2\*pi\*nu fin") as exc:
+            resolvent(np.eye(2), nu)
+        assert exc.value.location == "nu"
 
 
 class TestLyapunov:

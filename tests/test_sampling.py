@@ -33,7 +33,7 @@ from qwss import (
     white_noise,
 )
 
-from qwss.linalg import hermitize
+from qwss.linalg import _BLOCK, hermitize
 from qwss.measure import _fft_length
 from qwss.sampling import _normals, _taper
 
@@ -402,8 +402,10 @@ class TestLagCovariance:
         x = rng.standard_normal((n, dim)) + 1j * rng.standard_normal((n, dim))
         want = np.stack([x[m:].T @ x[: n - m].conj() / (n - m) for m in range(lags + 1)])
         want[0] = hermitize(want[0])
-        got = lag_covariance(Trajectory(dt=0.5, samples=x), lags).values
+        tr = Trajectory(dt=0.5, samples=x)
+        got = lag_covariance(tr, lags).values
         assert np.abs(got - want).max() < 1e-12 * np.abs(want).max()
+        assert got.tobytes() == lag_covariance_per_entry(tr, lags).tobytes()
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 4])
     def test_block_sums_match_batched_ifft(self, dim):
@@ -465,6 +467,57 @@ def lag_covariance_batched(traj, lags):
     return CovarianceTable(dt=traj.dt, values=vals)
 
 
+def lag_covariance_per_entry(traj, lags):
+    """``lag_covariance``'s values summed by one product per matrix entry,
+    the loop that the row products replaced; every sum runs in the same
+    order, so the bytes agree."""
+    n, d, b = traj.n, traj.dim, _fft_length(max(lags, 1))
+    blocks, step = -(-n // b), max(8, _BLOCK // b)
+    acc = np.zeros((d, d, 2 * b), dtype=np.complex128)
+    for lo in range(0, blocks, step):
+        g, span = min(step, blocks - lo), min(step + 1, blocks - lo)
+        rows = traj.samples[lo * b : (lo + span) * b]
+        if len(rows) < span * b:
+            rows = np.pad(rows, ((0, span * b - len(rows)), (0, 0)))
+        spec = np.zeros((span, d, 2 * b), dtype=np.complex128)
+        spec[..., :b] = rows.reshape(span, b, d).transpose(0, 2, 1)
+        spec = np.fft.fft(spec)
+        pair = spec[:g].copy()
+        pair[: span - 1, :, 0::2] += spec[1:, :, 0::2]
+        pair[: span - 1, :, 1::2] -= spec[1:, :, 1::2]
+        conj = np.conjugate(spec[:g], out=spec[:g])
+        for i, j in np.ndindex(d, d):
+            acc[i, j] += (pair[:, i] * conj[:, j]).sum(axis=0)
+    vals = np.fft.ifft(acc)[..., : lags + 1].transpose(2, 0, 1)
+    vals /= (n - np.arange(lags + 1))[:, None, None]
+    vals[0] = hermitize(vals[0])
+    return vals
+
+
+def welch_per_entry(traj, segment, overlap, taper):
+    """``welch_estimate``'s density values summed by one product per entry
+    ``i <= j``, the loop that the row products replaced; every sum runs in
+    the same order, so the bytes agree."""
+    w = _taper(taper, segment)
+    hop = max(1, int(round(segment * (1.0 - overlap))))
+    count = 1 + (traj.n - segment) // hop
+    windows = np.lib.stride_tricks.sliding_window_view(traj.samples, segment, axis=0)
+    segs = windows[::hop][:count]
+    d, step = traj.dim, max(1, _BLOCK // segment)
+    acc = np.zeros((d, d, segment), dtype=np.complex128)
+    for lo in range(0, count, step):
+        spec = np.fft.fft(np.multiply(segs[lo : lo + step], w, order="C"))
+        conj = spec.conj()
+        for i, j in zip(*np.triu_indices(d)):
+            acc[i, j] += (spec[:, i] * conj[:, j]).sum(axis=0)
+    lower = np.tril_indices(d, -1)
+    acc[lower] = acc.swapaxes(0, 1)[lower].conj()
+    acc = acc.transpose(2, 0, 1)
+    acc /= count
+    acc *= traj.dt / float(np.sum(w * w))
+    return nearest_psd(np.fft.fftshift(acc, axes=0))
+
+
 def welch_gathered(traj, segment, overlap, taper):
     """``welch_estimate`` reading its segments by a fancy-index gather, the
     copy that the strided window view replaced."""
@@ -493,6 +546,7 @@ class TestWelchEstimate:
         got = welch_estimate(tr, segment=segment, overlap=overlap, taper=taper).density.values
         want = welch_gathered(tr, segment, overlap, taper)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        assert got.tobytes() == welch_per_entry(tr, segment, overlap, taper).tobytes()
 
     @pytest.mark.parametrize("dim", [1, 3])
     @pytest.mark.parametrize("segment, overlap", [(64, 0.5), (4, 0.5), (8192, 0.9)])
@@ -507,6 +561,7 @@ class TestWelchEstimate:
         got = welch_estimate(tr, segment=segment, overlap=overlap).density.values
         want = welch_gathered(tr, segment, overlap, "hann")
         assert np.abs(got - want).max() < 1e-12 * np.abs(want).max()
+        assert got.tobytes() == welch_per_entry(tr, segment, overlap, "hann").tobytes()
 
     def test_peak_memory_is_the_spectra_stack(self):
         # dim 4, segment 256: the spectra of one block of 16 segments, whatever
